@@ -46,10 +46,6 @@ _DESCRIPTIONS = {
 }
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(atol=args.tol, gap_tol=args.gap_tol)
-
-
 def _describe(name: str) -> str:
     base = name.split(".")[-1].split("[")[0]
     return _DESCRIPTIONS.get(base, base.replace("_", " "))
@@ -95,7 +91,7 @@ def _load(path: str, kinds: tuple[str, ...]) -> dict:
 
 
 def cmd_check_qsystem(args) -> int:
-    tol = _tolerance(args)
+    tol = args.tolerance
     doc = _load(args.file, ("qsystem",))
     q = qsystem_from_json(doc)
     rep = check_qsystem(q, tol)
@@ -104,7 +100,7 @@ def cmd_check_qsystem(args) -> int:
 
 
 def cmd_split_qsystem(args) -> int:
-    tol = _tolerance(args)
+    tol = args.tolerance
     doc = _load(args.file, ("qsystem",))
     q = qsystem_from_json(doc)
     res = split_qsystem(q, tol, np.random.default_rng(args.seed))
@@ -122,7 +118,7 @@ def cmd_split_qsystem(args) -> int:
 
 
 def cmd_verify_fun(args) -> int:
-    tol = _tolerance(args)
+    tol = args.tolerance
     doc = _load(args.file, ("scenario", "constant"))
     if doc["kind"] == "constant":
         cat, q = constant_from_json(doc)
@@ -212,6 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        args.tolerance = Tolerance(atol=args.tol, gap_tol=args.gap_tol)
+    except ValueError:
+        parser.error(f"need 0 < --tol <= --gap-tol, got --tol {args.tol} "
+                     f"--gap-tol {args.gap_tol}")
     try:
         return args.func(args)
     except ParseError as exc:

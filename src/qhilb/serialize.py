@@ -93,6 +93,8 @@ def qsystem_to_json(q: QSystemData) -> dict:
 
 
 def qsystem_from_json(d: dict) -> QSystemData:
+    if not isinstance(d, dict) or not {"cell", "m", "i"} <= d.keys():
+        raise ParseError("bad Q-system: need the keys cell, m and i")
     return QSystemData(cell_from_json(d["cell"]),
                        two_cell_from_json(d["m"]), two_cell_from_json(d["i"]))
 

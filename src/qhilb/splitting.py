@@ -7,13 +7,16 @@ balanced dual pair over a new zero-cell, together with the unitary
 ``gamma : X . Xbar -> Q`` intertwining multiplication and unit.
 
 The algorithm works on the total space of ``Q`` viewed as an
-associative algebra via left/right multiplication operators: the joint
-commutant of both regular representations is the center, a random
-hermitian central element separates the simple blocks, and a minimal
-projection in the compressed right-multiplication algebra cuts each
-block down to a column space.  Compressing *left* multiplication to
-those column spaces is an algebra map by construction, which is what
-makes ``gamma`` multiplicative.
+associative algebra via left/right multiplication operators.  The
+center is the null space of the commutator map ``z -> z a - a z`` on
+the structure constants (an ``N^2 x N`` matrix), the hermitian part of
+left multiplication by a random central element separates the simple
+blocks (the random-element method of Murota, Kanno, Kojima and Kojima,
+Japan J. Indust. Appl. Math. 27 (2010)), and a minimal projection in
+the compressed right-multiplication algebra cuts each block down to a
+column space.  Compressing *left* multiplication to those column spaces
+is an algebra map by construction, which is what makes ``gamma``
+multiplicative.
 """
 
 from __future__ import annotations
@@ -38,14 +41,23 @@ from .errors import (
     NormalizationFailure,
     NotAProjection,
 )
-from .linalg import Tolerance, dagger, frob, herm_part, range_isometry, spectral_projections, commutant_basis
-from .qsystem import DualPair, QSystemData, check_qsystem, check_qsystem_iso, qsystem_from_dual, standard_dual_pair
+from .linalg import Tolerance, dagger, frob, herm_part, range_isometry, spectral_projections
+from .qsystem import (
+    DualPair,
+    QSystemData,
+    _mult_tensor,
+    check_qsystem,
+    check_qsystem_iso,
+    qsystem_from_dual,
+    standard_dual_pair,
+)
 
 __all__ = [
     "SplitResult",
     "RegularRep",
     "split_projection",
     "regular_reps",
+    "center_basis",
     "central_decomposition",
     "split_qsystem",
 ]
@@ -66,10 +78,20 @@ class SplitResult:
 @dataclass(frozen=True, eq=False)
 class RegularRep:
     """Left/right multiplication operators on the total space of Q,
-    one per basis vector."""
+    one per basis vector, as views of the multiplication tensor
+    ``t[i, a, b]`` (coefficient of ``e_i`` in ``e_a e_b``)."""
 
-    left_ops: tuple[np.ndarray, ...]
-    right_ops: tuple[np.ndarray, ...]
+    tensor: np.ndarray
+
+    @property
+    def left_ops(self) -> np.ndarray:
+        """``left_ops[a] = t[:, a, :]``, multiplication by ``e_a`` from the left."""
+        return self.tensor.transpose(1, 0, 2)
+
+    @property
+    def right_ops(self) -> np.ndarray:
+        """``right_ops[b] = t[:, :, b]``, multiplication by ``e_b`` from the right."""
+        return self.tensor.transpose(2, 0, 1)
 
 
 def split_projection(x: GradedOneCell, p: BlockTwoCell,
@@ -106,34 +128,13 @@ def split_projection(x: GradedOneCell, p: BlockTwoCell,
     return y, BlockTwoCell(y, x, mat)
 
 
-def _pair_index(Q: GradedOneCell) -> dict[tuple[int, int], int]:
-    return {pq: k for k, pq in enumerate(hcomp_pairs(Q, Q))}
-
-
 def regular_reps(q: QSystemData, tol: Tolerance = Tolerance()) -> RegularRep:
     """Left and right multiplication operators of a valid Q-system."""
     rep = check_qsystem(q, tol)
     if not rep.passes(10 * tol.atol):
         name, value = rep.worst()
         raise InvalidQSystem(f"axiom {name} fails with residual {value:.3e}")
-    Q, m = q.Q, q.m.mat
-    n = Q.dim
-    index = _pair_index(Q)
-    left = []
-    right = []
-    for b in range(n):
-        lb = np.zeros((n, n), dtype=complex)
-        rb = np.zeros((n, n), dtype=complex)
-        for c in range(n):
-            k = index.get((b, c))
-            if k is not None:
-                lb[:, c] = m[:, k]
-            k = index.get((c, b))
-            if k is not None:
-                rb[:, c] = m[:, k]
-        left.append(lb)
-        right.append(rb)
-    return RegularRep(tuple(left), tuple(right))
+    return RegularRep(_mult_tensor(q))
 
 
 def _random_hermitian_in_span(rng: np.random.Generator, basis) -> np.ndarray:
@@ -142,13 +143,29 @@ def _random_hermitian_in_span(rng: np.random.Generator, basis) -> np.ndarray:
     return herm_part(t)
 
 
+def center_basis(t: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
+    """Orthonormal basis (as columns) of the center of the algebra with
+    multiplication tensor ``t``.
+
+    ``z`` is central iff ``z a - a z = 0`` for every basis vector ``a``,
+    so the center is the null space of the ``N^2 x N`` map
+    ``z -> (t[:, z, a] - t[:, a, z])_a``.  Singular values at most
+    ``gap_tol * max(1, sigma_max)`` count as zero.
+    """
+    n = t.shape[0]
+    comm = (t.transpose(0, 2, 1) - t).reshape(n * n, n)
+    _, s, vh = np.linalg.svd(comm, full_matrices=False)
+    cut = tol.gap_tol * max(1.0, float(s[0]) if len(s) else 1.0)
+    return vh[s <= cut].conj().T
+
+
 def central_decomposition(q: QSystemData, tol: Tolerance = Tolerance(),
                           rng: np.random.Generator | int | None = None):
     """Minimal central projections of the multiplication algebra of Q.
 
-    Spectral projections of a random hermitian element of the joint
-    commutant of left and right multiplications.  Retries with fresh
-    randomness if the sampled element fails to separate the blocks.
+    Spectral projections of the hermitian part of left multiplication
+    by a random central element.  Retries with fresh randomness if the
+    sampled element fails to separate the blocks.
     """
     rng = np.random.default_rng(rng)
     rep = regular_reps(q, tol)
@@ -156,9 +173,10 @@ def central_decomposition(q: QSystemData, tol: Tolerance = Tolerance(),
 
 
 def _central_from_rep(rep: RegularRep, tol: Tolerance, rng: np.random.Generator):
-    gens = list(rep.left_ops) + list(rep.right_ops)
-    gens += [dagger(g) for g in gens]
-    center = commutant_basis(gens, tol)
+    # L_z for each basis vector z of the center; these span the joint
+    # commutant of left and right multiplication, which is closed under
+    # adjoints, so the hermitian part of a random combination stays in it
+    center = np.tensordot(center_basis(rep.tensor, tol), rep.left_ops, axes=(0, 0))
     k = len(center)
     for _ in range(_MAX_RANDOM_ATTEMPTS):
         h = _random_hermitian_in_span(rng, center)
@@ -182,10 +200,10 @@ def _support_key(z: np.ndarray):
 def _minimal_projection(ops, w, d, tol, rng):
     """Rank-``d`` spectral projection of a random hermitian element of
     the compressed operator span (columns of ``w`` = block range)."""
-    comp = [dagger(w) @ g @ w for g in ops]
-    comp += [dagger(c) for c in comp]
+    comp = dagger(w) @ ops @ w
+    comp = np.concatenate([comp, comp.conj().transpose(0, 2, 1)])
     # orthonormalize the compressed span to draw uniformly from it
-    vecs = np.stack([c.reshape(-1) for c in comp], axis=1)
+    vecs = comp.reshape(len(comp), -1).T
     u, s, _ = np.linalg.svd(vecs, full_matrices=False)
     keep = s > tol.gap_tol * max(1.0, float(s[0]) if len(s) else 1.0)
     basis = [u[:, j].reshape(comp[0].shape) for j in range(u.shape[1]) if keep[j]]
@@ -219,13 +237,7 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     n_rows = Q.tgt.n
     N = Q.dim
 
-    row_proj = {}
-    for j in range(1, n_rows + 1):
-        d = np.zeros(N)
-        for idx, (r, _) in enumerate(Q.grading):
-            if r == j:
-                d[idx] = 1.0
-        row_proj[j] = np.diag(d).astype(complex)
+    rows = np.array([r for r, _ in Q.grading])
 
     blocks = []  # (d_t, per-row isometries {j: columns})
     for z in zs:
@@ -237,7 +249,7 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
         f = w @ _minimal_projection(rep.right_ops, w, d_t, tol, rng) @ dagger(w)
         per_row = {}
         for j in range(1, n_rows + 1):
-            pj = f @ row_proj[j]
+            pj = f * (rows == j)  # f composed with the row-j projection
             v = range_isometry(herm_part(pj), tol)
             if v.shape[1]:
                 per_row[j] = v
@@ -276,7 +288,7 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     comp = {}
     for t in range(1, k + 1):
         v = block_cols[t]
-        comp[t] = np.stack([dagger(v) @ lb @ v for lb in rep.left_ops], axis=2)
+        comp[t] = (dagger(v) @ rep.left_ops @ v).transpose(1, 2, 0)
     scales = {}
     for t, stack in comp.items():
         d = stack.shape[0]

@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from qhilb.cells import dagger2, hcomp2, id2, residual, vcomp
 from qhilb.cli import main
 from qhilb.generate import product_scenario, random_qsystem
 from qhilb.qsystem import check_qsystem
@@ -138,3 +140,52 @@ def test_reports_deterministic_bytes(tmp_path, capsys):
     _, s1 = run(capsys, "split-qsystem", qf, "--seed", "3", "--json")
     _, s2 = run(capsys, "split-qsystem", qf, "--seed", "3", "--json")
     assert s1 == s2
+
+
+def test_check_qsystem_sees_small_perturbation(tmp_path, capsys):
+    # a 1e-6 change to one entry of m breaks associativity and the
+    # Frobenius condition; the contracted tensor residuals must show it
+    # as the composites of two-cells do
+    qfile = str(tmp_path / "q.json")
+    run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
+    doc = load_document(qfile)
+    doc["m"]["mat"][1][2][0] += 1e-6
+    dump_document(doc, qfile)
+    q = qsystem_from_json(doc)
+    Q, m = q.Q, q.m
+    atol = 1e-9
+    res = dict((n, v) for n, v, _, _ in check_qsystem(q).rows(atol))
+    q1 = residual(vcomp(m, hcomp2(m, id2(Q))), vcomp(m, hcomp2(id2(Q), m)))
+    mid = vcomp(dagger2(m), m)
+    q3 = max(residual(vcomp(hcomp2(m, id2(Q)), hcomp2(id2(Q), dagger2(m))), mid),
+             residual(vcomp(hcomp2(id2(Q), m), hcomp2(dagger2(m), id2(Q))), mid))
+    assert res["Q1"] > 100 * atol and res["Q3"] > 100 * atol
+    assert abs(res["Q1"] - q1) <= 1e-9 * q1
+    assert abs(res["Q3"] - q3) <= 1e-9 * q3
+    code, text = run(capsys, "check-qsystem", qfile, "--json")
+    assert code == 1
+    verdicts = {c["name"]: c["pass"] for c in json.loads(text)["checks"]}
+    assert verdicts["Q1"] is False and verdicts["Q3"] is False
+
+
+def test_exit_code_qsystem_missing_keys(tmp_path, capsys):
+    bad = tmp_path / "bare.json"
+    bad.write_text('{"schema": 1, "kind": "qsystem"}')
+    for command in ("check-qsystem", "split-qsystem"):
+        code = main([command, str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: bad Q-system") and err.count("\n") == 1
+
+
+def test_invalid_tolerance_is_usage_error(tmp_path, capsys):
+    qfile = str(tmp_path / "q.json")
+    run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
+    for flags in (["--tol", "-1"], ["--tol", "0"], ["--gap-tol", "-1"],
+                  ["--tol", "1e-3", "--gap-tol", "1e-6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-qsystem", qfile, *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: need 0 < --tol <= --gap-tol" in err
+        assert "Traceback" not in err

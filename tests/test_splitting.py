@@ -1,14 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qhilb.cells import dagger2, id2, one_cell, residual, two_cell, vcomp
+from qhilb import splitting
+from qhilb.cells import (
+    GradedOneCell,
+    ZeroCell,
+    dagger2,
+    hcomp_pairs,
+    id2,
+    one_cell,
+    residual,
+    two_cell,
+    vcomp,
+)
 from qhilb.errors import NotAProjection
 from qhilb.generate import (
+    dress_qsystem,
     dsum_qsystems,
     random_cell,
     random_qsystem,
 )
-from qhilb.linalg import Tolerance, dagger, frob
+from qhilb.linalg import Tolerance, commutant_basis, dagger, frob, herm_part
 from qhilb.qsystem import (
     check_qsystem,
     check_qsystem_iso,
@@ -17,6 +31,7 @@ from qhilb.qsystem import (
     trivial_qsystem,
 )
 from qhilb.splitting import (
+    center_basis,
     central_decomposition,
     regular_reps,
     split_projection,
@@ -104,6 +119,20 @@ def test_regular_reps_homomorphism():
             expected = sum(prod[d] * rep.left_ops[d] for d in range(n))
             worst = max(worst, frob(rep.left_ops[b] @ rep.left_ops[c] - expected))
     assert worst < 1e-9
+
+
+def test_regular_reps_match_column_loop():
+    # reference: one column of m per composable pair, copied in a loop
+    q, _ = random_qsystem(RNG, zero_cell=3, blocks=2)
+    rep = regular_reps(q)
+    n = q.Q.dim
+    left = np.zeros((n, n, n), dtype=complex)
+    right = np.zeros((n, n, n), dtype=complex)
+    for k, (b, c) in enumerate(hcomp_pairs(q.Q, q.Q)):
+        left[b][:, c] = q.m.mat[:, k]
+        right[c][:, b] = q.m.mat[:, k]
+    assert np.array_equal(rep.left_ops, left)
+    assert np.array_equal(rep.right_ops, right)
 
 
 def test_regular_reps_commute_and_star_closed():
@@ -222,3 +251,57 @@ def test_split_seed_deterministic():
     r2 = split_qsystem(q, rng=np.random.default_rng(42))
     assert np.array_equal(r1.gamma.mat, r2.gamma.mat)
     assert r1.pair.X.grading == r2.pair.X.grading
+
+
+@st.composite
+def block_structures(draw):
+    """Per-block sector dimensions over the rows of a dual-pair cell
+    ``X : k -> b``, as ``(rows, sectors)`` with ``sectors[t][r]``; with
+    ``equal`` every block repeats the first one."""
+    rows = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    column = st.lists(st.integers(0, 2), min_size=rows, max_size=rows).filter(any)
+    first = draw(column)
+    if draw(st.booleans()):
+        sectors = [first] * k
+    else:
+        sectors = [first] + [draw(column) for _ in range(k - 1)]
+    assume(sum(sum(col) ** 2 for col in sectors) <= 24)
+    return rows, sectors
+
+
+@given(block_structures(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_center_of_dual_pair_qsystems(structure, dressed, seed):
+    rows, sectors = structure
+    k = len(sectors)
+    grading = tuple((r + 1, t + 1) for r in range(rows) for t in range(k)
+                    for _ in range(sectors[t][r]))
+    x = GradedOneCell(ZeroCell(k), ZeroCell(rows), grading)
+    rng = np.random.default_rng(seed)
+    q = qsystem_from_dual(standard_dual_pair(x))
+    if dressed:
+        q = dress_qsystem(rng, q)
+    tol = Tolerance()
+    rep = regular_reps(q, tol)
+
+    z = center_basis(rep.tensor, tol)
+    assert z.shape == (q.Q.dim, k)
+    ops = np.concatenate([rep.left_ops, rep.right_ops])
+    for lz in np.tensordot(z, rep.left_ops, axes=(0, 0)):
+        h = herm_part(lz)
+        assert max(frob(c) for c in h @ ops - ops @ h) <= 10 * tol.atol
+    gens = list(ops) + [dagger(g) for g in ops]
+    assert len(commutant_basis(gens, tol)) == k
+
+    res = split_qsystem(q, tol, rng)
+    assert block_dims(res) == sorted(sum(col) for col in sectors)
+
+
+def test_center_basis_phase_does_not_matter(monkeypatch):
+    # L_(i z) has a zero hermitian part when L_z is hermitian; the
+    # random element must still separate the blocks
+    monkeypatch.setattr(splitting, "center_basis",
+                        lambda t, tol: 1j * center_basis(t, tol))
+    zs = central_decomposition(trivial_qsystem(3), rng=np.random.default_rng(1))
+    assert len(zs) == 3
