@@ -13,9 +13,9 @@ from .splitting import SplitResult, RegularRep, split_projection, \
     regular_reps, central_decomposition, split_qsystem
 from .presentation import PresentedTwoCat, GenOneCell, GenTwoCell, Path
 from .funcat import FunctorData, TransformationData, ModificationData, \
-    EndFQSystem, check_functor, one_cell_image, check_transformation, \
-    check_modification, tensor_transformations, tensor_modifications, \
-    vcomp_modifications, split_modification_projection, check_endf_qsystem, \
+    EndFQSystem, check_functor, check_transformation, check_modification, \
+    tensor_transformations, tensor_modifications, vcomp_modifications, \
+    split_modification_projection, check_endf_qsystem, \
     qsystem_from_dualizable_transformation, construct_G, construct_phi, \
     construct_phibar, verify_main_theorem, constant_functor_scenario
 

@@ -39,7 +39,6 @@ __all__ = [
     "unitor_left",
     "unitor_right",
     "standard_dual",
-    "sector_residual",
 ]
 
 
@@ -122,16 +121,6 @@ def two_cell(source: GradedOneCell, target: GradedOneCell, mat) -> BlockTwoCell:
 
 def id2(x: GradedOneCell) -> BlockTwoCell:
     return BlockTwoCell(x, x, np.eye(x.dim, dtype=complex))
-
-
-def sector_residual(f: BlockTwoCell) -> float:
-    """Frobenius norm of the entries living on mismatched sectors."""
-    bad = 0.0
-    for p, gt in enumerate(f.target.grading):
-        for q, gs in enumerate(f.source.grading):
-            if gt != gs:
-                bad += abs(f.mat[p, q]) ** 2
-    return float(np.sqrt(bad))
 
 
 @lru_cache(maxsize=None)
@@ -288,16 +277,3 @@ def projection_residual(p: BlockTwoCell) -> float:
     if p.source != p.target:
         raise CellMismatch("projection must be an endo two-cell")
     return max(frob(p.mat - dagger(p.mat)), frob(p.mat @ p.mat - p.mat))
-
-
-def mask_sectors(f: BlockTwoCell) -> BlockTwoCell:
-    """Zero out entries on mismatched sectors (removes numerical dust)."""
-    mat = np.array(f.mat)
-    tg = f.target.grading
-    sg = f.source.grading
-    for p in range(f.target.dim):
-        for q in range(f.source.dim):
-            if tg[p] != sg[q]:
-                mat[p, q] = 0.0
-    return BlockTwoCell(f.source, f.target, mat)
-

@@ -49,7 +49,6 @@ __all__ = [
     "random_presentation",
     "product_scenario",
     "summed_transformation",
-    "random_constant_scenario",
 ]
 
 
@@ -394,20 +393,6 @@ def _product_scenario_once(rng: np.random.Generator, cat: PresentedTwoCat):
 
     psi = TransformationData(f, f, psi0, comp1)
     return cat, f, EndFQSystem(psi, ModificationData(m), ModificationData(i))
-
-
-def random_constant_scenario(rng: np.random.Generator,
-                             cat: PresentedTwoCat | None = None,
-                             zero_cell: int = 2, blocks: int = 2,
-                             max_sector_dim: int = 2):
-    """Presentation plus random Q-system for the constant-functor
-    scenario.  Returns ``(cat, QSystemData)``."""
-    from .funcat import constant_functor_scenario
-
-    c = cat if cat is not None else random_presentation(rng)
-    q, _ = random_qsystem(rng, zero_cell, blocks, max_sector_dim)
-    f, endf = constant_functor_scenario(c, q)
-    return c, q, f, endf
 
 
 def summed_transformation(rng: np.random.Generator, cat: PresentedTwoCat,

@@ -61,15 +61,20 @@ def _mat_to_json(m: np.ndarray) -> list:
 
 
 def _mat_from_json(rows, shape) -> np.ndarray:
-    m = np.zeros(shape, dtype=complex)
-    if shape[0] and len(rows) != shape[0]:
-        raise ParseError("matrix has wrong number of rows")
-    for i, row in enumerate(rows):
-        if len(row) != shape[1]:
-            raise ParseError("matrix has wrong number of columns")
-        for j, z in enumerate(row):
-            m[i, j] = complex(float(z[0]), float(z[1]))
-    return m
+    """Complex matrix of ``shape`` from rows of ``[re, im]`` pairs of
+    finite numbers."""
+    try:
+        a = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"matrix entries must be [re, im] number pairs: {exc}") from exc
+    if a.size == 0 and 0 in shape and a.shape[:1] == shape[:1]:
+        return np.zeros(shape, dtype=complex)
+    if a.shape != (*shape, 2):
+        raise ParseError(f"matrix of [re, im] pairs has shape {a.shape}, "
+                         f"need {(*shape, 2)}")
+    if not np.isfinite(a).all():
+        raise ParseError("matrix entries must be finite numbers")
+    return a.view(complex)[..., 0]
 
 
 def two_cell_to_json(f: BlockTwoCell) -> dict:

@@ -32,7 +32,6 @@ from .cells import (
     ZeroCell,
     hcomp_pairs,
     hcomp1,
-    mask_sectors,
     projection_residual,
 )
 from .errors import (
@@ -51,6 +50,7 @@ from .qsystem import (
     qsystem_from_dual,
     standard_dual_pair,
 )
+from .report import ResidualReport
 
 __all__ = [
     "SplitResult",
@@ -68,11 +68,14 @@ _MAX_RANDOM_ATTEMPTS = 5
 @dataclass(frozen=True, eq=False)
 class SplitResult:
     """Output of Q-system splitting: new zero-cell ``k``, balanced dual
-    pair with ``X : k -> b``, and the unitary ``gamma : X . Xbar -> Q``."""
+    pair with ``X : k -> b``, the unitary ``gamma : X . Xbar -> Q``, and
+    ``iso``, the residuals of ``gamma`` as a Q-system isomorphism
+    (``check_qsystem_iso``)."""
 
     k: ZeroCell
     pair: DualPair
     gamma: BlockTwoCell
+    iso: ResidualReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,12 +310,14 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
         alpha = block_pos[p_idx]
         beta = block_pos[q_idx]
         gdag[row, :] = scales[t] * comp[t][alpha, beta, :]
-    gamma = mask_sectors(BlockTwoCell(hcomp1(X, Xbar), Q, dagger(gdag)))
+    # zero the numerical dust on mismatched (row, col) sectors
+    src = hcomp1(X, Xbar)
+    same = (np.reshape(Q.grading, (-1, 1, 2)) == np.reshape(src.grading, (1, -1, 2))).all(2)
+    gamma = BlockTwoCell(src, Q, np.where(same, dagger(gdag), 0))
 
-    result = SplitResult(ZeroCell(k), pair, gamma)
     iso = check_qsystem_iso(gamma, qsystem_from_dual(pair), q, tol)
     if not iso.passes(10 * tol.atol):
         name, value = iso.worst()
         raise NormalizationFailure(
             f"splitting produced gamma with {name} residual {value:.3e}")
-    return result
+    return SplitResult(ZeroCell(k), pair, gamma, iso)

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from qhilb import qsystem, splitting
 from qhilb.cells import dagger2, hcomp2, id2, residual, vcomp
 from qhilb.cli import main
 from qhilb.generate import product_scenario, random_qsystem
@@ -104,6 +106,23 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("entry", [[1], [float("nan"), 0.0], [0.0, float("inf")]])
+def test_exit_code_bad_matrix_entry(tmp_path, capsys, entry):
+    # an entry that is not a pair of finite numbers is a parse error
+    qfile = str(tmp_path / "q.json")
+    run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
+    doc = load_document(qfile)
+    doc["m"]["mat"][0][0] = entry
+    dump_document(doc, qfile)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check-qsystem", qfile])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_exit_code_shape_error(tmp_path, capsys):
     qfile = str(tmp_path / "q.json")
     run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
@@ -119,6 +138,23 @@ def test_exit_code_shape_error(tmp_path, capsys):
     dump_document(doc, qfile)
     code, _ = run(capsys, "check-qsystem", qfile)
     assert code == 3
+
+
+def test_split_command_checks_iso_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    check_iso = qsystem.check_qsystem_iso
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_iso(*args, **kwargs)
+
+    for module in (qsystem, splitting):
+        monkeypatch.setattr(module, "check_qsystem_iso", counted)
+    qfile = str(tmp_path / "q.json")
+    run(capsys, "gen", "--kind", "qsystem", "--seed", "5", "--out", qfile)
+    code, _ = run(capsys, "split-qsystem", qfile, "--seed", "1")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_gen_deterministic_bytes(tmp_path, capsys):

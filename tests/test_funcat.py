@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qhilb import funcat
 from qhilb.cells import dagger2, hcomp1, id1, id2, one_cell, residual, two_cell, vcomp
 from qhilb.errors import IllTypedPath, InvalidQSystem
 from qhilb.funcat import (
@@ -17,13 +18,13 @@ from qhilb.funcat import (
     construct_phibar,
     eval_expr,
     identity_transformation,
-    one_cell_image,
     qsystem_from_dualizable_transformation,
     split_modification_projection,
     tensor_modifications,
     tensor_transformations,
     vcomp_modifications,
     verify_main_theorem,
+    _pname,
 )
 from qhilb.generate import (
     product_scenario,
@@ -80,11 +81,11 @@ def test_path_validation():
 def test_one_cell_image():
     cat = two_cell_cat()
     f = random_free_functor(RNG, cat)
-    assert one_cell_image(f, cat.empty_path("a")) == id1(f.on0["a"])
+    assert f.cell(cat.empty_path("a")) == id1(f.on0["a"])
     px = cat.path(("X",))
-    assert one_cell_image(f, px) == f.on1["X"]
+    assert f.cell(px) == f.on1["X"]
     pyx = cat.path(("Y", "X"))
-    assert one_cell_image(f, pyx) == hcomp1(f.on1["Y"], f.on1["X"])
+    assert f.cell(pyx) == hcomp1(f.on1["Y"], f.on1["X"])
 
 
 def test_free_functor_passes_exactly():
@@ -304,6 +305,35 @@ def test_verify_main_theorem_product_scenarios():
         cat, f, endf = product_scenario(rng)
         out = verify_main_theorem(cat, f, endf, rng=rng)
         assert out.passes(1e-7), out.worst()
+
+
+def test_verify_main_theorem_checks_each_identity_once(monkeypatch):
+    # the tensorator identities of G are reported once, under functor.*,
+    # and gamma's algebra-map identities once, under qsystem_iso.*
+    calls = []
+    check_input = funcat.check_endf_qsystem
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_input(*args, **kwargs)
+
+    monkeypatch.setattr(funcat, "check_endf_qsystem", counted)
+    cat, f, endf = product_scenario(np.random.default_rng(1))
+    assert cat.composable_triples() and cat.gen_two_cells
+    out = verify_main_theorem(cat, f, endf, rng=1)
+    assert len(calls) == 1
+    assert out.sections["input"].residuals == check_input(cat, f, endf).residuals
+    assert list(out.sections) == [
+        "input", "gamma_bend", "projection", "isometry_product", "gamma_action",
+        "crossing_transport", "functor", "transformation", "duality",
+        "modification", "qsystem_iso"]
+    names = {name for name, *_ in out.rows(1.0)}
+    for p, q in cat.composable_pairs():
+        assert f"functor.tensorator_unitary[{_pname(p)},{_pname(q)}]" in names
+    for p, q, r in cat.composable_triples():
+        assert f"functor.tensorator_assoc[{_pname(p)},{_pname(q)},{_pname(r)}]" in names
+    for a in cat.zero_cells:
+        assert {f"qsystem_iso.[{a}].multiplication", f"qsystem_iso.[{a}].unit"} <= names
 
 
 def test_roundtrip_dualizable_transformation():

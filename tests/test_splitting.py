@@ -191,6 +191,7 @@ def test_split_m2():
     assert res.gamma.mat.shape == (4, 4)
     rep = check_qsystem_iso(res.gamma, qsystem_from_dual(res.pair), q)
     assert rep.max_residual < 1e-8
+    assert res.iso.residuals == rep.residuals
 
 
 def test_split_roundtrip_random():
@@ -209,6 +210,12 @@ def test_split_roundtrip_random():
         assert block_dims(res) == sorted(counts)
         rep = check_qsystem_iso(res.gamma, qsystem_from_dual(res.pair), q)
         assert rep.max_residual < 1e-8
+        # gamma carries nothing on mismatched (row, col) sectors
+        g = res.gamma
+        for r, gt in enumerate(g.target.grading):
+            for c, gs in enumerate(g.source.grading):
+                if gt != gs:
+                    assert g.mat[r, c] == 0
 
 
 def test_split_dressed():
