@@ -11,6 +11,22 @@ major).  That convention makes horizontal composition *strictly*
 associative on the nose, and it makes ``X . unit`` literally equal to
 ``X``; only the left unitor ``unit . X -> X`` is a nontrivial
 permutation two-cell.
+
+Horizontal composition of two-cells is the hot path of the
+functor-category verifier, so its Python set-up is paid once per pair
+of one-cells rather than once per call:
+
+- a ``GradedOneCell`` hashes its grading once, at construction, and
+  compares by identity, then by the stored hash, before the fields, so
+  an ``lru_cache`` lookup keyed by cells no longer walks the gradings
+  when it is handed the cells it was filled with;
+- ``_hcomp_plan(y, x)`` matches the gradings of ``y`` and ``x`` in one
+  array comparison and caches the composite one-cell together with the
+  index arrays of its basis pairs; ``hcomp1`` and ``hcomp_pairs`` read
+  it, and ``hcomp2`` is two cache lookups and two row/column gathers;
+- ``id2(x)`` hands out one shared identity two-cell per one-cell.  Its
+  matrix is read-only, like every ``BlockTwoCell.mat``, so sharing it
+  is safe.
 """
 
 from __future__ import annotations
@@ -53,9 +69,11 @@ class ZeroCell:
             raise CellMismatch("zero-cell size must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedOneCell:
-    """One-cell ``src -> tgt``: ordered basis graded by (row, col)."""
+    """One-cell ``src -> tgt``: ordered basis graded by (row, col).
+
+    Equality is by value; the hash is computed once, at construction."""
 
     src: ZeroCell
     tgt: ZeroCell
@@ -65,6 +83,18 @@ class GradedOneCell:
         for r, c in self.grading:
             if not (1 <= r <= self.tgt.n and 1 <= c <= self.src.n):
                 raise CellMismatch(f"grading pair {(r, c)} out of range")
+        object.__setattr__(self, "_hash", hash((self.src, self.tgt, self.grading)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, GradedOneCell):
+            return NotImplemented
+        return (self._hash == other._hash and self.src == other.src
+                and self.tgt == other.tgt and self.grading == other.grading)
 
     @property
     def dim(self) -> int:
@@ -120,28 +150,42 @@ def two_cell(source: GradedOneCell, target: GradedOneCell, mat) -> BlockTwoCell:
 
 
 def id2(x: GradedOneCell) -> BlockTwoCell:
+    """The identity two-cell on ``x``, shared between calls."""
+    return _identity2(x)
+
+
+@lru_cache(maxsize=None)
+def _identity2(x: GradedOneCell) -> BlockTwoCell:
     return BlockTwoCell(x, x, np.eye(x.dim, dtype=complex))
+
+
+@lru_cache(maxsize=None)
+def _hcomp_plan(y: GradedOneCell, x: GradedOneCell):
+    """``(y . x, p_idx, q_idx)``: the composite and the read-only index
+    arrays of its basis pairs ``(p in y, q in x)`` with the column of
+    ``p`` equal to the row of ``q``, ordered ``p`` major."""
+    if x.tgt != y.src:
+        raise CellMismatch(f"cannot compose {y!r} . {x!r}")
+    yg = np.array(y.grading, dtype=np.intp).reshape(-1, 2)
+    xg = np.array(x.grading, dtype=np.intp).reshape(-1, 2)
+    idx = np.array(np.nonzero(yg[:, 1, None] == xg[None, :, 0]))
+    idx.setflags(write=False)
+    p_idx, q_idx = idx
+    grading = tuple(zip(yg[p_idx, 0].tolist(), xg[q_idx, 1].tolist()))
+    return GradedOneCell(x.src, y.tgt, grading), p_idx, q_idx
 
 
 @lru_cache(maxsize=None)
 def hcomp_pairs(y: GradedOneCell, x: GradedOneCell) -> tuple[tuple[int, int], ...]:
     """Index pairs (p in y, q in x) of the basis of ``y . x``, in order."""
-    if x.tgt != y.src:
-        raise CellMismatch(f"cannot compose {y!r} . {x!r}")
-    return tuple(
-        (p, q)
-        for p in range(y.dim)
-        for q in range(x.dim)
-        if y.grading[p][1] == x.grading[q][0]
-    )
+    _, p_idx, q_idx = _hcomp_plan(y, x)
+    return tuple(zip(p_idx.tolist(), q_idx.tolist()))
 
 
 @lru_cache(maxsize=None)
 def hcomp1(y: GradedOneCell, x: GradedOneCell) -> GradedOneCell:
     """Horizontal composite ``y . x`` (x acts first)."""
-    pairs = hcomp_pairs(y, x)
-    grading = tuple((y.grading[p][0], x.grading[q][1]) for p, q in pairs)
-    return GradedOneCell(x.src, y.tgt, grading)
+    return _hcomp_plan(y, x)[0]
 
 
 def hcomp1_many(*cells: GradedOneCell) -> GradedOneCell:
@@ -154,18 +198,11 @@ def hcomp1_many(*cells: GradedOneCell) -> GradedOneCell:
 
 
 def hcomp2(g: BlockTwoCell, f: BlockTwoCell) -> BlockTwoCell:
-    """Horizontal composite of two-cells (g left of f)."""
-    src = hcomp1(g.source, f.source)
-    tgt = hcomp1(g.target, f.target)
-    sp = hcomp_pairs(g.source, f.source)
-    tp = hcomp_pairs(g.target, f.target)
-    if not tp or not sp:
-        return BlockTwoCell(src, tgt, np.zeros((tgt.dim, src.dim), dtype=complex))
-    ti = np.fromiter((p for p, _ in tp), dtype=int)
-    tj = np.fromiter((q for _, q in tp), dtype=int)
-    si = np.fromiter((p for p, _ in sp), dtype=int)
-    sj = np.fromiter((q for _, q in sp), dtype=int)
-    mat = g.mat[ti[:, None], si[None, :]] * f.mat[tj[:, None], sj[None, :]]
+    """Horizontal composite of two-cells (g left of f):
+    ``out[(p, q), (p', q')] = g[p, p'] * f[q, q']``."""
+    src, si, sj = _hcomp_plan(g.source, f.source)
+    tgt, ti, tj = _hcomp_plan(g.target, f.target)
+    mat = g.mat.take(ti, 0).take(si, 1) * f.mat.take(tj, 0).take(sj, 1)
     return BlockTwoCell(src, tgt, mat)
 
 

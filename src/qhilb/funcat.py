@@ -488,6 +488,7 @@ class GConstruction:
         self.gamma: dict[str, BlockTwoCell] = {}
         self.paths: dict[Path, _PathData] = {}
         self.g2: dict[str, BlockTwoCell] = {}
+        self._tensorators: dict[tuple[Path, Path], BlockTwoCell] = {}
         for a in cat.zero_cells:
             res = split_qsystem(q.at(a), tol, rng)
             self.splits[a] = res
@@ -567,7 +568,14 @@ class GConstruction:
         return vcomp_many(dagger2(self.u_of(two.target)), mid, self.u_of(two.source))
 
     def tensorator(self, p: Path, q: Path) -> BlockTwoCell:
-        """``G(p) . G(q) -> G(p q)`` through the splitting isometries."""
+        """``G(p) . G(q) -> G(p q)`` through the splitting isometries,
+        built once per ``(p, q)``."""
+        t = self._tensorators.get((p, q))
+        if t is None:
+            t = self._tensorators[p, q] = self._build_tensorator(p, q)
+        return t
+
+    def _build_tensorator(self, p: Path, q: Path) -> BlockTwoCell:
         a, b, c = q.src, p.src, p.tgt
         fp, fq = self.F.cell(p), self.F.cell(q)
         up, uq = self.u_of(p), self.u_of(q)

@@ -408,7 +408,7 @@ def summed_transformation(rng: np.random.Generator, cat: PresentedTwoCat,
     perm = {}
     for a in cat.zero_cells:
         n = f.on0[a].n
-        perm[a] = list(rng.permutation(n) + 1)
+        perm[a] = [int(v) for v in rng.permutation(n) + 1]
 
     g_on0 = {a: f.on0[a] for a in cat.zero_cells}
     g_on1 = {}

@@ -201,14 +201,27 @@ def cat_path_of(cat: PresentedTwoCat, label: str) -> Path:
 
 
 def scenario_from_json(d: dict):
+    """Scenario ``(cat, f, q)``; ``on0``, ``psi0``, ``m`` and ``i`` must
+    cover every zero-cell and ``on1``, ``psi1`` every generator."""
     try:
         cat = presentation_from_json(d["presentation"])
-        fd = d["functor"]
+        fd, qd = d["functor"], d["qsystem"]
+        zero = cat.zero_cells
+        gens = [g.label for g in cat.gen_one_cells]
+        for table, keys, what in ((fd["on0"], zero, "functor.on0"),
+                                  (fd["on1"], gens, "functor.on1"),
+                                  (qd["psi0"], zero, "qsystem.psi0"),
+                                  (qd["psi1"], gens, "qsystem.psi1"),
+                                  (qd["m"], zero, "qsystem.m"),
+                                  (qd["i"], zero, "qsystem.i")):
+            missing = [k for k in keys if k not in table]
+            if missing:
+                raise ParseError(f"bad scenario: {what} misses "
+                                 f"{', '.join(map(str, missing))}")
         on0 = {a: ZeroCell(int(n)) for a, n in fd["on0"].items()}
         on1 = {lab: cell_from_json(c) for lab, c in fd["on1"].items()}
         on2 = {lab: two_cell_from_json(c) for lab, c in fd.get("on2", {}).items()}
         f = FunctorData(cat, on0, on1, on2)
-        qd = d["qsystem"]
         comp0 = {a: cell_from_json(c) for a, c in qd["psi0"].items()}
         comp1 = {cat_path_of(cat, lab): two_cell_from_json(c)
                  for lab, c in qd["psi1"].items()}
@@ -216,7 +229,7 @@ def scenario_from_json(d: dict):
         m = ModificationData({a: two_cell_from_json(c) for a, c in qd["m"].items()})
         i = ModificationData({a: two_cell_from_json(c) for a, c in qd["i"].items()})
         return cat, f, EndFQSystem(psi, m, i)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad scenario: {exc}") from exc
 
 

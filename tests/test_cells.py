@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qhilb import cells
 from qhilb.cells import (
     BlockTwoCell,
+    GradedOneCell,
+    ZeroCell,
     dagger2,
     hcomp1,
     hcomp2,
+    hcomp_pairs,
     id1,
     id2,
     is_unitary_residual,
@@ -202,3 +208,116 @@ def test_two_cell_shape_validation():
     y = one_cell(2, 1, [(1, 1)] * 2)
     with pytest.raises(CellMismatch):
         two_cell(x, y, np.zeros((2, 2)))
+
+
+# -- the composition plan, stored hashes and shared identities ---------------
+
+
+@st.composite
+def gradings(draw, src, tgt, max_dim=4):
+    """A grading of ``src -> tgt`` in any order, possibly empty."""
+    pair = st.tuples(st.integers(1, tgt), st.integers(1, src))
+    return tuple(draw(st.lists(pair, max_size=max_dim)))
+
+
+@st.composite
+def composable_two_cells(draw):
+    """``(g, f)`` with ``g : y => y2`` and ``f : x => x2``, ``y . x`` defined."""
+    a, b, c = (draw(st.integers(1, 3)) for _ in range(3))
+    x, x2 = (GradedOneCell(ZeroCell(a), ZeroCell(b), draw(gradings(a, b))) for _ in range(2))
+    y, y2 = (GradedOneCell(ZeroCell(b), ZeroCell(c), draw(gradings(b, c))) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def rand(tgt, src):
+        shape = (tgt.dim, src.dim)
+        return BlockTwoCell(src, tgt, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    return rand(y2, y), rand(x2, x)
+
+
+def pairs_by_definition(y, x):
+    return tuple((p, q) for p in range(y.dim) for q in range(x.dim)
+                 if y.grading[p][1] == x.grading[q][0])
+
+
+def hcomp2_by_definition(g, f):
+    """``out[(p, q), (p', q')] = g[p, p'] * f[q, q']`` over the basis
+    pairs of the composites: the factors are gathered by a plain loop,
+    then multiplied by one array product, since numpy's vectorized
+    complex product may differ from its scalar one in the last bit."""
+    rows = pairs_by_definition(g.target, f.target)
+    cols = pairs_by_definition(g.source, f.source)
+    left = np.zeros((len(rows), len(cols)), dtype=complex)
+    right = np.zeros((len(rows), len(cols)), dtype=complex)
+    for i, (p, q) in enumerate(rows):
+        for j, (pp, qq) in enumerate(cols):
+            left[i, j] = g.mat[p, pp]
+            right[i, j] = f.mat[q, qq]
+    return left * right
+
+
+@given(composable_two_cells())
+@settings(max_examples=200, deadline=None)
+def test_hcomp2_matches_definition(gf):
+    g, f = gf
+    for y, x in ((g.source, f.source), (g.target, f.target)):
+        pairs = pairs_by_definition(y, x)
+        assert hcomp_pairs(y, x) == pairs
+        assert hcomp1(y, x).grading == tuple((y.grading[p][0], x.grading[q][1])
+                                             for p, q in pairs)
+        assert all(type(v) is int for pair in hcomp1(y, x).grading for v in pair)
+    h = hcomp2(g, f)
+    assert h.source == hcomp1(g.source, f.source)
+    assert h.target == hcomp1(g.target, f.target)
+    ref = hcomp2_by_definition(g, f)
+    assert h.mat.shape == ref.shape
+    assert np.array_equal(h.mat, ref)
+
+
+def test_hcomp2_without_matching_pairs():
+    # y's columns never meet x's rows: both composites are empty
+    y = one_cell(2, 1, [(1, 1)] * 2)
+    x = one_cell(1, 2, [(2, 1)] * 3)
+    g, f = rand_endo(y), rand_endo(x)
+    h = hcomp2(g, f)
+    assert h.source.dim == h.target.dim == 0
+    assert h.mat.shape == (0, 0)
+    # only the target composite is empty
+    x2 = one_cell(1, 2, [(1, 1)])
+    f2 = BlockTwoCell(x2, x, np.ones((3, 1)))
+    h = hcomp2(id2(y), f2)
+    assert h.mat.shape == (0, 2)
+    assert np.array_equal(h.mat, hcomp2_by_definition(id2(y), f2))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_equal_cells_share_hash_and_cache(src, tgt, data):
+    grading = data.draw(gradings(src, tgt))
+    x1 = GradedOneCell(ZeroCell(src), ZeroCell(tgt), grading)
+    x2 = GradedOneCell(ZeroCell(src), ZeroCell(tgt), tuple(map(tuple, grading)))
+    assert x1 is not x2
+    assert x1 == x2 and hash(x1) == hash(x2)
+    u = id1(tgt)
+    assert cells._hcomp_plan(u, x1) is cells._hcomp_plan(u, x2)
+    assert id2(x1) is id2(x2)
+    other = data.draw(gradings(src, tgt))
+    x3 = GradedOneCell(ZeroCell(src), ZeroCell(tgt), other)
+    assert (x3 == x1) == (other == grading)
+    assert (x3 != x1) == (other != grading)
+    assert x1 != GradedOneCell(ZeroCell(src + 1), ZeroCell(tgt), grading)
+
+
+def test_cell_equality_with_other_types():
+    x = one_cell(1, 1, [(1, 1)])
+    assert x != ((1, 1),) and x != None  # noqa: E711
+
+
+def test_id2_is_shared_and_read_only():
+    x = random_cell(RNG, 2, 3, 2)
+    e = id2(x)
+    assert e is id2(x)
+    assert not e.mat.flags.writeable
+    with pytest.raises(ValueError):
+        e.mat[0, 0] = 2.0
+    assert np.array_equal(e.mat, np.eye(x.dim))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -225,3 +228,43 @@ def test_invalid_tolerance_is_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "error: need 0 < --tol <= --gap-tol" in err
         assert "Traceback" not in err
+
+
+def _first(table):
+    return next(iter(table))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["functor"]["on0"].update({_first(d["functor"]["on0"]): "x"}),
+    lambda d: d["functor"]["on0"].pop(_first(d["functor"]["on0"])),
+    lambda d: d["functor"]["on1"].pop(_first(d["functor"]["on1"])),
+    lambda d: d["qsystem"]["psi0"].pop(_first(d["qsystem"]["psi0"])),
+    lambda d: d["qsystem"]["psi1"].clear(),
+    lambda d: d["qsystem"]["m"].pop(_first(d["qsystem"]["m"])),
+    lambda d: d["qsystem"]["i"].pop(_first(d["qsystem"]["i"])),
+], ids=["on0_not_integer", "on0_missing", "on1_missing", "psi0_missing",
+        "psi1_empty", "m_missing", "i_missing"])
+def test_exit_code_incomplete_scenario(tmp_path, capsys, mutate):
+    sc = str(tmp_path / "sc.json")
+    run(capsys, "gen", "--kind", "scenario", "--seed", "1", "--out", sc)
+    doc = load_document(sc)
+    mutate(doc)
+    dump_document(doc, sc)
+    code = main(["verify-fun", sc])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: bad scenario") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_python_m_qhilb(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    qfile = str(tmp_path / "q.json")
+    for argv in (["gen", "--kind", "qsystem", "--seed", "3", "--out", qfile],
+                 ["check-qsystem", qfile]):
+        proc = subprocess.run([sys.executable, "-m", "qhilb", *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout

@@ -167,6 +167,15 @@ def test_summed_transformation_valid():
     assert rep.max_residual < 1e-12
 
 
+def test_summed_transformation_cells_serialize():
+    # cells are cached by value, so a grading of numpy integers would be
+    # handed to later, unrelated callers and break their JSON output
+    cat = random_presentation(RNG, with_two_cell=False)
+    phi, _, _ = summed_transformation(RNG, cat, summands=2)
+    cells = list(phi.target.on1.values()) + list(phi.comp0.values())
+    assert all(type(v) is int for c in cells for pair in c.grading for v in pair)
+
+
 def test_tensor_with_identity():
     cat = random_presentation(RNG, with_two_cell=False)
     phi, _, _ = summed_transformation(RNG, cat, summands=2)
@@ -334,6 +343,21 @@ def test_verify_main_theorem_checks_each_identity_once(monkeypatch):
         assert f"functor.tensorator_assoc[{_pname(p)},{_pname(q)},{_pname(r)}]" in names
     for a in cat.zero_cells:
         assert {f"qsystem_iso.[{a}].multiplication", f"qsystem_iso.[{a}].unit"} <= names
+
+
+def test_G_tensorator_built_once_per_pair(monkeypatch):
+    cat, f, endf = product_scenario(np.random.default_rng(1))
+    assert cat.composable_pairs()
+    out = verify_main_theorem(cat, f, endf, rng=1)
+    gc = construct_G(cat, f, endf, rng=1)
+    for p, q in cat.composable_pairs():
+        t = gc.tensorator(p, q)
+        assert gc.tensorator(p, q) is t
+        assert np.array_equal(t.mat, gc._build_tensorator(p, q).mat)
+    # the report is the one built without the memo
+    monkeypatch.setattr(funcat.GConstruction, "tensorator",
+                        funcat.GConstruction._build_tensorator)
+    assert list(verify_main_theorem(cat, f, endf, rng=1).rows(1.0)) == list(out.rows(1.0))
 
 
 def test_roundtrip_dualizable_transformation():
