@@ -48,10 +48,17 @@ def cell_to_json(c: GradedOneCell) -> dict:
             "grading": [list(g) for g in c.grading]}
 
 
+def _int(v) -> int:
+    """A JSON integer; floats such as ``2.0`` and booleans are refused."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
 def cell_from_json(d: dict) -> GradedOneCell:
     try:
-        return GradedOneCell(ZeroCell(int(d["src"])), ZeroCell(int(d["tgt"])),
-                             tuple((int(r), int(c)) for r, c in d["grading"]))
+        return GradedOneCell(ZeroCell(_int(d["src"])), ZeroCell(_int(d["tgt"])),
+                             tuple((_int(r), _int(c)) for r, c in d["grading"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad one-cell: {exc}") from exc
 
@@ -218,7 +225,7 @@ def scenario_from_json(d: dict):
             if missing:
                 raise ParseError(f"bad scenario: {what} misses "
                                  f"{', '.join(map(str, missing))}")
-        on0 = {a: ZeroCell(int(n)) for a, n in fd["on0"].items()}
+        on0 = {a: ZeroCell(_int(n)) for a, n in fd["on0"].items()}
         on1 = {lab: cell_from_json(c) for lab, c in fd["on1"].items()}
         on2 = {lab: two_cell_from_json(c) for lab, c in fd.get("on2", {}).items()}
         f = FunctorData(cat, on0, on1, on2)

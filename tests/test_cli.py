@@ -236,14 +236,16 @@ def _first(table):
 
 @pytest.mark.parametrize("mutate", [
     lambda d: d["functor"]["on0"].update({_first(d["functor"]["on0"]): "x"}),
+    lambda d: d["functor"]["on0"].update({_first(d["functor"]["on0"]): 2.0}),
+    lambda d: d["functor"]["on0"].update({_first(d["functor"]["on0"]): True}),
     lambda d: d["functor"]["on0"].pop(_first(d["functor"]["on0"])),
     lambda d: d["functor"]["on1"].pop(_first(d["functor"]["on1"])),
     lambda d: d["qsystem"]["psi0"].pop(_first(d["qsystem"]["psi0"])),
     lambda d: d["qsystem"]["psi1"].clear(),
     lambda d: d["qsystem"]["m"].pop(_first(d["qsystem"]["m"])),
     lambda d: d["qsystem"]["i"].pop(_first(d["qsystem"]["i"])),
-], ids=["on0_not_integer", "on0_missing", "on1_missing", "psi0_missing",
-        "psi1_empty", "m_missing", "i_missing"])
+], ids=["on0_not_integer", "on0_float", "on0_bool", "on0_missing", "on1_missing",
+        "psi0_missing", "psi1_empty", "m_missing", "i_missing"])
 def test_exit_code_incomplete_scenario(tmp_path, capsys, mutate):
     sc = str(tmp_path / "sc.json")
     run(capsys, "gen", "--kind", "scenario", "--seed", "1", "--out", sc)
@@ -268,3 +270,65 @@ def test_python_m_qhilb(tmp_path):
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
+
+
+def _off_sector_entry(cell: dict) -> tuple[int, int]:
+    """First (row, col) of a two-cell's matrix whose row and column lie
+    in different grading sectors."""
+    f = two_cell_from_json(cell)
+    return next((r, c) for r in range(f.target.dim) for c in range(f.source.dim)
+                if f.target.grading[r] != f.source.grading[c])
+
+
+@pytest.mark.parametrize("command", ["check-qsystem", "split-qsystem"])
+@pytest.mark.parametrize("cell", ["m", "i"])
+def test_exit_code_off_sector_entry(tmp_path, capsys, command, cell):
+    # the sector-blocked axiom check needs m and i to vanish off their
+    # sectors: one stray entry is a shape error, not a smaller residual
+    qfile = str(tmp_path / "q.json")
+    run(capsys, "gen", "--kind", "qsystem", "--seed", "8", "--out", qfile)
+    doc = load_document(qfile)
+    r, c = _off_sector_entry(doc[cell])
+    doc[cell]["mat"][r][c] = [0.5, 0.0]
+    dump_document(doc, qfile)
+    code = main([command, qfile])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"error: {cell} has a nonzero entry off its grading sectors\n"
+
+
+def test_exit_code_off_sector_entry_scenario(tmp_path, capsys):
+    sc = str(tmp_path / "sc.json")
+    run(capsys, "gen", "--kind", "scenario", "--seed", "1", "--out", sc)
+    doc = load_document(sc)
+    cell = doc["qsystem"]["m"][_first(doc["qsystem"]["m"])]
+    r, c = _off_sector_entry(cell)
+    cell["mat"][r][c] = [0.0, 1e-3]
+    dump_document(doc, sc)
+    code = main(["verify-fun", sc])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "error: m has a nonzero entry off its grading sectors\n"
+
+
+@pytest.mark.parametrize("field", ["src", "tgt", "grading"])
+@pytest.mark.parametrize("value", [2.9, 2.0, True], ids=["2.9", "2.0", "true"])
+def test_exit_code_non_integer_field(tmp_path, capsys, field, value):
+    # zero-cells and grading indices are JSON integers: 2.9 was read as
+    # zero-cell 2 and passed, 2.0 and true were accepted as 2 and 1
+    qfile = str(tmp_path / "q.json")
+    run(capsys, "gen", "--kind", "qsystem", "--size", "8", "--seed", "3", "--out", qfile)
+    doc = load_document(qfile)
+    assert doc["cell"]["src"] == 2
+    for cell in (doc["cell"], doc["m"]["source"], doc["m"]["target"],
+                 doc["i"]["source"], doc["i"]["target"]):
+        if field == "grading":
+            cell["grading"][0][0] = value
+        else:
+            cell[field] = value
+    dump_document(doc, qfile)
+    code = main(["check-qsystem", qfile])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: bad one-cell: expected an integer")
+    assert err.count("\n") == 1

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhilb.cells import (
     dagger2,
     hcomp1,
     hcomp2,
+    hcomp_pairs,
     id1,
     id2,
     one_cell,
@@ -22,6 +25,7 @@ from qhilb.generate import (
 from qhilb.linalg import frob
 from qhilb.qsystem import (
     BimoduleData,
+    QSystemData,
     canonical_pairing,
     check_bimodule,
     check_intertwiner,
@@ -223,3 +227,55 @@ def test_qsystem_shape_validation():
     q = m2_qsystem()
     with pytest.raises(CellMismatch):
         type(q)(q.Q, q.i, q.i)
+
+
+@pytest.mark.parametrize("name", ["m", "i"])
+def test_qsystem_rejects_off_sector_entry(name):
+    q = qsystem_from_dual(standard_dual_pair(one_cell(1, 2, [(1, 1), (2, 1)])))
+    f = getattr(q, name)
+    r, c = next((r, c) for r in range(f.target.dim) for c in range(f.source.dim)
+                if f.target.grading[r] != f.source.grading[c])
+    mat = f.mat.copy()
+    mat[r, c] = 1e-12
+    parts = {"m": q.m, "i": q.i, name: two_cell(f.source, f.target, mat)}
+    with pytest.raises(CellMismatch, match=f"{name} has a nonzero entry off"):
+        QSystemData(q.Q, parts["m"], parts["i"])
+
+
+def dense_q1_q3(q):
+    """Q1 and Q3 residuals from dense contractions of the whole
+    N x N x N multiplication tensor: the reference for the blocked sums."""
+    n = q.Q.dim
+    t = np.zeros((n, n, n), dtype=complex)
+    pairs = np.array(hcomp_pairs(q.Q, q.Q), dtype=int).reshape(-1, 2)
+    t[:, pairs[:, 0], pairs[:, 1]] = q.m.mat
+    tc = t.conj()
+    q1 = frob(np.einsum("iuc,uab->iabc", t, t) - np.einsum("iau,ubc->iabc", t, t))
+    mid = np.einsum("ipv,iuq->pvuq", tc, t)
+    q3 = max(frob(np.einsum("vrq,upr->pvuq", t, tc) - mid),
+             frob(np.einsum("pub,qbv->pvuq", t, tc) - mid))
+    return q1, q3
+
+
+@st.composite
+def sector_supported_structures(draw):
+    """Random m and i supported on the sectors of a random Q : b -> b,
+    b in 1..4, basis in any order; many sectors stay empty."""
+    b = draw(st.integers(1, 4))
+    grading = draw(st.lists(st.tuples(st.integers(1, b), st.integers(1, b)),
+                            min_size=1, max_size=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Q = one_cell(b, b, grading)
+    return QSystemData(Q, random_sector_matrix(rng, hcomp1(Q, Q), Q),
+                       random_sector_matrix(rng, id1(b), Q))
+
+
+@given(sector_supported_structures())
+@settings(max_examples=100, deadline=None)
+def test_blocked_axioms_match_dense(q):
+    # not Q-systems, so the residuals are O(|m|^2) and every block
+    # counts; |m|^2 also scales the rounding of a residual that cancels
+    rep = check_qsystem(q)
+    scale = frob(q.m.mat) ** 2
+    for name, dense in zip(("Q1", "Q3"), dense_q1_q3(q)):
+        assert abs(rep[name] - dense) <= 1e-12 * max(dense, scale)
