@@ -46,6 +46,7 @@ __all__ = [
     "id1",
     "one_cell",
     "two_cell",
+    "sector_mask",
     "id2",
     "hcomp1",
     "hcomp_pairs",
@@ -149,6 +150,22 @@ def two_cell(source: GradedOneCell, target: GradedOneCell, mat) -> BlockTwoCell:
     return BlockTwoCell(source, target, np.asarray(mat, dtype=complex))
 
 
+@lru_cache(maxsize=None)
+def sector_mask(target: GradedOneCell, source: GradedOneCell) -> np.ndarray:
+    """Read-only boolean ``target.dim x source.dim`` matrix, true where
+    ``target.grading[r] == source.grading[c]``: the entries a two-cell
+    ``source => target`` may hold."""
+    n = max(target.src.n, source.src.n)
+
+    def keys(x):  # sector (r, c) as the integer r (n + 1) + c
+        g = np.array(x.grading, dtype=np.intp).reshape(-1, 2)
+        return g[:, 0] * (n + 1) + g[:, 1]
+
+    mask = keys(target)[:, None] == keys(source)
+    mask.setflags(write=False)
+    return mask
+
+
 def id2(x: GradedOneCell) -> BlockTwoCell:
     """The identity two-cell on ``x``, shared between calls."""
     return _identity2(x)
@@ -244,16 +261,10 @@ def unitor_left(x: GradedOneCell) -> BlockTwoCell:
     return BlockTwoCell(src, x, mat)
 
 
-@lru_cache(maxsize=None)
 def unitor_right(x: GradedOneCell) -> BlockTwoCell:
-    """Permutation ``x . unit -> x``; the identity matrix in this model
-    because the pairing convention makes both cells literally equal."""
-    src = hcomp1(x, id1(x.src))
-    pairs = hcomp_pairs(x, id1(x.src))
-    mat = np.zeros((x.dim, src.dim), dtype=complex)
-    for col, (q, _) in enumerate(pairs):
-        mat[q, col] = 1.0
-    return BlockTwoCell(src, x, mat)
+    """The unitor ``x . unit -> x``: ``id2(x)``, because the pairing
+    convention makes ``x . unit`` literally equal to ``x``."""
+    return id2(x)
 
 
 @lru_cache(maxsize=None)

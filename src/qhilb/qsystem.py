@@ -32,6 +32,7 @@ from .cells import (
     id2,
     is_unitary_residual,
     residual,
+    sector_mask,
     standard_dual,
     unitor_left,
     unitor_right,
@@ -73,16 +74,8 @@ class QSystemData:
             raise CellMismatch("multiplication must map Q.Q -> Q")
         if self.i.source != id1(self.Q.src) or self.i.target != self.Q:
             raise CellMismatch("unit must map unit -> Q")
-        # sector (r, c) as the key r (n + 1) + c; the basis of Q.Q pairs
-        # p with q in sector (row of p, col of q), the unit's source has
-        # sectors (j, j)
-        n = self.Q.src.n
-        g = np.array(self.Q.grading, dtype=np.intp).reshape(-1, 2)
-        _, p_idx, q_idx = _hcomp_plan(self.Q, self.Q)
-        rows = g[:, 0] * (n + 1) + g[:, 1]
-        for name, f, cols in (("m", self.m, g[p_idx, 0] * (n + 1) + g[q_idx, 1]),
-                              ("i", self.i, np.arange(1, n + 1) * (n + 2))):
-            if f.mat[rows[:, None] != cols].any():
+        for name, f in (("m", self.m), ("i", self.i)):
+            if f.mat[~sector_mask(f.target, f.source)].any():
                 raise CellMismatch(f"{name} has a nonzero entry off its grading sectors")
 
     @property

@@ -1,19 +1,28 @@
 """JSON (de)serialization of cells, Q-systems and scenarios.
 
-Complex entries are two-element ``[re, im]`` arrays, one-cells are
-``{"src", "tgt", "grading"}`` with 1-based index pairs, two-cells carry
-their source and target cells plus a nested row-major matrix.  Files
-are versioned with a top-level ``"schema": 1``.
+One-cells are ``{"src", "tgt", "grading"}`` with 1-based index pairs.
+A two-cell carries its source and target cells and, in schema 2 (what
+every writer emits), ``"entries"``: one flat list ``re, im, re, im, ...``
+of the matrix entries at the positions ``(r, c)`` with
+``target.grading[r] == source.grading[c]`` (``cells.sector_mask``), in
+row-major order.  The writer refuses a two-cell with a nonzero entry
+elsewhere, since the format cannot hold it.  Floats are written in
+their shortest round-trip form, so entries read back bit-exactly.
+
+Schema 1 files, whose two-cells carry ``"mat"``, a nested row-major
+matrix of ``[re, im]`` pairs, are still read.  Each two-cell holds
+exactly one of ``mat`` and ``entries``.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
-from .cells import BlockTwoCell, GradedOneCell, ZeroCell
-from .errors import ParseError
+from .cells import BlockTwoCell, GradedOneCell, ZeroCell, sector_mask
+from .errors import CellMismatch, ParseError
 from .funcat import EndFQSystem, FunctorData, ModificationData, TransformationData
 from .presentation import (
     EDagger,
@@ -29,7 +38,8 @@ from .presentation import (
 from .qsystem import QSystemData
 from .splitting import SplitResult
 
-SCHEMA = 1
+SCHEMA = 2             # written
+SCHEMAS = (1, 2)       # read
 
 __all__ = [
     "cell_to_json", "cell_from_json",
@@ -57,19 +67,21 @@ def _int(v) -> int:
 
 def cell_from_json(d: dict) -> GradedOneCell:
     try:
-        return GradedOneCell(ZeroCell(_int(d["src"])), ZeroCell(_int(d["tgt"])),
-                             tuple((_int(r), _int(c)) for r, c in d["grading"]))
+        grading = tuple(map(tuple, d["grading"]))
+        # one type scan for the whole grading; _int only names a bad value
+        if not {int}.issuperset(map(type, chain.from_iterable(grading))):
+            for v in chain.from_iterable(grading):
+                _int(v)
+        if set(map(len, grading)) - {2}:
+            raise ValueError("grading entries must be (row, col) pairs")
+        return GradedOneCell(ZeroCell(_int(d["src"])), ZeroCell(_int(d["tgt"])), grading)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad one-cell: {exc}") from exc
 
 
-def _mat_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
 def _mat_from_json(rows, shape) -> np.ndarray:
     """Complex matrix of ``shape`` from rows of ``[re, im]`` pairs of
-    finite numbers."""
+    finite numbers (schema 1)."""
     try:
         a = np.array(rows, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -84,16 +96,46 @@ def _mat_from_json(rows, shape) -> np.ndarray:
     return a.view(complex)[..., 0]
 
 
+def _entries_from_json(values, mask: np.ndarray) -> np.ndarray:
+    """Complex matrix that holds ``values``, flat ``re, im`` pairs of
+    finite numbers, where ``mask`` is true, and zeros elsewhere."""
+    if not isinstance(values, list) or not {float, int}.issuperset(map(type, values)):
+        raise ParseError("two-cell entries must be a list of numbers")
+    n = np.count_nonzero(mask)
+    if len(values) != 2 * n:
+        raise ParseError(f"two-cell entries hold {len(values)} numbers, need {2 * n}: "
+                         f"a re, im pair for each of its {n} on-sector positions")
+    try:
+        a = np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise ParseError(f"two-cell entries must be finite numbers: {exc}") from exc
+    if not np.isfinite(a).all():
+        raise ParseError("two-cell entries must be finite numbers")
+    mat = np.zeros(mask.shape, dtype=complex)
+    mat[mask] = a.view(complex)
+    return mat
+
+
 def two_cell_to_json(f: BlockTwoCell) -> dict:
+    mask = sector_mask(f.target, f.source)
+    if f.mat[~mask].any():
+        raise CellMismatch("cannot write a two-cell with a nonzero entry "
+                           "off its grading sectors")
     return {"source": cell_to_json(f.source), "target": cell_to_json(f.target),
-            "mat": _mat_to_json(f.mat)}
+            "entries": f.mat[mask].view(float).tolist()}
 
 
 def two_cell_from_json(d: dict) -> BlockTwoCell:
     try:
         src = cell_from_json(d["source"])
         tgt = cell_from_json(d["target"])
-        return BlockTwoCell(src, tgt, _mat_from_json(d["mat"], (tgt.dim, src.dim)))
+        if ("mat" in d) == ("entries" in d):
+            raise ParseError("bad two-cell: need exactly one of mat and entries")
+        if "mat" in d:
+            mat = _mat_from_json(d["mat"], (tgt.dim, src.dim))
+        else:
+            mat = _entries_from_json(d["entries"], sector_mask(tgt, src))
+        return BlockTwoCell(src, tgt, mat)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad two-cell: {exc}") from exc
 
@@ -266,12 +308,15 @@ def split_result_to_json(res: SplitResult) -> dict:
 
 
 def load_document(path: str) -> dict:
+    """The document in ``path``, of schema 1 or 2.  A file that is not
+    UTF-8 JSON, or that nests deeper than the decoder allows, is a
+    ``ParseError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
+    if not isinstance(doc, dict) or doc.get("schema") not in SCHEMAS:
         raise ParseError(f"{path}: missing or unsupported schema")
     if "kind" not in doc:
         raise ParseError(f"{path}: missing kind")
@@ -279,6 +324,7 @@ def load_document(path: str) -> dict:
 
 
 def dump_document(doc: dict, path: str) -> None:
+    # json.dumps encodes in C; json.dump would encode in Python
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         fh.write("\n")

@@ -33,6 +33,7 @@ from .cells import (
     hcomp_pairs,
     hcomp1,
     projection_residual,
+    sector_mask,
 )
 from .errors import (
     DegenerateRandomElement,
@@ -312,8 +313,7 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
         gdag[row, :] = scales[t] * comp[t][alpha, beta, :]
     # zero the numerical dust on mismatched (row, col) sectors
     src = hcomp1(X, Xbar)
-    same = (np.reshape(Q.grading, (-1, 1, 2)) == np.reshape(src.grading, (1, -1, 2))).all(2)
-    gamma = BlockTwoCell(src, Q, np.where(same, dagger(gdag), 0))
+    gamma = BlockTwoCell(src, Q, np.where(sector_mask(Q, src), dagger(gdag), 0))
 
     iso = check_qsystem_iso(gamma, qsystem_from_dual(pair), q, tol)
     if not iso.passes(10 * tol.atol):

@@ -2,6 +2,7 @@
 line (run with ``pytest -s tests/test_acceptance.py`` to see them)."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -218,8 +219,7 @@ def test_acceptance_8_determinism(tmp_path, capsys):
         run("gen", "--kind", "scenario", "--seed", "17", "--out", sc)
         run("gen", "--kind", "qsystem", "--seed", "18", "--out", qf)
         run("gen", "--kind", "constant", "--seed", "19", "--out", cc)
-        blobs = [open(sc, "rb").read(), open(qf, "rb").read(),
-                 open(cc, "rb").read()]
+        blobs = [Path(sc).read_bytes(), Path(qf).read_bytes(), Path(cc).read_bytes()]
         blobs.append(run("check-qsystem", qf, "--json")[1])
         blobs.append(run("split-qsystem", qf, "--seed", "4", "--json")[1])
         blobs.append(run("verify-fun", sc, "--seed", "4", "--json")[1])

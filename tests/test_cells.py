@@ -17,6 +17,7 @@ from qhilb.cells import (
     is_unitary_residual,
     one_cell,
     residual,
+    sector_mask,
     standard_dual,
     two_cell,
     unitor_left,
@@ -139,6 +140,31 @@ def test_unitors_on_unit_cell():
 def test_unitor_right_is_identity_matrix():
     x = random_cell(RNG, 3, 2, 2)
     assert np.allclose(unitor_right(x).mat, np.eye(x.dim))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=50, deadline=None)
+def test_unitor_right_matches_the_pairing(src, tgt, data):
+    # unitor_right is id2(x); the two-cell it replaced was built entry by
+    # entry from the basis pairs of x . unit
+    x = GradedOneCell(ZeroCell(src), ZeroCell(tgt), data.draw(gradings(src, tgt)))
+    unit_side = hcomp1(x, id1(x.src))
+    mat = np.zeros((x.dim, unit_side.dim), dtype=complex)
+    for col, (q, _) in enumerate(hcomp_pairs(x, id1(x.src))):
+        mat[q, col] = 1.0
+    u = unitor_right(x)
+    assert u.source == unit_side and u.target == x
+    assert np.array_equal(u.mat, mat)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=50, deadline=None)
+def test_sector_mask_by_definition(src, tgt, data):
+    x, y = (GradedOneCell(ZeroCell(src), ZeroCell(tgt), data.draw(gradings(src, tgt)))
+            for _ in range(2))
+    mask = sector_mask(y, x)
+    assert mask.shape == (y.dim, x.dim) and not mask.flags.writeable
+    assert mask.tolist() == [[gy == gx for gx in x.grading] for gy in y.grading]
 
 
 def test_unitor_naturality():

@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qhilb import qsystem, splitting
-from qhilb.cells import dagger2, hcomp2, id2, residual, vcomp
+from qhilb.cells import dagger2, hcomp2, id2, residual, sector_mask, vcomp
 from qhilb.cli import main
 from qhilb.generate import product_scenario, random_qsystem
 from qhilb.qsystem import check_qsystem
@@ -21,6 +22,7 @@ from qhilb.serialize import (
     scenario_to_json,
     two_cell_from_json,
 )
+from schema1 import to_schema1
 
 
 def run(capsys, *argv):
@@ -90,8 +92,19 @@ def test_verify_fun_constant(tmp_path, capsys):
 def test_exit_code_residual_failure(tmp_path, capsys):
     qfile = str(tmp_path / "q.json")
     run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
-    doc = load_document(qfile)
+    doc = to_schema1(load_document(qfile))
     doc["m"]["mat"][0][0][0] += 1e-3  # perturb one entry
+    dump_document(doc, qfile)
+    code, text = run(capsys, "check-qsystem", qfile)
+    assert code == 1
+    assert "FAIL" in text
+
+
+def test_exit_code_residual_failure_schema2(tmp_path, capsys):
+    qfile = str(tmp_path / "q.json")
+    run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
+    doc = load_document(qfile)
+    doc["m"]["entries"][0] += 1e-3  # the real part of the first on-sector entry
     dump_document(doc, qfile)
     code, text = run(capsys, "check-qsystem", qfile)
     assert code == 1
@@ -114,7 +127,7 @@ def test_exit_code_bad_matrix_entry(tmp_path, capsys, entry):
     # an entry that is not a pair of finite numbers is a parse error
     qfile = str(tmp_path / "q.json")
     run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
-    doc = load_document(qfile)
+    doc = to_schema1(load_document(qfile))
     doc["m"]["mat"][0][0] = entry
     dump_document(doc, qfile)
     with warnings.catch_warnings():
@@ -129,7 +142,7 @@ def test_exit_code_bad_matrix_entry(tmp_path, capsys, entry):
 def test_exit_code_shape_error(tmp_path, capsys):
     qfile = str(tmp_path / "q.json")
     run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
-    doc = load_document(qfile)
+    doc = to_schema1(load_document(qfile))
     doc["m"]["mat"] = doc["m"]["mat"][:-1]  # drop a row: malformed matrix
     dump_document(doc, qfile)
     code, _ = run(capsys, "check-qsystem", qfile)
@@ -141,6 +154,61 @@ def test_exit_code_shape_error(tmp_path, capsys):
     dump_document(doc, qfile)
     code, _ = run(capsys, "check-qsystem", qfile)
     assert code == 3
+
+
+def _one_error_line(argv, capsys) -> int:
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return code
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda e: e.pop(),
+    lambda e: e.extend([0.0, 0.0, 0.0]),
+    lambda e: e.__setitem__(0, float("nan")),
+    lambda e: e.__setitem__(1, float("inf")),
+    lambda e: e.__setitem__(0, "0.5"),
+    lambda e: e.__setitem__(0, True),
+    lambda e: e.__setitem__(0, None),
+    lambda e: e.__setitem__(0, [0.5, 0.0]),
+    lambda e: e.__setitem__(0, 10**400),
+], ids=["short", "long", "nan", "inf", "string", "bool", "null", "pair", "huge"])
+def test_exit_code_bad_entries(tmp_path, capsys, mutate):
+    # schema 2: a wrong count or an entry that is not a finite number
+    # is a parse error
+    qfile = str(tmp_path / "q.json")
+    run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
+    doc = load_document(qfile)
+    mutate(doc["m"]["entries"])
+    dump_document(doc, qfile)
+    assert _one_error_line(["check-qsystem", qfile], capsys) == 2
+
+
+@pytest.mark.parametrize("keys", ["neither", "both", "not_a_list"])
+def test_exit_code_two_cell_needs_mat_or_entries(tmp_path, capsys, keys):
+    qfile = str(tmp_path / "q.json")
+    run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
+    doc = load_document(qfile)
+    if keys == "neither":
+        del doc["i"]["entries"]
+    elif keys == "both":
+        doc["i"]["mat"] = to_schema1(doc)["i"]["mat"]
+    else:
+        doc["i"]["entries"] = {"re": 1.0}
+    dump_document(doc, qfile)
+    assert _one_error_line(["check-qsystem", qfile], capsys) == 2
+
+
+@pytest.mark.parametrize("content", [
+    b'\xff\xfe{"schema":1}',
+    b'{"schema": 2, "kind": "qsystem", "cell": ' + b"[" * 200_000,
+], ids=["not_utf8", "too_deep"])
+def test_exit_code_undecodable_file(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert _one_error_line(["check-qsystem", str(bad)], capsys) == 2
 
 
 def test_split_command_checks_iso_once(tmp_path, capsys, monkeypatch):
@@ -165,7 +233,7 @@ def test_gen_deterministic_bytes(tmp_path, capsys):
     b = str(tmp_path / "b.json")
     run(capsys, "gen", "--kind", "scenario", "--seed", "21", "--out", a)
     run(capsys, "gen", "--kind", "scenario", "--seed", "21", "--out", b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_reports_deterministic_bytes(tmp_path, capsys):
@@ -181,14 +249,13 @@ def test_reports_deterministic_bytes(tmp_path, capsys):
     assert s1 == s2
 
 
-def test_check_qsystem_sees_small_perturbation(tmp_path, capsys):
+def _check_sees_small_perturbation(tmp_path, capsys, perturb):
     # a 1e-6 change to one entry of m breaks associativity and the
     # Frobenius condition; the contracted tensor residuals must show it
     # as the composites of two-cells do
     qfile = str(tmp_path / "q.json")
     run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
-    doc = load_document(qfile)
-    doc["m"]["mat"][1][2][0] += 1e-6
+    doc = perturb(load_document(qfile))
     dump_document(doc, qfile)
     q = qsystem_from_json(doc)
     Q, m = q.Q, q.m
@@ -205,6 +272,32 @@ def test_check_qsystem_sees_small_perturbation(tmp_path, capsys):
     assert code == 1
     verdicts = {c["name"]: c["pass"] for c in json.loads(text)["checks"]}
     assert verdicts["Q1"] is False and verdicts["Q3"] is False
+    return q.m.mat
+
+
+def _perturb_mat(doc):
+    doc = to_schema1(doc)
+    doc["m"]["mat"][1][2][0] += 1e-6
+    return doc
+
+
+def _perturb_entries(doc):
+    # the same entry, (1, 2), at its place in the on-sector order
+    f = two_cell_from_json(doc["m"])
+    mask = sector_mask(f.target, f.source)
+    assert mask[1, 2]
+    doc["m"]["entries"][2 * (mask[0].sum() + mask[1, :2].sum())] += 1e-6
+    return doc
+
+
+def test_check_qsystem_sees_small_perturbation(tmp_path, capsys):
+    _check_sees_small_perturbation(tmp_path, capsys, _perturb_mat)
+
+
+def test_check_qsystem_sees_small_perturbation_schema2(tmp_path, capsys):
+    m2 = _check_sees_small_perturbation(tmp_path, capsys, _perturb_entries)
+    m1 = _check_sees_small_perturbation(tmp_path, capsys, _perturb_mat)
+    assert np.array_equal(m1, m2)
 
 
 def test_exit_code_qsystem_missing_keys(tmp_path, capsys):
@@ -287,7 +380,7 @@ def test_exit_code_off_sector_entry(tmp_path, capsys, command, cell):
     # sectors: one stray entry is a shape error, not a smaller residual
     qfile = str(tmp_path / "q.json")
     run(capsys, "gen", "--kind", "qsystem", "--seed", "8", "--out", qfile)
-    doc = load_document(qfile)
+    doc = to_schema1(load_document(qfile))
     r, c = _off_sector_entry(doc[cell])
     doc[cell]["mat"][r][c] = [0.5, 0.0]
     dump_document(doc, qfile)
@@ -300,7 +393,7 @@ def test_exit_code_off_sector_entry(tmp_path, capsys, command, cell):
 def test_exit_code_off_sector_entry_scenario(tmp_path, capsys):
     sc = str(tmp_path / "sc.json")
     run(capsys, "gen", "--kind", "scenario", "--seed", "1", "--out", sc)
-    doc = load_document(sc)
+    doc = to_schema1(load_document(sc))
     cell = doc["qsystem"]["m"][_first(doc["qsystem"]["m"])]
     r, c = _off_sector_entry(cell)
     cell["mat"][r][c] = [0.0, 1e-3]
