@@ -23,15 +23,21 @@ of one-cells rather than once per call:
 - ``_hcomp_plan(y, x)`` matches the gradings of ``y`` and ``x`` in one
   array comparison and caches the composite one-cell together with the
   index arrays of its basis pairs; ``hcomp1`` and ``hcomp_pairs`` read
-  it, and ``hcomp2`` is two cache lookups and two row/column gathers;
-- ``id2(x)`` hands out one shared identity two-cell per one-cell.  Its
-  matrix is read-only, like every ``BlockTwoCell.mat``, so sharing it
-  is safe.
+  it, and ``_fold_plan`` chains it over the cells of a longer composite;
+- ``id2(x)`` hands out one shared identity two-cell per one-cell, an
+  ``_Identity2``, which only ``id2`` makes.  Its matrix is read-only,
+  like every ``BlockTwoCell.mat``, so sharing it is safe.  Because the
+  type marks it as the identity, ``vcomp`` and ``dagger2`` return an
+  operand instead of multiplying by it, and ``hcomp2_many`` (which
+  ``hcomp2`` calls) folds each run of identity factors into one
+  identity on the composite one-cell, so ``id . id`` costs no product
+  and a whisker ``id . f . id`` is one gather per factor with no
+  intermediate two-cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -121,29 +127,51 @@ def one_cell(src: int, tgt: int, grading) -> GradedOneCell:
     return GradedOneCell(ZeroCell(src), ZeroCell(tgt), tuple(map(tuple, grading)))
 
 
-@dataclass(frozen=True, eq=False)
 class BlockTwoCell:
-    """Two-cell: a matrix ``target.dim x source.dim`` between parallel
-    one-cells, supported on matching grading sectors."""
+    """Two-cell: a read-only, C-contiguous complex matrix
+    ``target.dim x source.dim`` between parallel one-cells, supported on
+    matching grading sectors.  Assigning an attribute raises
+    ``AttributeError``."""
 
-    source: GradedOneCell
-    target: GradedOneCell
-    mat: np.ndarray = field(repr=False)
+    __slots__ = ("source", "target", "mat")
 
-    def __post_init__(self):
-        if self.source.src != self.target.src or self.source.tgt != self.target.tgt:
+    def __init__(self, source: GradedOneCell, target: GradedOneCell, mat):
+        if source.src.n != target.src.n or source.tgt.n != target.tgt.n:
             raise CellMismatch("two-cell endpoints do not match")
-        m = np.asarray(self.mat, dtype=complex)
-        if m.shape != (self.target.dim, self.source.dim):
+        if type(mat) is not np.ndarray or mat.dtype is not _COMPLEX \
+                or not mat.flags.c_contiguous:
+            mat = np.ascontiguousarray(mat, dtype=complex)
+        if mat.shape != (target.dim, source.dim):
             raise CellMismatch(
-                f"matrix shape {m.shape} != {(self.target.dim, self.source.dim)}"
+                f"matrix shape {mat.shape} != {(target.dim, source.dim)}"
             )
-        m = np.ascontiguousarray(m)
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
+        mat.flags.writeable = False
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_mat(self, mat)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"two-cells are immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"two-cells are immutable: cannot delete {name!r}")
 
     def __repr__(self):
-        return f"BlockTwoCell({self.source!r} => {self.target!r})"
+        return f"{type(self).__name__}({self.source!r} => {self.target!r})"
+
+
+_COMPLEX = np.dtype(complex)
+_set_source = BlockTwoCell.source.__set__
+_set_target = BlockTwoCell.target.__set__
+_set_mat = BlockTwoCell.mat.__set__
+
+
+class _Identity2(BlockTwoCell):
+    """The identity two-cell on a one-cell.  Only ``id2`` makes one, so
+    ``vcomp``, ``dagger2`` and ``hcomp2_many`` may treat it as the
+    identity without multiplying by its matrix."""
+
+    __slots__ = ()
 
 
 def two_cell(source: GradedOneCell, target: GradedOneCell, mat) -> BlockTwoCell:
@@ -173,7 +201,7 @@ def id2(x: GradedOneCell) -> BlockTwoCell:
 
 @lru_cache(maxsize=None)
 def _identity2(x: GradedOneCell) -> BlockTwoCell:
-    return BlockTwoCell(x, x, np.eye(x.dim, dtype=complex))
+    return _Identity2(x, x, np.eye(x.dim, dtype=complex))
 
 
 @lru_cache(maxsize=None)
@@ -214,26 +242,70 @@ def hcomp1_many(*cells: GradedOneCell) -> GradedOneCell:
     return out
 
 
+def _fold_plan(cells: list[GradedOneCell]):
+    """``(c, idx)``: the composite ``c`` of ``cells`` and, for each cell,
+    the array of its basis index in each basis vector of ``c``."""
+    out, *idx = _hcomp_plan(cells[0], cells[1])
+    for x in cells[2:]:
+        out, p_idx, q_idx = _hcomp_plan(out, x)
+        idx = [a[p_idx] for a in idx] + [q_idx]
+    return out, idx
+
+
 def hcomp2(g: BlockTwoCell, f: BlockTwoCell) -> BlockTwoCell:
     """Horizontal composite of two-cells (g left of f):
     ``out[(p, q), (p', q')] = g[p, p'] * f[q, q']``."""
-    src, si, sj = _hcomp_plan(g.source, f.source)
-    tgt, ti, tj = _hcomp_plan(g.target, f.target)
-    mat = g.mat.take(ti, 0).take(si, 1) * f.mat.take(tj, 0).take(sj, 1)
-    return BlockTwoCell(src, tgt, mat)
+    return hcomp2_many(g, f)
 
 
 def hcomp2_many(*fs: BlockTwoCell) -> BlockTwoCell:
-    out = fs[0]
-    for f in fs[1:]:
-        out = hcomp2(out, f)
-    return out
+    """Horizontal composite of two-cells, listed left to right.
+
+    A run of identity factors is the identity on the ``hcomp1``
+    composite of their one-cells, so it enters as one factor; if every
+    factor is an identity the result is ``id2`` of the composite.  Each
+    factor is gathered into the composite basis once (an identity as
+    the gather of its ``eye``) and the gathers are multiplied in order,
+    so no intermediate two-cell is built.
+    """
+    facs: list = []   # the factors, a run of identities as its one-cell
+    for f in fs:
+        if type(f) is not _Identity2:
+            facs.append(f)
+        elif facs and type(facs[-1]) is GradedOneCell:
+            facs[-1] = hcomp1(facs[-1], f.source)
+        else:
+            facs.append(f.source)
+    facs = [id2(f) if type(f) is GradedOneCell else f for f in facs]
+    if len(facs) == 1:
+        return facs[0]
+    src, s_idx = _fold_plan([f.source for f in facs])
+    tgt, t_idx = _fold_plan([f.target for f in facs])
+    out, exact = None, True   # exact: every factor so far is an identity
+    for f, si, ti in zip(facs, s_idx, t_idx):
+        g = f.mat.take(ti, 0).take(si, 1)
+        if out is None:
+            out = g
+        elif exact or type(f) is _Identity2:
+            # one side holds only 0 and 1, so every product is exact and
+            # writing it in place cannot change its rounding
+            np.multiply(out, g, out=out)
+        else:
+            out = out * g
+        exact = exact and type(f) is _Identity2
+        del g   # not held while the next factor is gathered
+    return BlockTwoCell(src, tgt, out)
 
 
 def vcomp(g: BlockTwoCell, f: BlockTwoCell) -> BlockTwoCell:
-    """Vertical composite ``g . f`` (f acts first)."""
+    """Vertical composite ``g . f`` (f acts first); an identity on
+    either side returns the other operand."""
     if f.target != g.source:
         raise CellMismatch("vertical composition: target/source cells differ")
+    if type(g) is _Identity2:
+        return f
+    if type(f) is _Identity2:
+        return g
     return BlockTwoCell(f.source, g.target, g.mat @ f.mat)
 
 
@@ -247,6 +319,8 @@ def vcomp_many(*fs: BlockTwoCell) -> BlockTwoCell:
 
 
 def dagger2(f: BlockTwoCell) -> BlockTwoCell:
+    if type(f) is _Identity2:
+        return f
     return BlockTwoCell(f.target, f.source, dagger(f.mat))
 
 

@@ -134,6 +134,32 @@ def _sq(x: np.ndarray) -> float:
     return float(np.vdot(x, x).real)
 
 
+def _q1_sq(T, r1, r2, r3, r4) -> float:
+    """Squared norm of the associativity residual block of the quadruple:
+    ``(ab)c - a(bc)`` for ``a, b, c`` over ``(r1, r2), (r2, r3), (r3, r4)``."""
+    # (ab)c as [i, c, a, b], a(bc) as [i, a, b, c]
+    left = _contract(T(r1, r3, r4).transpose(0, 2, 1), T(r1, r2, r3))
+    right = _contract(T(r1, r2, r4), T(r2, r3, r4))
+    return _sq(np.subtract(left.transpose(0, 2, 3, 1), right, out=right))
+
+
+def _q3_sq(T, r1, r2, r3, r4) -> tuple[float, float]:
+    """Squared norms of the two Frobenius residual blocks of the
+    quadruple: each composite against ``m* m``, for ``p, v`` over
+    ``(r1, r2), (r2, r3)`` and ``u, q`` over ``(r1, r4), (r4, r3)``."""
+    # the composites as [v, q, u, p] and [p, u, q, v], m* m as [p, v, u, q];
+    # the first is copied to m* m's order so that its difference can
+    # overwrite it, and the second's overwrites m* m
+    a = _contract(T(r2, r4, r3).transpose(0, 2, 1),
+                  T(r1, r2, r4).conj().transpose(2, 0, 1))
+    a = a.transpose(3, 0, 2, 1).copy()
+    mid = _contract(T(r1, r2, r3).conj().transpose(1, 2, 0), T(r1, r4, r3))
+    qa = _sq(np.subtract(a, mid, out=a))
+    del a
+    b = _contract(T(r1, r4, r2), T(r4, r2, r3).conj().transpose(1, 0, 2))
+    return qa, _sq(np.subtract(b.transpose(0, 3, 1, 2), mid, out=mid))
+
+
 def check_qsystem(q: QSystemData, tol: Tolerance = Tolerance()) -> ResidualReport:
     """Residuals of the four Q-system axioms.
 
@@ -153,6 +179,10 @@ def check_qsystem(q: QSystemData, tol: Tolerance = Tolerance()) -> ResidualRepor
     ``(r1, r4), (r4, r3)``.  Squared block norms add up to the squared
     norm of the dense residual because ``m`` vanishes off its sectors,
     which ``QSystemData`` enforces.
+
+    Each quadruple's blocks live inside ``_q1_sq`` or ``_q3_sq`` and are
+    freed when it returns, and each difference is written over one of
+    its operands, so at most two four-index blocks are alive at a time.
     """
     Q, m, i = q.Q, q.m, q.i
     rep = ResidualReport()
@@ -171,19 +201,11 @@ def check_qsystem(q: QSystemData, tol: Tolerance = Tolerance()) -> ResidualRepor
     q1 = q3a = q3b = 0.0
     for r1, r2, r3, r4 in itertools.product(range(n), repeat=4):
         if full[r1][r2] and full[r2][r3] and full[r3][r4] and full[r1][r4]:
-            # (ab)c as [i, c, a, b], a(bc) as [i, a, b, c]
-            left = _contract(T(r1, r3, r4).transpose(0, 2, 1), T(r1, r2, r3))
-            right = _contract(T(r1, r2, r4), T(r2, r3, r4))
-            q1 += _sq(left.transpose(0, 2, 3, 1) - right)
+            q1 += _q1_sq(T, r1, r2, r3, r4)
         if full[r1][r2] and full[r2][r3] and full[r1][r4] and full[r4][r3]:
-            # m* m as [p, v, u, q], the two composites as [v, q, u, p]
-            # and [p, u, q, v]
-            mid = _contract(T(r1, r2, r3).conj().transpose(1, 2, 0), T(r1, r4, r3))
-            a = _contract(T(r2, r4, r3).transpose(0, 2, 1),
-                          T(r1, r2, r4).conj().transpose(2, 0, 1))
-            b = _contract(T(r1, r4, r2), T(r4, r2, r3).conj().transpose(1, 0, 2))
-            q3a += _sq(a.transpose(3, 0, 2, 1) - mid)
-            q3b += _sq(b.transpose(0, 3, 1, 2) - mid)
+            qa, qb = _q3_sq(T, r1, r2, r3, r4)
+            q3a += qa
+            q3b += qb
     rep.add("Q1", np.sqrt(q1))
     left_unit = vcomp(m, hcomp2(i, id2(Q)))
     right_unit = vcomp(m, hcomp2(id2(Q), i))
@@ -332,11 +354,19 @@ def relative_tensor(xb: BimoduleData, yb: BimoduleData,
 def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData,
                       tol: Tolerance = Tolerance()) -> ResidualReport:
     """Residuals for ``g : a -> b`` being a unitary Q-system map:
-    ``g`` unitary, ``g m_a = m_b (g . g)``, ``g i_a = i_b``."""
+    ``g`` unitary, ``g m_a = m_b (g . g)``, ``g i_a = i_b``.
+
+    ``m_b (g . g)`` is never formed through the ``N_pairs^2`` two-cell
+    ``g . g``: ``g`` is contracted into the multiplication tensor of
+    ``b`` one leg at a time (``2 N^4`` operations, three ``N^3``
+    arrays), and the result is read at the composable pairs of ``a``.
+    """
     if g.source != a.Q or g.target != b.Q:
         raise CellMismatch("iso candidate does not match the Q-system cells")
     rep = ResidualReport()
     rep.add("unitary", is_unitary_residual(g))
-    rep.add("multiplication", residual(vcomp(g, a.m), vcomp(b.m, hcomp2(g, g))))
+    y = np.tensordot(np.tensordot(_mult_tensor(b), g.mat, (1, 0)), g.mat, (1, 0))
+    _, p_idx, q_idx = _hcomp_plan(a.Q, a.Q)
+    rep.add("multiplication", frob(vcomp(g, a.m).mat - y[:, p_idx, q_idx]))
     rep.add("unit", residual(vcomp(g, a.i), b.i))
     return rep

@@ -81,7 +81,14 @@ def cell_from_json(d: dict) -> GradedOneCell:
 
 def _mat_from_json(rows, shape) -> np.ndarray:
     """Complex matrix of ``shape`` from rows of ``[re, im]`` pairs of
-    finite numbers (schema 1)."""
+    finite numbers (schema 1).  Strings and booleans, which ``np.array``
+    would convert, are refused."""
+    try:
+        leaves = [v for row in rows for pair in row for v in pair]
+    except TypeError as exc:
+        raise ParseError(f"matrix entries must be [re, im] number pairs: {exc}") from exc
+    if not {float, int}.issuperset(map(type, leaves)):
+        raise ParseError("matrix entries must be [re, im] number pairs")
     try:
         a = np.array(rows, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -308,15 +315,16 @@ def split_result_to_json(res: SplitResult) -> dict:
 
 
 def load_document(path: str) -> dict:
-    """The document in ``path``, of schema 1 or 2.  A file that is not
-    UTF-8 JSON, or that nests deeper than the decoder allows, is a
-    ``ParseError``."""
+    """The document in ``path``, of schema 1 or 2 (a JSON integer: not
+    ``true``, ``1.0`` or ``2.0``).  A file that is not UTF-8 JSON, or that
+    nests deeper than the decoder allows, is a ``ParseError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") not in SCHEMAS:
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if type(schema) is not int or schema not in SCHEMAS:
         raise ParseError(f"{path}: missing or unsupported schema")
     if "kind" not in doc:
         raise ParseError(f"{path}: missing kind")

@@ -117,18 +117,18 @@ def split_projection(x: GradedOneCell, p: BlockTwoCell,
         sectors.setdefault(g, []).append(idx)
 
     grading: list[tuple[int, int]] = []
-    cols: list[np.ndarray] = []
+    blocks = []   # (basis indices of a sector, isometry onto its range)
     for g in sorted(sectors):
         idx = np.array(sectors[g], dtype=int)
-        sub = herm_part(p.mat[np.ix_(idx, idx)])
-        v = range_isometry(sub, tol)
-        for j in range(v.shape[1]):
-            grading.append(g)
-            col = np.zeros(x.dim, dtype=complex)
-            col[idx] = v[:, j]
-            cols.append(col)
+        v = range_isometry(herm_part(p.mat[np.ix_(idx, idx)]), tol)
+        grading += [g] * v.shape[1]
+        blocks.append((idx, v))
     y = GradedOneCell(x.src, x.tgt, tuple(grading))
-    mat = np.stack(cols, axis=1) if cols else np.zeros((x.dim, 0), dtype=complex)
+    mat = np.zeros((x.dim, y.dim), dtype=complex)
+    col = 0
+    for idx, v in blocks:
+        mat[idx, col:col + v.shape[1]] = v
+        col += v.shape[1]
     return y, BlockTwoCell(y, x, mat)
 
 

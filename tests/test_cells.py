@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from qhilb.cells import (
     dagger2,
     hcomp1,
     hcomp2,
+    hcomp2_many,
     hcomp_pairs,
     id1,
     id2,
@@ -347,3 +350,90 @@ def test_id2_is_shared_and_read_only():
     with pytest.raises(ValueError):
         e.mat[0, 0] = 2.0
     assert np.array_equal(e.mat, np.eye(x.dim))
+
+
+# -- identity two-cells --------------------------------------------------------
+
+
+@st.composite
+def whisker_chains(draw):
+    """2-4 horizontally composable two-cells, each an identity or a dense
+    random two-cell, over random gradings that may leave sectors empty."""
+    k = draw(st.integers(2, 4))
+    zero = [draw(st.integers(1, 3)) for _ in range(k + 1)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    fs = []
+    for src, tgt in zip(zero[1:], zero):
+        x = GradedOneCell(ZeroCell(src), ZeroCell(tgt), draw(gradings(src, tgt)))
+        if draw(st.booleans()):
+            fs.append(id2(x))
+            continue
+        x2 = GradedOneCell(ZeroCell(src), ZeroCell(tgt), draw(gradings(src, tgt)))
+        shape = (x2.dim, x.dim)
+        fs.append(BlockTwoCell(x, x2, rng.standard_normal(shape)
+                               + 1j * rng.standard_normal(shape)))
+    return fs
+
+
+def dense_fold(fs):
+    """Left fold of ``hcomp2_by_definition`` with every identity replaced
+    by a plain two-cell holding ``np.eye``."""
+    plain = [BlockTwoCell(f.source, f.target, np.eye(f.source.dim))
+             if f is id2(f.source) else f for f in fs]
+    out = plain[0]
+    for f in plain[1:]:
+        out = BlockTwoCell(hcomp1(out.source, f.source), hcomp1(out.target, f.target),
+                           hcomp2_by_definition(out, f))
+    return out
+
+
+@given(whisker_chains())
+@settings(max_examples=200, deadline=None)
+def test_hcomp2_with_identities_matches_dense_fold(fs):
+    ref = dense_fold(fs)
+    for h in (hcomp2_many(*fs), reduce(hcomp2, fs)):
+        assert h.source == ref.source and h.target == ref.target
+        assert h.mat.shape == ref.mat.shape
+        assert np.array_equal(h.mat, ref.mat)
+
+
+def test_identity_is_skipped_by_vcomp_and_folded_by_hcomp2():
+    y, x = composable_pair(RNG)
+    f = rand_endo(x)
+    assert vcomp(id2(x), f) is f
+    assert vcomp(f, id2(x)) is f
+    assert hcomp2_many(id2(y), id2(x)) is id2(hcomp1(y, x))
+    assert hcomp2(id2(y), id2(x)) is id2(hcomp1(y, x))
+    assert hcomp2_many(id2(y), id2(x), id2(id1(x.src))) is id2(hcomp1(y, x))
+    assert dagger2(id2(x)) is id2(x)
+
+
+def test_only_id2_makes_identities():
+    y, x = composable_pair(RNG)
+    f, g = rand_endo(x), rand_endo(y)
+    assert type(id2(x)) is cells._Identity2
+    made = [BlockTwoCell(x, x, np.eye(x.dim)), two_cell(x, x, np.eye(x.dim)),
+            hcomp2(id2(y), f), hcomp2(g, id2(x)), hcomp2_many(id2(y), f),
+            vcomp(f, f), dagger2(f), unitor_left(x)]
+    assert all(type(h) is BlockTwoCell for h in made)
+
+
+def test_two_cells_are_immutable_and_checked():
+    x = random_cell(RNG, 2, 3, 2)
+    f = rand_endo(x)
+    for h in (f, id2(x)):
+        for name in ("mat", "source", "target", "other"):
+            with pytest.raises(AttributeError):
+                setattr(h, name, h.mat)
+        with pytest.raises(AttributeError):
+            del h.mat
+        assert not h.mat.flags.writeable
+    y = random_cell(RNG, 3, 3, 2)
+    with pytest.raises(CellMismatch, match="endpoints"):
+        BlockTwoCell(x, y, np.zeros((y.dim, x.dim)))
+    with pytest.raises(CellMismatch, match="shape"):
+        BlockTwoCell(x, x, np.zeros((x.dim + 1, x.dim)))
+    # a real, strided input is stored as a fresh C-contiguous complex copy
+    a = np.zeros((x.dim, 2 * x.dim))[:, ::2]
+    h = BlockTwoCell(x, x, a)
+    assert h.mat.dtype == complex and h.mat.flags.c_contiguous and h.mat is not a

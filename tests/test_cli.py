@@ -425,3 +425,33 @@ def test_exit_code_non_integer_field(tmp_path, capsys, field, value):
     assert code == 2
     assert err.startswith("error: bad one-cell: expected an integer")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("schema", [True, 1.0, 2.0], ids=["true", "1.0", "2.0"])
+def test_exit_code_non_integer_schema(tmp_path, capsys, schema):
+    # the schema is a JSON integer: true, 1.0 and 2.0 passed as 1, 1 and 2
+    qfile = str(tmp_path / "q.json")
+    run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
+    doc = load_document(qfile)
+    doc["schema"] = schema
+    dump_document(doc, qfile)
+    code = main(["check-qsystem", qfile])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {qfile}: missing or unsupported schema\n"
+
+
+@pytest.mark.parametrize("value", ["0.5", True, None, [0.5]],
+                         ids=["string", "true", "null", "list"])
+def test_exit_code_schema1_entry_not_a_number(tmp_path, capsys, value):
+    # np.array(rows, dtype=float) read "0.5" as 0.5 and true as 1.0
+    qfile = str(tmp_path / "q.json")
+    run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
+    doc = to_schema1(load_document(qfile))
+    doc["m"]["mat"][0][0][0] = value
+    dump_document(doc, qfile)
+    code = main(["check-qsystem", qfile])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: matrix entries must be [re, im] number pairs")
+    assert err.count("\n") == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from qhilb.cells import (
 from qhilb.errors import CellMismatch
 from qhilb.generate import (
     dress_qsystem,
+    random_block_unitary,
     random_cell,
     random_qsystem,
     random_sector_matrix,
@@ -39,6 +42,7 @@ from qhilb.qsystem import (
     unit_bimodule,
     zigzag_residuals,
 )
+from qhilb.splitting import split_qsystem
 
 RNG = np.random.default_rng(512)
 
@@ -279,3 +283,62 @@ def test_blocked_axioms_match_dense(q):
     scale = frob(q.m.mat) ** 2
     for name, dense in zip(("Q1", "Q3"), dense_q1_q3(q)):
         assert abs(rep[name] - dense) <= 1e-12 * max(dense, scale)
+
+
+# -- the iso contraction and the memory of the checks --------------------------
+
+
+def dense_iso_multiplication(g, a, b):
+    """``|g m_a - m_b (g . g)|`` with the ``N_pairs^2`` two-cell ``g . g``
+    formed: the reference for the contraction in ``check_qsystem_iso``."""
+    return residual(vcomp(g, a.m), vcomp(b.m, hcomp2(g, g)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_iso_contraction_matches_dense(seed):
+    rng = np.random.default_rng(seed)
+    q, _ = random_qsystem(rng, zero_cell=int(rng.integers(1, 4)), blocks=int(rng.integers(1, 4)))
+    res = split_qsystem(q, rng=rng)
+    a, g = qsystem_from_dual(res.pair), res.gamma
+    # the same gamma pushed off unitarity: a failing iso reads the same residual
+    off = two_cell(g.source, g.target,
+                   g.mat + 1e-3 * random_sector_matrix(rng, g.source, g.target).mat)
+    for h, ok in ((g, True), (off, False)):
+        got = check_qsystem_iso(h, a, q)["multiplication"]
+        dense = dense_iso_multiplication(h, a, q)
+        assert abs(got - dense) <= 1e-13 * max(dense, frob(vcomp(h, a.m).mat))
+        assert (got < 1e-9) == ok
+
+
+def one_sector_qsystem(d):
+    """A dressed ``x . xbar`` over one zero-cell, ``x`` with ``d`` basis
+    vectors: all ``N = d^2`` basis vectors of Q lie in one sector."""
+    rng = np.random.default_rng(d)
+    x = one_cell(1, 1, [(1, 1)] * d)
+    return dress_qsystem(rng, qsystem_from_dual(standard_dual_pair(x))), rng
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by ``tracemalloc`` during a second call of ``fn``
+    (the first fills the caches)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_qsystem_keeps_at_most_two_blocks():
+    # one four-index block of the sector holds s^4 complex entries
+    q, _ = one_sector_qsystem(4)
+    s = q.Q.dim
+    assert traced_peak(lambda: check_qsystem(q)) < 3 * s ** 4 * 16
+
+
+def test_check_qsystem_iso_does_not_form_g_tensor_g():
+    q, rng = one_sector_qsystem(5)
+    g = random_block_unitary(rng, q.Q)
+    n_pairs = hcomp1(q.Q, q.Q).dim
+    assert traced_peak(lambda: check_qsystem_iso(g, q, q)) < n_pairs ** 2 * 16 / 4
