@@ -1,8 +1,8 @@
 """Q-systems over graded complex matrices: axiom checkers, splitting
 algorithms, and functor-category completeness verification."""
 
-from .linalg import Tolerance, kron, dsum, dagger, range_isometry, \
-    spectral_projections, commutant_basis
+from .linalg import Tolerance, dagger, range_isometry, spectral_projections, \
+    commutant_basis
 from .cells import ZeroCell, GradedOneCell, BlockTwoCell, id1, id2, one_cell, \
     two_cell, hcomp1, hcomp2, vcomp, dagger2, unitor_left, unitor_right, \
     standard_dual

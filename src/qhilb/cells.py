@@ -22,8 +22,13 @@ of one-cells rather than once per call:
   when it is handed the cells it was filled with;
 - ``_hcomp_plan(y, x)`` matches the gradings of ``y`` and ``x`` in one
   array comparison and caches the composite one-cell together with the
-  index arrays of its basis pairs; ``hcomp1`` and ``hcomp_pairs`` read
-  it, and ``_fold_plan`` chains it over the cells of a longer composite;
+  index arrays of its basis pairs.  It is the one code that orders the
+  basis of a composite: ``hcomp1`` reads it, ``_fold_plan`` chains it
+  over the cells of a longer composite, and ``unitor_left``,
+  ``standard_dual``, ``splitting.split_qsystem`` and
+  ``generate.interchanger`` place their entries with its index arrays.
+  ``hcomp_pairs`` lists the same pairs as tuples; it is kept for the
+  tests and the benchmark tracer;
 - ``id2(x)`` hands out one shared identity two-cell per one-cell, an
   ``_Identity2``, which only ``id2`` makes.  Its matrix is read-only,
   like every ``BlockTwoCell.mat``, so sharing it is safe.  Because the
@@ -107,10 +112,11 @@ class GradedOneCell:
     def dim(self) -> int:
         return len(self.grading)
 
-    def sector_dims(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for g in self.grading:
-            out[g] = out.get(g, 0) + 1
+    def sectors(self) -> dict[tuple[int, int], list[int]]:
+        """The basis indices of each grading sector, in basis order."""
+        out: dict[tuple[int, int], list[int]] = {}
+        for i, g in enumerate(self.grading):
+            out.setdefault(g, []).append(i)
         return out
 
     def __repr__(self):
@@ -300,7 +306,7 @@ def hcomp2_many(*fs: BlockTwoCell) -> BlockTwoCell:
 def vcomp(g: BlockTwoCell, f: BlockTwoCell) -> BlockTwoCell:
     """Vertical composite ``g . f`` (f acts first); an identity on
     either side returns the other operand."""
-    if f.target != g.source:
+    if f.target is not g.source and f.target != g.source:
         raise CellMismatch("vertical composition: target/source cells differ")
     if type(g) is _Identity2:
         return f
@@ -327,11 +333,9 @@ def dagger2(f: BlockTwoCell) -> BlockTwoCell:
 @lru_cache(maxsize=None)
 def unitor_left(x: GradedOneCell) -> BlockTwoCell:
     """Unitary permutation ``unit . x -> x`` pairing (row(q), q) with q."""
-    src = hcomp1(id1(x.tgt), x)
-    pairs = hcomp_pairs(id1(x.tgt), x)
+    src, _, q_idx = _hcomp_plan(id1(x.tgt), x)
     mat = np.zeros((x.dim, src.dim), dtype=complex)
-    for col, (_, q) in enumerate(pairs):
-        mat[q, col] = 1.0
+    mat[q_idx, np.arange(src.dim)] = 1.0
     return BlockTwoCell(src, x, mat)
 
 
@@ -354,35 +358,35 @@ def standard_dual(x: GradedOneCell):
 
     Raises ``EmptyColumn`` if some source index carries no basis vector.
     """
-    counts = [0] * x.src.n
-    for _, c in x.grading:
-        counts[c - 1] += 1
-    for i, d in enumerate(counts):
-        if d == 0:
-            raise EmptyColumn(i + 1)
+    rows, cols = np.array(x.grading, dtype=np.intp).reshape(-1, 2).T - 1
+    counts = np.bincount(cols, minlength=x.src.n)
+    if not counts.all():
+        raise EmptyColumn(int(np.argmin(counts)) + 1)
+    root = np.sqrt(counts)
     xbar = GradedOneCell(x.tgt, x.src, tuple((c, r) for r, c in x.grading))
 
-    ev_src = hcomp1(xbar, x)
+    # basis vector q meets its conjugate in the pair (q, q); ``at`` lists
+    # where those pairs sit in the composite
+    ev_src, p_idx, q_idx = _hcomp_plan(xbar, x)
+    at = np.flatnonzero(p_idx == q_idx)
+    q = q_idx[at]
     ev_mat = np.zeros((x.src.n, ev_src.dim), dtype=complex)
-    for col, (p, q) in enumerate(hcomp_pairs(xbar, x)):
-        if p == q:
-            i = x.grading[q][1]
-            ev_mat[i - 1, col] = 1.0 / np.sqrt(counts[i - 1])
+    ev_mat[cols[q], at] = 1.0 / root[cols[q]]
     ev = BlockTwoCell(ev_src, id1(x.src), ev_mat)
 
-    coev_tgt = hcomp1(x, xbar)
+    coev_tgt, q_idx, p_idx = _hcomp_plan(x, xbar)
+    at = np.flatnonzero(q_idx == p_idx)
+    q = q_idx[at]
     coev_mat = np.zeros((coev_tgt.dim, x.tgt.n), dtype=complex)
-    for row, (q, p) in enumerate(hcomp_pairs(x, xbar)):
-        if q == p:
-            r, c = x.grading[q]
-            coev_mat[row, r - 1] = np.sqrt(counts[c - 1])
+    coev_mat[at, rows[q]] = root[cols[q]]
     coev = BlockTwoCell(id1(x.tgt), coev_tgt, coev_mat)
     return xbar, ev, coev
 
 
 def residual(f: BlockTwoCell, g: BlockTwoCell) -> float:
     """Frobenius distance between two parallel two-cells."""
-    if f.source != g.source or f.target != g.target:
+    if (f.source is not g.source and f.source != g.source) \
+            or (f.target is not g.target and f.target != g.target):
         raise CellMismatch("cannot compare two-cells with different cells")
     return frob(f.mat - g.mat)
 

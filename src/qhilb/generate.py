@@ -16,10 +16,10 @@ from .cells import (
     BlockTwoCell,
     GradedOneCell,
     ZeroCell,
+    _hcomp_plan,
     dagger2,
     hcomp1,
     hcomp1_many,
-    hcomp_pairs,
     id1,
     id2,
     unitor_left,
@@ -60,13 +60,6 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _sectors(cell: GradedOneCell) -> dict[tuple[int, int], list[int]]:
-    out: dict[tuple[int, int], list[int]] = {}
-    for i, g in enumerate(cell.grading):
-        out.setdefault(g, []).append(i)
-    return out
-
-
 def random_cell(rng: np.random.Generator, src: int, tgt: int,
                 max_sector_dim: int = 2, zero_bias: float = 0.4,
                 full_cols: bool = False, min_total: int = 1) -> GradedOneCell:
@@ -97,7 +90,7 @@ def random_block_unitary(rng: np.random.Generator, source: GradedOneCell,
     """Haar-random sector-block unitary ``source -> target`` (cells must
     have equal sector dimensions)."""
     target = source if target is None else target
-    ssec, tsec = _sectors(source), _sectors(target)
+    ssec, tsec = source.sectors(), target.sectors()
     if sorted(ssec) != sorted(tsec) or any(
             len(ssec[g]) != len(tsec[g]) for g in ssec):
         raise CellMismatch("cells have different sector dimensions")
@@ -111,7 +104,7 @@ def random_block_unitary(rng: np.random.Generator, source: GradedOneCell,
 def random_sector_matrix(rng: np.random.Generator, source: GradedOneCell,
                          target: GradedOneCell, scale: float = 1.0) -> BlockTwoCell:
     """Random sector-supported two-cell (gaussian entries)."""
-    ssec, tsec = _sectors(source), _sectors(target)
+    ssec, tsec = source.sectors(), target.sectors()
     mat = np.zeros((target.dim, source.dim), dtype=complex)
     for g in sorted(set(ssec) & set(tsec)):
         block = rng.standard_normal((len(tsec[g]), len(ssec[g]))) \
@@ -123,7 +116,7 @@ def random_sector_matrix(rng: np.random.Generator, source: GradedOneCell,
 def random_projection_on(rng: np.random.Generator,
                          cell: GradedOneCell) -> BlockTwoCell:
     """Random hermitian idempotent on ``cell`` with random sector ranks."""
-    sec = _sectors(cell)
+    sec = cell.sectors()
     mat = np.zeros((cell.dim, cell.dim), dtype=complex)
     for g in sorted(sec):
         idx = sec[g]
@@ -177,22 +170,12 @@ def dsum_qsystems(q1: QSystemData, q2: QSystemData) -> QSystemData:
     if q1.zero_cell != q2.zero_cell:
         raise CellMismatch("direct sum needs a common zero-cell")
     Q = GradedOneCell(q1.Q.src, q1.Q.tgt, q1.Q.grading + q2.Q.grading)
-    d1 = q1.Q.dim
-    emb1 = np.zeros((Q.dim, d1), dtype=complex)
-    emb1[:d1, :] = np.eye(d1)
-    emb2 = np.zeros((Q.dim, q2.Q.dim), dtype=complex)
-    emb2[d1:, :] = np.eye(q2.Q.dim)
-
-    pairs = hcomp_pairs(Q, Q)
-    pairs1 = {pq: k for k, pq in enumerate(hcomp_pairs(q1.Q, q1.Q))}
-    pairs2 = {pq: k for k, pq in enumerate(hcomp_pairs(q2.Q, q2.Q))}
-    m = np.zeros((Q.dim, len(pairs)), dtype=complex)
-    for col, (p, q) in enumerate(pairs):
-        if p < d1 and q < d1:
-            m[:, col] = emb1 @ q1.m.mat[:, pairs1[(p, q)]]
-        elif p >= d1 and q >= d1:
-            m[:, col] = emb2 @ q2.m.mat[:, pairs2[(p - d1, q - d1)]]
-    i = emb1 @ q1.i.mat + emb2 @ q2.i.mat
+    eye, d1 = np.eye(Q.dim), q1.Q.dim
+    # each summand enters through its 0/1 embedding e as e m (e* . e*)
+    parts = [(q1, BlockTwoCell(q1.Q, Q, eye[:, :d1])),
+             (q2, BlockTwoCell(q2.Q, Q, eye[:, d1:]))]
+    m = sum(vcomp(e, vcomp(q.m, hcomp2(dagger2(e), dagger2(e)))).mat for q, e in parts)
+    i = sum(vcomp(e, q.i).mat for q, e in parts)
     return QSystemData(Q, BlockTwoCell(hcomp1(Q, Q), Q, m),
                        BlockTwoCell(q1.i.source, Q, i))
 
@@ -223,17 +206,19 @@ def interchanger(a: GradedOneCell, b: GradedOneCell,
     """Permutation ``(a x b) . (c x d) -> (a . c) x (b . d)``."""
     if a.src != c.tgt or b.src != d.tgt:
         raise CellMismatch("interchanger factors are not composable")
-    src = hcomp1(outer_cell(a, b), outer_cell(c, d))
+    src, i, j = _hcomp_plan(outer_cell(a, b), outer_cell(c, d))
     tgt = outer_cell(hcomp1(a, c), hcomp1(b, d))
-    ac = {pq: k for k, pq in enumerate(hcomp_pairs(a, c))}
-    bd = {pq: k for k, pq in enumerate(hcomp_pairs(b, d))}
-    bd_dim = len(bd)
+
+    def position(y, x):   # position[p, q]: where the pair (p, q) sits in y . x
+        _, p_idx, q_idx = _hcomp_plan(y, x)
+        out = np.zeros((y.dim, x.dim), dtype=np.intp)
+        out[p_idx, q_idx] = np.arange(len(p_idx))
+        return out
+
+    (p, q), (p2, q2) = divmod(i, b.dim), divmod(j, d.dim)
+    rows = position(a, c)[p, p2] * hcomp1(b, d).dim + position(b, d)[q, q2]
     mat = np.zeros((tgt.dim, src.dim), dtype=complex)
-    for col, (i, j) in enumerate(hcomp_pairs(outer_cell(a, b), outer_cell(c, d))):
-        p, q = divmod(i, b.dim)
-        p2, q2 = divmod(j, d.dim)
-        row = ac[(p, p2)] * bd_dim + bd[(q, q2)]
-        mat[row, col] = 1.0
+    mat[rows, np.arange(src.dim)] = 1.0
     return BlockTwoCell(src, tgt, mat)
 
 
@@ -428,11 +413,10 @@ def summed_transformation(rng: np.random.Generator, cat: PresentedTwoCat,
         tuple(gp for gp in layer0[a].grading for _ in range(summands)))
         for a in cat.zero_cells}
 
-    def embed(a: str, layer: int) -> np.ndarray:
+    def embed(a: str, layer: int) -> BlockTwoCell:
         e = np.zeros((comp0[a].dim, layer0[a].dim), dtype=complex)
-        for i in range(layer0[a].dim):
-            e[i * summands + layer, i] = 1.0
-        return e
+        e[layer::summands] = np.eye(layer0[a].dim)
+        return BlockTwoCell(layer0[a], comp0[a], e)
 
     comp1 = {}
     for gen in cat.gen_one_cells:
@@ -442,14 +426,12 @@ def summed_transformation(rng: np.random.Generator, cat: PresentedTwoCat,
         tgt1 = hcomp1(g_on1[gen.label], layer0[a])
         src = hcomp1(comp0[b], f.cell(path))
         tgt = hcomp1(g_on1[gen.label], comp0[a])
-        esrc = {k: _embed_left_factor(comp0[b], layer0[b], embed(b, k),
-                                      f.cell(path)) for k in range(summands)}
-        etgt = {k: _embed_right_factor(g_on1[gen.label], comp0[a], layer0[a],
-                                       embed(a, k)) for k in range(summands)}
         mat = np.zeros((tgt.dim, src.dim), dtype=complex)
         for k in range(summands):
+            esrc = hcomp2(embed(b, k), id2(f.cell(path))).mat
+            etgt = hcomp2(id2(g_on1[gen.label]), embed(a, k)).mat
             u = random_block_unitary(rng, src1, tgt1)
-            mat += etgt[k] @ u.mat @ esrc[k].conj().T
+            mat += etgt @ u.mat @ esrc.conj().T
         comp1[path] = BlockTwoCell(src, tgt, mat)
     phi = TransformationData(f, g, comp0, comp1)
 
@@ -459,35 +441,8 @@ def summed_transformation(rng: np.random.Generator, cat: PresentedTwoCat,
     for a in cat.zero_cells:
         mat = np.zeros((comp0[a].dim, comp0[a].dim), dtype=complex)
         for k in kept:
-            e = embed(a, k)
+            e = embed(a, k).mat
             mat += e @ e.conj().T
         p[a] = BlockTwoCell(comp0[a], comp0[a], mat)
     return phi, ModificationData(p), kept
 
-
-def _basis_mapping(embed_mat: np.ndarray) -> dict[int, int]:
-    small_idx, big_idx = np.nonzero(embed_mat.T)
-    return {int(s): int(b) for s, b in zip(small_idx, big_idx)}
-
-
-def _embed_left_factor(big_left, small_left, embed_mat, right) -> np.ndarray:
-    """Basis embedding ``small_left . right -> big_left . right``
-    induced by a 0/1 embedding of the left factor's basis."""
-    big_pairs = {pq: k for k, pq in enumerate(hcomp_pairs(big_left, right))}
-    small_pairs = hcomp_pairs(small_left, right)
-    mapping = _basis_mapping(embed_mat)
-    out = np.zeros((len(big_pairs), len(small_pairs)), dtype=complex)
-    for k, (p, q) in enumerate(small_pairs):
-        out[big_pairs[(mapping[p], q)], k] = 1.0
-    return out
-
-
-def _embed_right_factor(left, big_right, small_right, embed_mat) -> np.ndarray:
-    """Basis embedding ``left . small_right -> left . big_right``."""
-    big_pairs = {pq: k for k, pq in enumerate(hcomp_pairs(left, big_right))}
-    small_pairs = hcomp_pairs(left, small_right)
-    mapping = _basis_mapping(embed_mat)
-    out = np.zeros((len(big_pairs), len(small_pairs)), dtype=complex)
-    for k, (p, q) in enumerate(small_pairs):
-        out[big_pairs[(p, mapping[q])], k] = 1.0
-    return out

@@ -15,8 +15,6 @@ from .errors import DimensionMismatch, NotAProjection, NotHermitian
 
 __all__ = [
     "Tolerance",
-    "kron",
-    "dsum",
     "dagger",
     "frob",
     "herm_part",
@@ -67,27 +65,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def herm_part(a: np.ndarray) -> np.ndarray:
     a = as_matrix(a)
     return (a + dagger(a)) / 2
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with row-major index flattening."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def dsum(blocks) -> np.ndarray:
-    """Block-diagonal matrix with ``blocks`` in the given order."""
-    blocks = [as_matrix(b) for b in blocks]
-    if not blocks:
-        return np.zeros((0, 0), dtype=complex)
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols), dtype=complex)
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
 
 
 def _check_projection(p: np.ndarray, tol: Tolerance) -> None:

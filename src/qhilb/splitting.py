@@ -30,8 +30,7 @@ from .cells import (
     BlockTwoCell,
     GradedOneCell,
     ZeroCell,
-    hcomp_pairs,
-    hcomp1,
+    _hcomp_plan,
     projection_residual,
     sector_mask,
 )
@@ -112,10 +111,7 @@ def split_projection(x: GradedOneCell, p: BlockTwoCell,
     if projection_residual(p) > 10 * tol.atol * scale:
         raise NotAProjection("two-cell is not a hermitian idempotent")
 
-    sectors: dict[tuple[int, int], list[int]] = {}
-    for idx, g in enumerate(x.grading):
-        sectors.setdefault(g, []).append(idx)
-
+    sectors = x.sectors()
     grading: list[tuple[int, int]] = []
     blocks = []   # (basis indices of a sector, isometry onto its range)
     for g in sorted(sectors):
@@ -265,54 +261,28 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     k = len(blocks)
 
     # X : k -> b, grading pairs (row j, block t) sorted lexicographically
-    entries = []  # (j, t, column vector) in X basis order
-    for j in range(1, n_rows + 1):
-        for t, (_, per_row) in enumerate(blocks, start=1):
-            v = per_row.get(j)
-            if v is None:
-                continue
-            for c in range(v.shape[1]):
-                entries.append((j, t, v[:, c]))
-    X = GradedOneCell(ZeroCell(k), Q.tgt, tuple((j, t) for j, t, _ in entries))
+    grading = [(j, t) for j in range(1, n_rows + 1)
+               for t, (_, per_row) in enumerate(blocks, start=1)
+               if j in per_row for _ in range(per_row[j].shape[1])]
+    X = GradedOneCell(ZeroCell(k), Q.tgt, tuple(grading))
     pair = standard_dual_pair(X)
-    Xbar = pair.Xbar
+    src, p_idx, _ = _hcomp_plan(X, pair.Xbar)
+    block_of = np.array(grading)[p_idx, 1]
 
-    # basis of each block's column space, in X basis order
-    block_cols: dict[int, np.ndarray] = {}
-    block_pos: list[int] = []
-    for t in range(1, k + 1):
-        cols = [vec for (_, tt, vec) in entries if tt == t]
-        block_cols[t] = np.stack(cols, axis=1)
-    counters = {t: 0 for t in range(1, k + 1)}
-    for _, t, _ in entries:
-        block_pos.append(counters[t])
-        counters[t] += 1
-
-    # compressed left multiplication per block, then isometric rescale
-    comp = {}
-    for t in range(1, k + 1):
-        v = block_cols[t]
-        comp[t] = (dagger(v) @ rep.left_ops @ v).transpose(1, 2, 0)
-    scales = {}
-    for t, stack in comp.items():
-        d = stack.shape[0]
-        mmat = stack.reshape(d * d, N)
+    # compressed left multiplication per block, rescaled to an isometry;
+    # the basis pairs of X . Xbar in block t are, in order, the (alpha,
+    # beta) of its column space in row-major order
+    gdag = np.zeros((src.dim, N), dtype=complex)
+    for t, (d, per_row) in enumerate(blocks, start=1):
+        v = np.concatenate([per_row[j] for j in sorted(per_row)], axis=1)
+        mmat = (dagger(v) @ rep.left_ops @ v).transpose(1, 2, 0).reshape(d * d, N)
         gram = mmat @ dagger(mmat)
         s2 = float(np.real(np.trace(gram))) / (d * d)
         if s2 <= 0 or frob(gram - s2 * np.eye(d * d)) > 1e-6 * max(1.0, s2) * d * d:
             raise NormalizationFailure(
                 "compressed left multiplication is not a scalar multiple of an isometry")
-        scales[t] = 1.0 / np.sqrt(s2)
-
-    pairs = hcomp_pairs(X, Xbar)
-    gdag = np.zeros((len(pairs), N), dtype=complex)
-    for row, (p_idx, q_idx) in enumerate(pairs):
-        t = X.grading[p_idx][1]
-        alpha = block_pos[p_idx]
-        beta = block_pos[q_idx]
-        gdag[row, :] = scales[t] * comp[t][alpha, beta, :]
+        gdag[block_of == t] = (1.0 / np.sqrt(s2)) * mmat
     # zero the numerical dust on mismatched (row, col) sectors
-    src = hcomp1(X, Xbar)
     gamma = BlockTwoCell(src, Q, np.where(sector_mask(Q, src), dagger(gdag), 0))
 
     iso = check_qsystem_iso(gamma, qsystem_from_dual(pair), q, tol)

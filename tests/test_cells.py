@@ -28,7 +28,7 @@ from qhilb.cells import (
     vcomp,
 )
 from qhilb.errors import CellMismatch, EmptyColumn
-from qhilb.generate import random_cell, random_sector_matrix
+from qhilb.generate import interchanger, outer_cell, random_cell, random_sector_matrix
 from qhilb.linalg import frob
 
 RNG = np.random.default_rng(99)
@@ -168,6 +168,91 @@ def test_sector_mask_by_definition(src, tgt, data):
     mask = sector_mask(y, x)
     assert mask.shape == (y.dim, x.dim) and not mask.flags.writeable
     assert mask.tolist() == [[gy == gx for gx in x.grading] for gy in y.grading]
+
+
+# The constructors below place their entries with the index arrays of
+# ``_hcomp_plan``.  Each oracle is the per-entry loop they replaced,
+# built from ``hcomp_pairs``; the two must agree bit for bit.
+
+
+def unitor_left_by_pairs(x):
+    src = hcomp1(id1(x.tgt), x)
+    mat = np.zeros((x.dim, src.dim), dtype=complex)
+    for col, (_, q) in enumerate(hcomp_pairs(id1(x.tgt), x)):
+        mat[q, col] = 1.0
+    return mat
+
+
+def standard_dual_by_pairs(x, xbar):
+    counts = [0] * x.src.n
+    for _, c in x.grading:
+        counts[c - 1] += 1
+    ev = np.zeros((x.src.n, hcomp1(xbar, x).dim), dtype=complex)
+    for col, (p, q) in enumerate(hcomp_pairs(xbar, x)):
+        if p == q:
+            i = x.grading[q][1]
+            ev[i - 1, col] = 1.0 / np.sqrt(counts[i - 1])
+    coev = np.zeros((hcomp1(x, xbar).dim, x.tgt.n), dtype=complex)
+    for row, (q, p) in enumerate(hcomp_pairs(x, xbar)):
+        if q == p:
+            r, c = x.grading[q]
+            coev[row, r - 1] = np.sqrt(counts[c - 1])
+    return ev, coev
+
+
+def interchanger_by_pairs(a, b, c, d):
+    src = hcomp1(outer_cell(a, b), outer_cell(c, d))
+    tgt = outer_cell(hcomp1(a, c), hcomp1(b, d))
+    ac = {pq: k for k, pq in enumerate(hcomp_pairs(a, c))}
+    bd = {pq: k for k, pq in enumerate(hcomp_pairs(b, d))}
+    mat = np.zeros((tgt.dim, src.dim), dtype=complex)
+    for col, (i, j) in enumerate(hcomp_pairs(outer_cell(a, b), outer_cell(c, d))):
+        p, q = divmod(i, b.dim)
+        p2, q2 = divmod(j, d.dim)
+        mat[ac[(p, p2)] * len(bd) + bd[(q, q2)], col] = 1.0
+    return mat
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_unitor_left_matches_the_pairing(src, tgt, data):
+    x = GradedOneCell(ZeroCell(src), ZeroCell(tgt), data.draw(gradings(src, tgt)))
+    u = unitor_left(x)
+    assert u.source == hcomp1(id1(x.tgt), x) and u.target == x
+    assert np.array_equal(u.mat, unitor_left_by_pairs(x))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_standard_dual_matches_the_pairing(src, tgt, data):
+    grading = data.draw(gradings(src, tgt, max_dim=6))
+    x = GradedOneCell(ZeroCell(src), ZeroCell(tgt), grading)
+    empty = [c for c in range(1, src + 1) if all(g[1] != c for g in grading)]
+    if empty:
+        with pytest.raises(EmptyColumn) as err:
+            standard_dual(x)
+        assert err.value.col == empty[0]
+        return
+    xbar, ev, coev = standard_dual(x)
+    ev_mat, coev_mat = standard_dual_by_pairs(x, xbar)
+    assert xbar.grading == tuple((c, r) for r, c in grading)
+    assert ev.source == hcomp1(xbar, x) and coev.target == hcomp1(x, xbar)
+    assert np.array_equal(ev.mat, ev_mat)
+    assert np.array_equal(coev.mat, coev_mat)
+
+
+@given(st.lists(st.integers(1, 2), min_size=6, max_size=6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_interchanger_matches_the_pairing(n, data):
+    # c : n0 -> n1, a : n1 -> n2 and d : n3 -> n4, b : n4 -> n5
+    c, a, d, b = (GradedOneCell(ZeroCell(n[i]), ZeroCell(n[i + 1]),
+                                data.draw(gradings(n[i], n[i + 1], max_dim=3)))
+                  for i in (0, 1, 3, 4))
+    u = interchanger(a, b, c, d)
+    assert u.source == hcomp1(outer_cell(a, b), outer_cell(c, d))
+    assert u.target == outer_cell(hcomp1(a, c), hcomp1(b, d))
+    assert np.array_equal(u.mat, interchanger_by_pairs(a, b, c, d))
+    assert is_unitary_residual(u) == 0.0
 
 
 def test_unitor_naturality():

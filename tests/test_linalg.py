@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qhilb.errors import DimensionMismatch, NotAProjection, NotHermitian
 from qhilb.linalg import (
     Tolerance,
     commutant_basis,
     dagger,
-    dsum,
     frob,
-    kron,
     range_isometry,
     spectral_projections,
 )
@@ -25,49 +21,6 @@ def crandn(*shape):
 def haar(n):
     q, r = np.linalg.qr(crandn(n, n))
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def test_kron_identity():
-    assert np.allclose(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-
-def test_kron_basis_block():
-    e11 = np.zeros((2, 2))
-    e11[0, 0] = 1
-    a = crandn(3, 2)
-    out = kron(e11, a)
-    assert np.allclose(out[:3, :2], a)
-    assert np.allclose(out[3:, :], 0)
-    assert np.allclose(out[:, 2:], 0)
-
-
-def test_kron_hand_value():
-    out = kron(np.array([[0, 1], [1, 0]]), np.array([[2]]))
-    assert np.allclose(out, [[0, 2], [2, 0]])
-
-
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
-       st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_kron_associative(n, m, k, seed):
-    rng = np.random.default_rng(seed)
-    a, b, c = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-               for d in (n, m, k))
-    assert frob(kron(kron(a, b), c) - kron(a, kron(b, c))) <= 1e-12
-
-
-def test_dsum_empty():
-    assert dsum([]).shape == (0, 0)
-
-
-def test_dsum_identities():
-    assert np.allclose(dsum([np.eye(1), np.eye(2)]), np.eye(3))
-
-
-def test_dsum_hand_value():
-    out = dsum([np.array([[1, 2]]), np.array([[3], [4]])])
-    expected = np.array([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
-    assert np.allclose(out, expected)
 
 
 def test_dagger():
@@ -167,14 +120,24 @@ def test_commutant_diagonal():
         assert abs(t[0, 1]) < 1e-7 and abs(t[1, 0]) < 1e-7
 
 
+def block_diag(blocks):
+    """Square blocks placed down the diagonal, in order."""
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=complex)
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return out
+
+
 def test_commutant_block_multiplicities():
     # sum_t M_{d_t} (x) I_{m_t}: commutant dimension is sum m_t^2
     cases = [((2, 3), (1, 2)), ((1, 2), (3, 1))]
     for ds, ms in cases:
         gens = []
         for _ in range(6):
-            blocks = [kron(crandn(d, d), np.eye(m)) for d, m in zip(ds, ms)]
-            gens.append(dsum(blocks))
+            blocks = [np.kron(crandn(d, d), np.eye(m)) for d, m in zip(ds, ms)]
+            gens.append(block_diag(blocks))
         basis = commutant_basis(gens)
         assert len(basis) == sum(m * m for m in ms)
 
