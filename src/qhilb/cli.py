@@ -51,7 +51,7 @@ def _describe(name: str) -> str:
     return _DESCRIPTIONS.get(base, base.replace("_", " "))
 
 
-def _emit(rows, info, as_json, header=None, extra=None):
+def _emit(rows, info, as_json, header, extra=None):
     rows = list(rows)
     ok = all(r[3] for r in rows)
     if as_json:
@@ -69,8 +69,7 @@ def _emit(rows, info, as_json, header=None, extra=None):
             doc.update(extra)
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     else:
-        if header:
-            print(header)
+        print(header)
         width = max((len(r[0]) for r in rows), default=4)
         for n, v, t, p in rows:
             print(f"  {n:<{width}}  {v:.6e}  <= {t:.1e}  {'ok' if p else 'FAIL'}")
@@ -94,9 +93,9 @@ def cmd_check_qsystem(args) -> int:
     tol = args.tolerance
     doc = _load(args.file, ("qsystem",))
     q = qsystem_from_json(doc)
-    rep = check_qsystem(q, tol)
+    rep = check_qsystem(q)
     return _emit(rep.rows(tol.atol), rep.info, args.json,
-                 header=f"Q-system axioms ({args.file})")
+                 f"Q-system axioms ({args.file})")
 
 
 def cmd_split_qsystem(args) -> int:
@@ -111,7 +110,7 @@ def cmd_split_qsystem(args) -> int:
         dump_document(split_result_to_json(res), args.out)
     extra = {"k": res.k.n, "block_dims": sorted(counts)}
     return _emit(res.iso.rows(10 * tol.atol), res.iso.info, args.json,
-                 header=f"Q-system splitting ({args.file})", extra=extra)
+                 f"Q-system splitting ({args.file})", extra=extra)
 
 
 def cmd_verify_fun(args) -> int:
@@ -126,7 +125,7 @@ def cmd_verify_fun(args) -> int:
     out = verify_main_theorem(cat, f, endf, tol, np.random.default_rng(args.seed))
     gdims = {a: out.gconstruction.splits[a].k.n for a in cat.zero_cells}
     return _emit(out.rows(limit), {}, args.json,
-                 header=f"construction verification ({args.file})",
+                 f"construction verification ({args.file})",
                  extra={"G_zero_cells": gdims})
 
 
@@ -164,40 +163,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification over graded complex matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_seed=True, with_out=False):
+    def seed(p):
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for randomized steps (default 0)")
+
+    def checker(name, text, func):
+        """A command that reads FILE and reports residuals against --tol."""
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file")
         p.add_argument("--tol", type=float, default=1e-9,
                        help="absolute residual tolerance (default 1e-9)")
         p.add_argument("--gap-tol", type=float, default=1e-6,
                        help="eigenvalue clustering threshold (default 1e-6)")
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable report")
-        if with_seed:
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for randomized steps (default 0)")
-        if with_out:
-            p.add_argument("--out", default=None, help="output file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check-qsystem", help="check the multiplicative axioms")
-    p.add_argument("file")
-    common(p, with_seed=False)
-    p.set_defaults(func=cmd_check_qsystem)
-
-    p = sub.add_parser("split-qsystem", help="split a Q-system over a new zero-cell")
-    p.add_argument("file")
-    common(p, with_out=True)
-    p.set_defaults(func=cmd_split_qsystem)
-
-    p = sub.add_parser("verify-fun", help="run and verify the full construction")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=cmd_verify_fun)
+    checker("check-qsystem", "check the multiplicative axioms", cmd_check_qsystem)
+    p = checker("split-qsystem", "split a Q-system over a new zero-cell", cmd_split_qsystem)
+    seed(p)
+    p.add_argument("--out", default=None, help="output file")
+    seed(checker("verify-fun", "run and verify the full construction", cmd_verify_fun))
 
     p = sub.add_parser("gen", help="emit a random instance file")
     p.add_argument("--kind", choices=("qsystem", "scenario", "constant"),
                    required=True)
     p.add_argument("--size", type=int, default=8,
                    help="total dimension budget (max 64)")
-    common(p, with_out=True)
+    seed(p)
+    p.add_argument("--out", default=None, help="output file")
     p.set_defaults(func=cmd_gen)
     return parser
 
@@ -205,11 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        args.tolerance = Tolerance(atol=args.tol, gap_tol=args.gap_tol)
-    except ValueError:
-        parser.error(f"need 0 < --tol <= --gap-tol, got --tol {args.tol} "
-                     f"--gap-tol {args.gap_tol}")
+    if args.func is not cmd_gen:
+        try:
+            args.tolerance = Tolerance(atol=args.tol, gap_tol=args.gap_tol)
+        except ValueError:
+            parser.error(f"need 0 < --tol <= --gap-tol, got --tol {args.tol} "
+                         f"--gap-tol {args.gap_tol}")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -31,7 +31,7 @@ from .cells import (
 from .errors import CellMismatch
 from .funcat import EndFQSystem, FunctorData, ModificationData, TransformationData
 from .presentation import GenOneCell, GenTwoCell, Path, PresentedTwoCat
-from .qsystem import DualPair, QSystemData, qsystem_from_dual, standard_dual_pair
+from .qsystem import QSystemData, qsystem_from_dual, standard_dual_pair
 
 __all__ = [
     "haar_unitary",
@@ -39,7 +39,6 @@ __all__ = [
     "random_block_unitary",
     "random_sector_matrix",
     "random_projection_on",
-    "random_dual_pair",
     "random_qsystem",
     "dress_qsystem",
     "dsum_qsystems",
@@ -62,8 +61,9 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def random_cell(rng: np.random.Generator, src: int, tgt: int,
                 max_sector_dim: int = 2, zero_bias: float = 0.4,
-                full_cols: bool = False, min_total: int = 1) -> GradedOneCell:
-    """Random graded one-cell, grading sorted by (row, col)."""
+                full_cols: bool = False) -> GradedOneCell:
+    """Random graded one-cell of dimension at least 1, grading sorted
+    by (row, col)."""
     while True:
         dims = {}
         for r in range(1, tgt + 1):
@@ -81,7 +81,7 @@ def random_cell(rng: np.random.Generator, src: int, tgt: int,
         for r in range(1, tgt + 1):
             for c in range(1, src + 1):
                 grading.extend([(r, c)] * dims[(r, c)])
-        if len(grading) >= min_total:
+        if grading:
             return GradedOneCell(ZeroCell(src), ZeroCell(tgt), tuple(grading))
 
 
@@ -126,12 +126,6 @@ def random_projection_on(rng: np.random.Generator,
         w = u[:, :rank]
         mat[np.ix_(idx, idx)] = w @ w.conj().T
     return BlockTwoCell(cell, cell, mat)
-
-
-def random_dual_pair(rng: np.random.Generator, src: int, tgt: int,
-                     max_sector_dim: int = 2) -> DualPair:
-    x = random_cell(rng, src, tgt, max_sector_dim, full_cols=True)
-    return standard_dual_pair(x)
 
 
 def dress_qsystem(rng: np.random.Generator, q: QSystemData) -> QSystemData:
@@ -227,11 +221,13 @@ def interchanger(a: GradedOneCell, b: GradedOneCell,
 
 
 def random_presentation(rng: np.random.Generator, max_zero: int = 3,
-                        max_gens: int = 4,
                         with_two_cell: bool = True) -> PresentedTwoCat:
+    """Random presentation with at most ``max_zero`` zero-cells, one to
+    four generator one-cells and, when ``with_two_cell``, at most one
+    generator two-cell."""
     n0 = int(rng.integers(1, max_zero + 1))
     zero = tuple("abc"[:n0])
-    ng = int(rng.integers(1, max_gens + 1))
+    ng = int(rng.integers(1, 5))
     gens = []
     for k in range(ng):
         s = zero[int(rng.integers(0, n0))]
@@ -251,15 +247,13 @@ def random_presentation(rng: np.random.Generator, max_zero: int = 3,
     return PresentedTwoCat(zero, tuple(gens), two)
 
 
-def random_free_functor(rng: np.random.Generator, cat: PresentedTwoCat,
-                        max_zero_dim: int = 3,
-                        max_sector_dim: int = 2) -> FunctorData:
-    on0 = {a: ZeroCell(int(rng.integers(1, max_zero_dim + 1)))
-           for a in cat.zero_cells}
+def random_free_functor(rng: np.random.Generator, cat: PresentedTwoCat) -> FunctorData:
+    """Random free functor: zero-cells of size 1 to 3, generator images
+    with sectors of dimension at most 2."""
+    on0 = {a: ZeroCell(int(rng.integers(1, 4))) for a in cat.zero_cells}
     on1 = {}
     for g in cat.gen_one_cells:
-        on1[g.label] = random_cell(rng, on0[g.src].n, on0[g.tgt].n,
-                                   max_sector_dim)
+        on1[g.label] = random_cell(rng, on0[g.src].n, on0[g.tgt].n)
     f = FunctorData(cat, on0, on1)
     on2 = {}
     for t in cat.gen_two_cells:
@@ -268,25 +262,28 @@ def random_free_functor(rng: np.random.Generator, cat: PresentedTwoCat,
     return f
 
 
-def product_scenario(rng: np.random.Generator,
-                     cat: PresentedTwoCat | None = None,
-                     max_composite_dim: int = 300, max_psi_dim: int = 20):
+_MAX_COMPOSITE_DIM = 300
+_MAX_PSI_DIM = 20
+
+
+def product_scenario(rng: np.random.Generator):
     """Random valid Q-system on End(F): a dressed block Q-system
     tensored with a random functor, with random unitary gauges on the
     generator images.
 
     Scenarios whose verification would touch composites above
-    ``max_composite_dim`` (or Q-systems above ``max_psi_dim``) are
-    resampled, keeping the downstream eigendecompositions small.
+    ``_MAX_COMPOSITE_DIM`` (``psi . psi . psi`` included) or Q-systems
+    above ``_MAX_PSI_DIM`` are resampled, keeping the downstream
+    eigendecompositions small.
 
     Returns ``(cat, F, EndFQSystem)``.
     """
     for _ in range(64):
-        c = cat if cat is not None else random_presentation(rng)
-        out = _product_scenario_once(rng, c)
+        out = _product_scenario_once(rng, random_presentation(rng))
         if out is None:
             continue
-        if _scenario_cost(*out) <= (max_composite_dim, max_psi_dim):
+        composite, psi = _scenario_cost(*out)
+        if composite <= _MAX_COMPOSITE_DIM and psi <= _MAX_PSI_DIM:
             return out
     raise RuntimeError("could not sample a scenario within the size budget")
 
@@ -296,12 +293,13 @@ def _scenario_cost(cat: PresentedTwoCat, f: FunctorData,
     """(largest composite dimension, largest Q-system dimension) that
     the full verification will touch, predicted from proxy cells with
     the sector dimensions of the splitting output."""
-    psi_dim = max(endf.psi.comp0[a].dim for a in cat.zero_cells)
+    psi = [endf.psi.comp0[a] for a in cat.zero_cells]
+    # the bending identities for gamma build psi_a . psi_a . psi_a
+    worst = max(hcomp1_many(c, c, c).dim for c in psi)
     # psi_a has the sector profile of xbar_a . x_a, so using it in place
     # of the (unknown) splitting cells overestimates every composite
     xb_proxy = {a: endf.psi.comp0[a] for a in cat.zero_cells}
     x_proxy = xb_proxy
-    worst = 0
     for p, q in cat.composable_pairs():
         a, b, c = q.src, p.src, p.tgt
         dim = hcomp1_many(x_proxy[c], f.cell(p), xb_proxy[b],
@@ -311,7 +309,7 @@ def _scenario_cost(cat: PresentedTwoCat, f: FunctorData,
         a, c = r.src, p.tgt
         dim = hcomp1_many(x_proxy[c], f.cell(p * q * r), xb_proxy[a]).dim
         worst = max(worst, dim)
-    return worst, psi_dim
+    return worst, max(c.dim for c in psi)
 
 
 def _product_scenario_once(rng: np.random.Generator, cat: PresentedTwoCat):

@@ -160,7 +160,7 @@ def _q3_sq(T, r1, r2, r3, r4) -> tuple[float, float]:
     return qa, _sq(np.subtract(b.transpose(0, 3, 1, 2), mid, out=mid))
 
 
-def check_qsystem(q: QSystemData, tol: Tolerance = Tolerance()) -> ResidualReport:
+def check_qsystem(q: QSystemData) -> ResidualReport:
     """Residuals of the four Q-system axioms.
 
     Keys Q1 (associativity), Q2 (unitality, both sides), Q3 (Frobenius,
@@ -256,7 +256,7 @@ def zigzag_residuals(X: GradedOneCell, Xbar: GradedOneCell,
     return r1, r2
 
 
-def check_dual_pair(d: DualPair, tol: Tolerance = Tolerance()) -> ResidualReport:
+def check_dual_pair(d: DualPair) -> ResidualReport:
     rep = ResidualReport()
     r1, r2 = zigzag_residuals(d.X, d.Xbar, d.ev, d.coev)
     rep.add("zigzag_left", r1)
@@ -271,7 +271,7 @@ def standard_dual_pair(x: GradedOneCell) -> DualPair:
     return DualPair(x, xbar, ev, coev)
 
 
-def check_bimodule(b: BimoduleData, tol: Tolerance = Tolerance()) -> ResidualReport:
+def check_bimodule(b: BimoduleData) -> ResidualReport:
     """Residuals of the bimodule axioms B1 (associativity, three
     equations), B2 (unitality), B3 (Frobenius) and B4 (separability)."""
     P, Q, X, lam, rho = b.P.Q, b.Q.Q, b.X, b.lam, b.rho
@@ -316,8 +316,8 @@ def unit_bimodule(x: GradedOneCell) -> BimoduleData:
     )
 
 
-def check_intertwiner(f: BlockTwoCell, src: BimoduleData, dst: BimoduleData,
-                      tol: Tolerance = Tolerance()) -> ResidualReport:
+def check_intertwiner(f: BlockTwoCell, src: BimoduleData,
+                      dst: BimoduleData) -> ResidualReport:
     """Residuals of the two bimodule-map equations for ``f : X -> Y``."""
     if f.source != src.X or f.target != dst.X:
         raise CellMismatch("intertwiner endpoints do not match the bimodules")
@@ -351,8 +351,7 @@ def relative_tensor(xb: BimoduleData, yb: BimoduleData,
     return z, dagger2(u)
 
 
-def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData,
-                      tol: Tolerance = Tolerance()) -> ResidualReport:
+def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData) -> ResidualReport:
     """Residuals for ``g : a -> b`` being a unitary Q-system map:
     ``g`` unitary, ``g m_a = m_b (g . g)``, ``g i_a = i_b``.
 

@@ -12,10 +12,9 @@ class ResidualReport(Mapping):
     """Ordered map check-name -> Frobenius residual, plus informational
     scalars that do not participate in pass/fail."""
 
-    def __init__(self, residuals: dict[str, float] | None = None,
-                 info: dict[str, float] | None = None):
-        self.residuals: dict[str, float] = dict(residuals or {})
-        self.info: dict[str, float] = dict(info or {})
+    def __init__(self):
+        self.residuals: dict[str, float] = {}
+        self.info: dict[str, float] = {}
 
     def add(self, name: str, value: float) -> None:
         self.residuals[name] = float(value)

@@ -130,7 +130,7 @@ def split_projection(x: GradedOneCell, p: BlockTwoCell,
 
 def regular_reps(q: QSystemData, tol: Tolerance = Tolerance()) -> RegularRep:
     """Left and right multiplication operators of a valid Q-system."""
-    rep = check_qsystem(q, tol)
+    rep = check_qsystem(q)
     if not rep.passes(10 * tol.atol):
         name, value = rep.worst()
         raise InvalidQSystem(f"axiom {name} fails with residual {value:.3e}")
@@ -285,7 +285,7 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     # zero the numerical dust on mismatched (row, col) sectors
     gamma = BlockTwoCell(src, Q, np.where(sector_mask(Q, src), dagger(gdag), 0))
 
-    iso = check_qsystem_iso(gamma, qsystem_from_dual(pair), q, tol)
+    iso = check_qsystem_iso(gamma, qsystem_from_dual(pair), q)
     if not iso.passes(10 * tol.atol):
         name, value = iso.worst()
         raise NormalizationFailure(

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -37,3 +38,25 @@ def test_benchmark_tracer_names_resolve():
     missing += [f"cells.{name}" for name in tracer.CACHED
                 if not hasattr(getattr(cells, name, None), "cache_info")]
     assert not missing, f"perfbench/tracer.py names missing from qhilb: {missing}"
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is a setting that does
+    # nothing; dunder methods are exempt, their signatures are fixed
+    unread = []
+    for path in sorted(Path(qhilb.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {name}({p})" for p in params
+                       if p not in ("self", "cls") and p not in read]
+    assert not unread, f"parameters never read: {unread}"

@@ -164,6 +164,21 @@ def _one_error_line(argv, capsys) -> int:
     return code
 
 
+@pytest.mark.parametrize("delta", [3e-6, 1e-4])
+def test_exit_code_constant_not_a_qsystem(tmp_path, capsys, delta):
+    # the construction's own check of the End(F) Q-system (at 100 tol)
+    # rejects a constant file whose m is off
+    cfile = str(tmp_path / "cc.json")
+    run(capsys, "gen", "--kind", "constant", "--seed", "12", "--out", cfile)
+    doc = load_document(cfile)
+    doc["qsystem"]["m"]["entries"][0] += delta
+    dump_document(doc, cfile)
+    code = main(["verify-fun", cfile])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: End(F) Q-system fails qsystem[")
+
+
 @pytest.mark.parametrize("mutate", [
     lambda e: e.pop(),
     lambda e: e.extend([0.0, 0.0, 0.0]),

@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 
 from qhilb import funcat
-from qhilb.cells import dagger2, hcomp1, id1, id2, one_cell, residual, two_cell, vcomp
+from qhilb.cells import (
+    dagger2,
+    hcomp1,
+    hcomp1_many,
+    id1,
+    id2,
+    one_cell,
+    residual,
+    two_cell,
+    vcomp,
+)
 from qhilb.errors import IllTypedPath, InvalidQSystem
 from qhilb.funcat import (
     EndFQSystem,
@@ -272,6 +282,17 @@ def test_product_scenario_valid_and_corruptible():
     endf.psi.comp1[p0] = vcomp(random_block_unitary(rng, cross.target), cross)
     rep = check_endf_qsystem(cat, f, endf)
     assert rep.max_residual > 1e-6
+
+
+def test_product_scenario_keeps_to_its_budget():
+    # these seeds once drew a psi of dimension 32, or a psi . psi . psi
+    # (which the bending identities for gamma build) above 300
+    for seed in (300, 362, 377):
+        cat, f, endf = product_scenario(np.random.default_rng(seed))
+        for a in cat.zero_cells:
+            psi = endf.psi.comp0[a]
+            assert psi.dim <= 20
+            assert hcomp1_many(psi, psi, psi).dim <= 300
 
 
 def test_construct_G_gates_on_invalid():
