@@ -131,10 +131,10 @@ def cmd_verify_fun(args) -> int:
 
 def cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
-    size = args.size
-    if size > 64:
-        raise ParseError("--size must be at most 64")
     if args.kind == "qsystem":
+        size = args.size
+        if size > 64:
+            raise ParseError("--size must be at most 64")
         blocks = max(1, min(3, size // 3))
         q, _ = random_qsystem(rng, zero_cell=max(1, min(3, size // 4)),
                               blocks=blocks, max_sector_dim=2)
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("qsystem", "scenario", "constant"),
                    required=True)
     p.add_argument("--size", type=int, default=8,
-                   help="total dimension budget (max 64)")
+                   help="total dimension budget of --kind qsystem (max 64)")
     seed(p)
     p.add_argument("--out", default=None, help="output file")
     p.set_defaults(func=cmd_gen)

@@ -54,7 +54,7 @@ from .qsystem import (
     zigzag_residuals,
 )
 from .report import ResidualReport
-from .splitting import SplitResult, split_projection, split_qsystem
+from .splitting import SplitResult, _split, split_projection
 
 __all__ = [
     "FunctorData",
@@ -417,6 +417,15 @@ def check_endf_qsystem(cat: PresentedTwoCat, f: FunctorData,
     return rep
 
 
+def _qsystem_residuals(rep: ResidualReport, a: str) -> ResidualReport:
+    """``check_qsystem(q.at(a))`` as ``check_endf_qsystem`` put it in ``rep``."""
+    part, prefix = ResidualReport(), f"qsystem[{a}]."
+    for name, value in rep.residuals.items():
+        if name.startswith(prefix) and "." not in name[len(prefix):]:
+            part.add(name[len(prefix):], value)
+    return part
+
+
 def qsystem_from_dualizable_transformation(phi: TransformationData,
                                            phibar: TransformationData) -> EndFQSystem:
     """The Q-system ``phibar . phi`` of a dualizable transformation.
@@ -486,7 +495,7 @@ class GConstruction:
         self.g2: dict[str, BlockTwoCell] = {}
         self._tensorators: dict[tuple[Path, Path], BlockTwoCell] = {}
         for a in cat.zero_cells:
-            res = split_qsystem(q.at(a), tol, rng)
+            res = _split(q.at(a), _qsystem_residuals(self.input, a), tol, rng)
             self.splits[a] = res
             self.xbar[a] = res.pair.X
             self.x[a] = res.pair.Xbar

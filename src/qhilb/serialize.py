@@ -1,21 +1,23 @@
 """JSON (de)serialization of cells, Q-systems and scenarios.
 
 One-cells are ``{"src", "tgt", "grading"}`` with 1-based index pairs.
-A two-cell carries its source and target cells and, in schema 2 (what
-every writer emits), ``"entries"``: one flat list ``re, im, re, im, ...``
-of the matrix entries at the positions ``(r, c)`` with
-``target.grading[r] == source.grading[c]`` (``cells.sector_mask``), in
-row-major order.  The writer refuses a two-cell with a nonzero entry
-elsewhere, since the format cannot hold it.  Floats are written in
-their shortest round-trip form, so entries read back bit-exactly.
+A two-cell carries its source and target cells and, in schema 3 (what
+every writer emits), ``"entries"``: one ASCII base64 string of the
+little-endian float64 pairs ``re, im`` of the matrix entries at the
+positions ``(r, c)`` with ``target.grading[r] == source.grading[c]``
+(``cells.sector_mask``), in row-major order.  The writer refuses a
+two-cell with a nonzero entry elsewhere, since the format cannot hold
+it.  Entries read back bit-exactly.
 
-Schema 1 files, whose two-cells carry ``"mat"``, a nested row-major
-matrix of ``[re, im]`` pairs, are still read.  Each two-cell holds
-exactly one of ``mat`` and ``entries``.
+Schema 2 files, whose ``entries`` is the same numbers as one flat JSON
+list ``re, im, re, im, ...``, and schema 1 files, whose two-cells carry
+``"mat"``, a nested row-major matrix of ``[re, im]`` pairs, are still
+read.  Each two-cell holds exactly one of ``mat`` and ``entries``.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from itertools import chain
 
@@ -38,8 +40,8 @@ from .presentation import (
 from .qsystem import QSystemData
 from .splitting import SplitResult
 
-SCHEMA = 2             # written
-SCHEMAS = (1, 2)       # read
+SCHEMA = 3             # written
+SCHEMAS = (1, 2, 3)    # read
 
 __all__ = [
     "cell_to_json", "cell_from_json",
@@ -104,18 +106,22 @@ def _mat_from_json(rows, shape) -> np.ndarray:
 
 
 def _entries_from_json(values, mask: np.ndarray) -> np.ndarray:
-    """Complex matrix that holds ``values``, flat ``re, im`` pairs of
-    finite numbers, where ``mask`` is true, and zeros elsewhere."""
-    if not isinstance(values, list) or not {float, int}.issuperset(map(type, values)):
-        raise ParseError("two-cell entries must be a list of numbers")
+    """Complex matrix that holds ``values``, ``re, im`` pairs of finite
+    numbers as a base64 string of little-endian float64 (schema 3) or a
+    flat list (schema 2), where ``mask`` is true, and zeros elsewhere."""
+    if isinstance(values, str):  # a bad string is a ValueError, which the caller reports
+        a = np.frombuffer(base64.b64decode(values, validate=True), "<f8").astype(float)
+    elif isinstance(values, list) and {float, int}.issuperset(map(type, values)):
+        try:
+            a = np.array(values, dtype=float)
+        except OverflowError as exc:
+            raise ParseError(f"two-cell entries must be finite numbers: {exc}") from exc
+    else:
+        raise ParseError("two-cell entries must be a base64 string or a list of numbers")
     n = np.count_nonzero(mask)
-    if len(values) != 2 * n:
-        raise ParseError(f"two-cell entries hold {len(values)} numbers, need {2 * n}: "
+    if a.size != 2 * n:
+        raise ParseError(f"two-cell entries hold {a.size} numbers, need {2 * n}: "
                          f"a re, im pair for each of its {n} on-sector positions")
-    try:
-        a = np.array(values, dtype=float)
-    except OverflowError as exc:
-        raise ParseError(f"two-cell entries must be finite numbers: {exc}") from exc
     if not np.isfinite(a).all():
         raise ParseError("two-cell entries must be finite numbers")
     mat = np.zeros(mask.shape, dtype=complex)
@@ -128,8 +134,9 @@ def two_cell_to_json(f: BlockTwoCell) -> dict:
     if f.mat[~mask].any():
         raise CellMismatch("cannot write a two-cell with a nonzero entry "
                            "off its grading sectors")
+    raw = f.mat[mask].astype("<c16", copy=False).tobytes()
     return {"source": cell_to_json(f.source), "target": cell_to_json(f.target),
-            "entries": f.mat[mask].view(float).tolist()}
+            "entries": base64.b64encode(raw).decode("ascii")}
 
 
 def two_cell_from_json(d: dict) -> BlockTwoCell:
@@ -315,8 +322,8 @@ def split_result_to_json(res: SplitResult) -> dict:
 
 
 def load_document(path: str) -> dict:
-    """The document in ``path``, of schema 1 or 2 (a JSON integer: not
-    ``true``, ``1.0`` or ``2.0``).  A file that is not UTF-8 JSON, or that
+    """The document in ``path``, of schema 1, 2 or 3 (a JSON integer:
+    not ``true``, ``1.0`` or ``3.0``).  A file that is not UTF-8 JSON, or that
     nests deeper than the decoder allows, is a ``ParseError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:

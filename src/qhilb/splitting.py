@@ -130,7 +130,11 @@ def split_projection(x: GradedOneCell, p: BlockTwoCell,
 
 def regular_reps(q: QSystemData, tol: Tolerance = Tolerance()) -> RegularRep:
     """Left and right multiplication operators of a valid Q-system."""
-    rep = check_qsystem(q)
+    return _checked_reps(q, check_qsystem(q), tol)
+
+
+def _checked_reps(q: QSystemData, rep: ResidualReport, tol: Tolerance) -> RegularRep:
+    """``regular_reps`` of ``q``, whose ``check_qsystem`` residuals are ``rep``."""
     if not rep.passes(10 * tol.atol):
         name, value = rep.worst()
         raise InvalidQSystem(f"axiom {name} fails with residual {value:.3e}")
@@ -230,8 +234,13 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     ``gamma (id . ev . id) = m (gamma . gamma)`` and
     ``gamma coev = i`` within ``10 atol``.
     """
-    rng = np.random.default_rng(rng)
-    rep = regular_reps(q, tol)
+    return _split(q, check_qsystem(q), tol, np.random.default_rng(rng))
+
+
+def _split(q: QSystemData, checked: ResidualReport, tol: Tolerance,
+           rng: np.random.Generator) -> SplitResult:
+    """``split_qsystem`` of ``q``, whose ``check_qsystem`` residuals are ``checked``."""
+    rep = _checked_reps(q, checked, tol)
     zs = _central_from_rep(rep, tol, rng)
     Q = q.Q
     n_rows = Q.tgt.n

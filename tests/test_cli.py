@@ -1,5 +1,7 @@
+import base64
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -22,7 +24,7 @@ from qhilb.serialize import (
     scenario_to_json,
     two_cell_from_json,
 )
-from schema1 import to_schema1
+from schema1 import to_schema1, to_schema2
 
 
 def run(capsys, *argv):
@@ -103,7 +105,7 @@ def test_exit_code_residual_failure(tmp_path, capsys):
 def test_exit_code_residual_failure_schema2(tmp_path, capsys):
     qfile = str(tmp_path / "q.json")
     run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
-    doc = load_document(qfile)
+    doc = to_schema2(load_document(qfile))
     doc["m"]["entries"][0] += 1e-3  # the real part of the first on-sector entry
     dump_document(doc, qfile)
     code, text = run(capsys, "check-qsystem", qfile)
@@ -170,7 +172,7 @@ def test_exit_code_constant_not_a_qsystem(tmp_path, capsys, delta):
     # rejects a constant file whose m is off
     cfile = str(tmp_path / "cc.json")
     run(capsys, "gen", "--kind", "constant", "--seed", "12", "--out", cfile)
-    doc = load_document(cfile)
+    doc = to_schema2(load_document(cfile))
     doc["qsystem"]["m"]["entries"][0] += delta
     dump_document(doc, cfile)
     code = main(["verify-fun", cfile])
@@ -195,7 +197,7 @@ def test_exit_code_bad_entries(tmp_path, capsys, mutate):
     # is a parse error
     qfile = str(tmp_path / "q.json")
     run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
-    doc = load_document(qfile)
+    doc = to_schema2(load_document(qfile))
     mutate(doc["m"]["entries"])
     dump_document(doc, qfile)
     assert _one_error_line(["check-qsystem", qfile], capsys) == 2
@@ -214,6 +216,56 @@ def test_exit_code_two_cell_needs_mat_or_entries(tmp_path, capsys, keys):
         doc["i"]["entries"] = {"re": 1.0}
     dump_document(doc, qfile)
     assert _one_error_line(["check-qsystem", qfile], capsys) == 2
+
+
+def _padded_cell(doc):
+    """The first two-cell of ``doc`` whose base64 ``entries`` ends in padding."""
+    stack = [doc]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, dict):
+            if isinstance(x.get("entries"), str) and x["entries"].endswith("="):
+                return x
+            stack.extend(reversed(x.values()))
+        elif isinstance(x, list):
+            stack.extend(reversed(x))
+    raise AssertionError("no padded two-cell")
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _first_set(raw: bytes, value: float) -> str:
+    return _b64(struct.pack("<d", value) + raw[8:])
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda s: "*" + s[1:],
+    lambda s: "\u00e9" + s[1:],
+    lambda s: s.rstrip("="),
+    lambda s: _b64(base64.b64decode(s)[:-8]),
+    lambda s: _b64(base64.b64decode(s) + bytes(16)),
+    lambda s: _first_set(base64.b64decode(s), float("nan")),
+    lambda s: _first_set(base64.b64decode(s), float("inf")),
+    lambda s: 1.5,
+    lambda s: {"entries": s},
+], ids=["alphabet", "non_ascii", "no_padding", "short", "long", "nan", "inf",
+        "number", "object"])
+@pytest.mark.parametrize("command, kind", [("check-qsystem", "qsystem"),
+                                           ("verify-fun", "scenario"),
+                                           ("verify-fun", "constant")])
+def test_exit_code_bad_base64_entries(tmp_path, capsys, mutate, command, kind):
+    # schema 3: entries that are not base64 of the right number of
+    # finite float64 values are a parse error
+    path = str(tmp_path / "f.json")
+    run(capsys, "gen", "--kind", kind, "--seed", "2", "--out", path)
+    doc = load_document(path)
+    assert doc["schema"] == 3
+    cell = _padded_cell(doc)
+    cell["entries"] = mutate(cell["entries"])
+    dump_document(doc, path)
+    assert _one_error_line([command, path], capsys) == 2
 
 
 @pytest.mark.parametrize("content", [
@@ -298,6 +350,7 @@ def _perturb_mat(doc):
 
 def _perturb_entries(doc):
     # the same entry, (1, 2), at its place in the on-sector order
+    doc = to_schema2(doc)
     f = two_cell_from_json(doc["m"])
     mask = sector_mask(f.target, f.source)
     assert mask[1, 2]
@@ -470,3 +523,15 @@ def test_exit_code_schema1_entry_not_a_number(tmp_path, capsys, value):
     assert code == 2
     assert err.startswith("error: matrix entries must be [re, im] number pairs")
     assert err.count("\n") == 1
+
+
+def test_gen_size_applies_to_qsystem_only(tmp_path, capsys):
+    # --size is read by --kind qsystem alone, so only there is it bounded
+    files = {size: tmp_path / f"sc{size}.json" for size in ("3", "100")}
+    for size, path in files.items():
+        assert main(["gen", "--kind", "scenario", "--size", size, "--seed", "4",
+                     "--out", str(path)]) == 0
+    assert files["3"].read_bytes() == files["100"].read_bytes()
+    code = main(["gen", "--kind", "qsystem", "--size", "65", "--out", str(tmp_path / "q.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --size must be at most 64\n"

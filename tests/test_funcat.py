@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qhilb import funcat
+from qhilb import funcat, splitting
 from qhilb.cells import (
     dagger2,
     hcomp1,
@@ -55,7 +55,9 @@ from qhilb.presentation import (
     Path,
     PresentedTwoCat,
 )
-from qhilb.qsystem import qsystem_from_dual, standard_dual_pair
+from qhilb.linalg import Tolerance
+from qhilb.qsystem import check_qsystem, qsystem_from_dual, standard_dual_pair
+from qhilb.splitting import split_qsystem
 
 RNG = np.random.default_rng(31337)
 
@@ -303,6 +305,43 @@ def test_construct_G_gates_on_invalid():
     bad = EndFQSystem(endf.psi, ModificationData(bad_m), endf.i)
     with pytest.raises(InvalidQSystem):
         construct_G(cat, f, bad, rng=0)
+
+
+def test_construct_G_keeps_the_split_gate():
+    # a Q-system that passes the construction's 100 atol gate but not
+    # the split's 10 atol fails as the public split_qsystem fails on it
+    cat = two_cell_cat()
+    f, endf = constant_functor_scenario(cat, m2_qsystem())
+    bad_m = {a: two_cell(endf.m[a].source, endf.m[a].target, endf.m[a].mat * (1 + 1e-8))
+             for a in cat.zero_cells}
+    bad = EndFQSystem(endf.psi, ModificationData(bad_m), endf.i)
+    worst = check_endf_qsystem(cat, f, bad).max_residual
+    tol = Tolerance(atol=worst / 50)
+    a = cat.zero_cells[0]
+    assert check_qsystem(bad.at(a)).max_residual > 10 * tol.atol
+    with pytest.raises(InvalidQSystem, match="fails with residual") as want:
+        split_qsystem(bad.at(a), tol, 0)
+    with pytest.raises(InvalidQSystem) as got:
+        construct_G(cat, f, bad, tol, rng=0)
+    assert str(got.value) == str(want.value)
+
+
+def test_verify_main_theorem_checks_each_qsystem_once(monkeypatch):
+    # construct_G's split reuses the residuals of its own input check
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return check_qsystem(q)
+
+    for module in (funcat, splitting):
+        monkeypatch.setattr(module, "check_qsystem", counted)
+    zero_cells = 0
+    for seed in range(10):
+        cat, f, endf = product_scenario(np.random.default_rng(seed))
+        assert verify_main_theorem(cat, f, endf, rng=seed).passes(1e-7)
+        zero_cells += len(cat.zero_cells)
+    assert zero_cells == len(calls) == 26
 
 
 def test_trivial_endf_recovers_F():

@@ -1,13 +1,16 @@
-"""File schema 2: a two-cell stores the flat list of its on-sector
-entries.  Round trips are bit-exact, schema 1 is still read, and the
-schema-1 fixtures under ``data/`` keep their reports."""
+"""File schema 3: a two-cell stores its on-sector entries as one base64
+string of little-endian float64 ``re, im`` pairs.  Round trips are
+bit-exact, every writer emits schema 3, schemas 1 and 2 are still read,
+and the schema-1 and schema-2 fixtures under ``data/`` keep their
+reports."""
 
+import base64
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhilb.cells import BlockTwoCell, GradedOneCell, ZeroCell, one_cell
@@ -25,7 +28,7 @@ from qhilb.serialize import (
     two_cell_from_json,
     two_cell_to_json,
 )
-from schema1 import to_schema1
+from schema1 import to_schema1, to_schema2
 
 DATA = Path(__file__).parent / "data"
 REPORTS = json.loads((DATA / "reports-schema1.json").read_text(encoding="utf-8"))
@@ -63,8 +66,9 @@ def sector_cells(draw):
 @given(sector_cells())
 @settings(max_examples=200, deadline=None)
 def test_two_cell_round_trip_is_bit_exact(cell_values):
+    # schema 2: the entries as a JSON list of numbers
     f, values = cell_values
-    text = json.dumps(two_cell_to_json(f))
+    text = json.dumps(to_schema2({"f": two_cell_to_json(f)})["f"])
     doc = json.loads(text)
     assert np.array_equal(bits(np.array(doc["entries"], dtype=float)),
                           bits(np.array(values, dtype=float)))
@@ -76,6 +80,30 @@ def test_two_cell_round_trip_is_bit_exact(cell_values):
              "mat": [[[z.real, z.imag] for z in row] for row in f.mat.tolist()]}
     h = two_cell_from_json(json.loads(json.dumps(dense)))
     assert np.array_equal(bits(h.mat), bits(f.mat))
+
+
+def _edge_cell():
+    """A two-cell whose entries are -0.0, subnormals and extreme floats."""
+    x = one_cell(1, 1, [(1, 1), (1, 1)])
+    values = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+              0.1, -1e-300, 2.0 ** -1074 * 3, -0.0]
+    return BlockTwoCell(x, x, np.array(values).view(complex).reshape(2, 2)), values
+
+
+@given(sector_cells())
+@example(_edge_cell())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_two_cell_round_trip_is_bit_exact_schema3(cell_values):
+    f, values = cell_values
+    text = json.dumps(two_cell_to_json(f))
+    assert text.isascii()
+    doc = json.loads(text)
+    raw = base64.b64decode(doc["entries"], validate=True)
+    assert np.array_equal(bits(np.frombuffer(raw, "<f8")),
+                          bits(np.array(values, dtype=float)))
+    g = two_cell_from_json(doc)
+    assert g.source == f.source and g.target == f.target
+    assert np.array_equal(bits(g.mat), bits(f.mat))
 
 
 def test_writer_refuses_off_sector_entry():
@@ -91,7 +119,7 @@ def test_gen_load_dump_is_byte_identical(tmp_path, capsys, kind, seed):
     assert main(["gen", "--kind", kind, "--seed", str(seed), "--out", str(a)]) == 0
     capsys.readouterr()
     doc = load_document(str(a))
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     dump_document(REWRITE[kind](doc), str(b))
     assert a.read_bytes() == b.read_bytes()
 
@@ -126,11 +154,62 @@ def test_schema1_fixture_report(capsys, command):
 
 
 @pytest.mark.parametrize("command", sorted(REPORTS))
+def test_schema2_fixture_report(capsys, command):
+    # schema-2 files as the writers of schema 2 wrote the schema-1 fixtures
+    command = command.replace("schema1", "schema2")
+    doc = load_document(str(DATA / command.split()[1]))
+    assert doc["schema"] == 2
+    assert all(isinstance(c["entries"], list) for c in two_cells(doc))
+    want = REPORTS[command.replace("schema2", "schema1")]
+    assert_close(json.loads(run_report(command, DATA, capsys)), want)
+
+
+@pytest.mark.parametrize("command", sorted(REPORTS))
 def test_schema2_rewrite_has_the_same_report(tmp_path, capsys, command):
     name = command.split()[1]
     doc = load_document(str(DATA / name))
     assert doc["schema"] == 1
-    rewrite = REWRITE[doc["kind"]](doc)
+    rewrite = to_schema2(REWRITE[doc["kind"]](doc))
     assert rewrite["schema"] == 2 and to_schema1(rewrite) == doc
     dump_document(rewrite, str(tmp_path / name))
     assert run_report(command, tmp_path, capsys) == run_report(command, DATA, capsys)
+
+
+@pytest.mark.parametrize("command", sorted(REPORTS))
+def test_schema3_rewrite_has_the_same_report(tmp_path, capsys, command):
+    name = command.split()[1]
+    doc = load_document(str(DATA / name))
+    rewrite = REWRITE[doc["kind"]](doc)
+    assert rewrite["schema"] == 3 and to_schema1(rewrite) == doc
+    dump_document(rewrite, str(tmp_path / name))
+    assert run_report(command, tmp_path, capsys) == run_report(command, DATA, capsys)
+
+
+def two_cells(doc):
+    """Every two-cell in ``doc``: a dict whose source is a one-cell."""
+    if isinstance(doc, dict):
+        if isinstance(doc.get("source"), dict) and "grading" in doc["source"]:
+            yield doc
+        else:
+            for v in doc.values():
+                yield from two_cells(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from two_cells(v)
+
+
+def test_every_writer_emits_schema3(tmp_path, capsys):
+    files = {}
+    for kind in ("qsystem", "scenario", "constant"):
+        files[kind] = tmp_path / f"{kind}.json"
+        assert main(["gen", "--kind", kind, "--seed", "1", "--out", str(files[kind])]) == 0
+    files["split_result"] = tmp_path / "split.json"
+    assert main(["split-qsystem", str(files["qsystem"]), "--out",
+                 str(files["split_result"])]) == 0
+    capsys.readouterr()
+    for kind, path in files.items():
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["schema"] == 3 and doc["kind"] == kind
+        cells = list(two_cells(doc))
+        assert cells and all(set(c) == {"source", "target", "entries"}
+                             and isinstance(c["entries"], str) for c in cells), kind
