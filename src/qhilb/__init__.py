@@ -9,8 +9,8 @@ from .cells import ZeroCell, GradedOneCell, BlockTwoCell, id1, id2, one_cell, \
 from .qsystem import QSystemData, DualPair, BimoduleData, check_qsystem, \
     trivial_qsystem, qsystem_from_dual, canonical_pairing, check_bimodule, \
     check_intertwiner, relative_tensor, check_qsystem_iso
-from .splitting import SplitResult, RegularRep, split_projection, \
-    regular_reps, central_decomposition, split_qsystem
+from .splitting import SplitResult, split_projection, regular_reps, \
+    central_decomposition, split_qsystem
 from .presentation import PresentedTwoCat, GenOneCell, GenTwoCell, Path
 from .funcat import FunctorData, TransformationData, ModificationData, \
     EndFQSystem, check_functor, check_transformation, check_modification, \

@@ -200,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     if args.func is not cmd_gen:
         try:
             args.tolerance = Tolerance(atol=args.tol, gap_tol=args.gap_tol)

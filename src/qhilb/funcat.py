@@ -50,6 +50,7 @@ from .qsystem import (
     DualPair,
     QSystemData,
     check_qsystem,
+    qsystem_from_dual,
     standard_dual_pair,
     zigzag_residuals,
 )
@@ -435,23 +436,16 @@ def qsystem_from_dualizable_transformation(phi: TransformationData,
     the unit is the coevaluation.
     """
     cat = phi.source.cat
-    pairs = {}
+    qs = {}
     for a in cat.zero_cells:
         pair = standard_dual_pair(phibar.comp0[a])
         if pair.Xbar != phi.comp0[a]:
             raise CellMismatch(
                 f"components at {a} are not a transposed dual pair")
-        pairs[a] = pair
+        qs[a] = qsystem_from_dual(pair)
     psi = tensor_transformations(phibar, phi)
-    m = {}
-    i = {}
-    for a in cat.zero_cells:
-        pair = pairs[a]
-        xbar, x = pair.X, pair.Xbar
-        pinch = vcomp(unitor_left(x), hcomp2(pair.ev, id2(x)))
-        m[a] = hcomp2(id2(xbar), pinch)
-        i[a] = pair.coev
-    return EndFQSystem(psi, ModificationData(m), ModificationData(i))
+    return EndFQSystem(psi, ModificationData({a: q.m for a, q in qs.items()}),
+                       ModificationData({a: q.i for a, q in qs.items()}))
 
 
 # --------------------------------------------------------------------------
@@ -493,6 +487,7 @@ class GConstruction:
         self.gamma: dict[str, BlockTwoCell] = {}
         self.paths: dict[Path, _PathData] = {}
         self.g2: dict[str, BlockTwoCell] = {}
+        self._capped: dict[tuple[Path, Path], BlockTwoCell] = {}
         self._tensorators: dict[tuple[Path, Path], BlockTwoCell] = {}
         for a in cat.zero_cells:
             res = _split(q.at(a), _qsystem_residuals(self.input, a), tol, rng)
@@ -578,19 +573,29 @@ class GConstruction:
         t = self._tensorators.get((p, q))
         if t is None:
             t = self._tensorators[p, q] = self._build_tensorator(p, q)
+            del self._capped[p, q]  # the tensorator is its last reader
         return t
 
     def _build_tensorator(self, p: Path, q: Path) -> BlockTwoCell:
-        a, b, c = q.src, p.src, p.tgt
-        fp, fq = self.F.cell(p), self.F.cell(q)
-        up, uq = self.u_of(p), self.u_of(q)
-        upq = self.u_of(p * q)
-        cap = hcomp2_many(id2(self.x[c]), id2(fp), dagger2(self.coev[b]),
-                          id2(fq), id2(self.xbar[a]))
-        drop = hcomp2_many(id2(self.x[c]), id2(fp),
-                           unitor_left(hcomp1(fq, self.xbar[a])))
+        a, c = q.src, p.tgt
         tens = hcomp2_many(id2(self.x[c]), self.F.tensorator(p, q), id2(self.xbar[a]))
-        return vcomp_many(dagger2(upq), tens, drop, cap, hcomp2(up, uq))
+        return vcomp_many(dagger2(self.u_of(p * q)), tens, self._capped_product(p, q))
+
+    def _capped_product(self, p: Path, q: Path) -> BlockTwoCell:
+        """``u_p . u_q`` with its middle ``xbar_b . x_b`` capped by ``coev_b*``,
+        into ``x_c . F(p) . F(q) . xbar_a``; built once per ``(p, q)`` and
+        kept until the tensorator, its last reader, is built."""
+        capped = self._capped.get((p, q))
+        if capped is None:
+            a, b, c = q.src, p.src, p.tgt
+            fp, fq = self.F.cell(p), self.F.cell(q)
+            cap = hcomp2_many(id2(self.x[c]), id2(fp), dagger2(self.coev[b]),
+                              id2(fq), id2(self.xbar[a]))
+            drop = hcomp2_many(id2(self.x[c]), id2(fp),
+                               unitor_left(hcomp1(fq, self.xbar[a])))
+            capped = self._capped[p, q] = vcomp_many(
+                drop, cap, hcomp2(self.u_of(p), self.u_of(q)))
+        return capped
 
     def functor(self) -> "ConstructedFunctor":
         if not hasattr(self, "_functor"):
@@ -666,36 +671,11 @@ def construct_phibar(gc: GConstruction) -> TransformationData:
 # full verification
 
 
-class MainTheoremReport:
-    """Named residual sections for every step of the construction,
-    plus the constructed data itself."""
+class MainTheoremReport(ResidualReport):
+    """The residuals of every step of the construction, each named
+    ``section.check``, plus the constructed data itself."""
 
-    def __init__(self):
-        self.sections: dict[str, ResidualReport] = {}
-        self.gconstruction: GConstruction | None = None
-
-    def section(self, name: str) -> ResidualReport:
-        return self.sections.setdefault(name, ResidualReport())
-
-    def rows(self, limit: float):
-        for sec, rep in self.sections.items():
-            for name, value in rep.residuals.items():
-                yield f"{sec}.{name}", value, limit, value <= limit
-
-    @property
-    def max_residual(self) -> float:
-        return max((r.max_residual for r in self.sections.values()), default=0.0)
-
-    def passes(self, limit: float) -> bool:
-        return all(r.passes(limit) for r in self.sections.values())
-
-    def worst(self) -> tuple[str, float]:
-        best = ("", 0.0)
-        for sec, rep in self.sections.items():
-            name, value = rep.worst()
-            if value >= best[1]:
-                best = (f"{sec}.{name}", value)
-        return best
+    gconstruction: GConstruction | None = None
 
 
 def _double_cup_on(pair: DualPair) -> BlockTwoCell:
@@ -705,19 +685,13 @@ def _double_cup_on(pair: DualPair) -> BlockTwoCell:
     return hcomp2(id2(xbar), inner)
 
 
-def _bent_double_cup(pair: DualPair) -> BlockTwoCell:
-    """``unit -> xbar x xbar x`` : coevaluation with the adjoint
-    evaluation nested inside."""
-    return vcomp(_double_cup_on(pair), pair.coev)
-
-
 def verify_main_theorem(cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
                         tol: Tolerance = Tolerance(),
                         rng: np.random.Generator | int | None = None) -> MainTheoremReport:
     """Run the whole construction and verify every intermediate claim.
 
-    Eleven sections, each identity checked once (all residuals
-    Frobenius):
+    One row ``section.check`` per identity, each checked once (all
+    residuals Frobenius), in eleven sections:
 
     - ``input``: the Q-system on End(F) is valid;
     - ``gamma_bend``: adjoints of the comparison unitaries computed by
@@ -742,122 +716,114 @@ def verify_main_theorem(cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
     """
     out = MainTheoremReport()
     gc = construct_G(cat, f, q, tol, rng)
-    out.section("input").extend("", gc.input)
+    out.extend("input.", gc.input)
     g = gc.functor()
     phi = construct_phi(gc)
     phibar = construct_phibar(gc)
 
     # (a) bending identities for gamma
-    sec = out.section("gamma_bend")
     for a in cat.zero_cells:
         pair = gc.splits[a].pair
-        x, xbar = pair.Xbar, pair.X
         gam = gc.gamma[a]
         psi_a = q.psi.comp0[a]
-        t = hcomp1(xbar, x)
+        t = hcomp1(pair.X, pair.Xbar)
         counit = vcomp(dagger2(q.i[a]), q.m[a])  # psi.psi -> unit
-        nested = _bent_double_cup(pair)
+        cup = _double_cup_on(pair)
+        nested = vcomp(cup, pair.coev)  # unit -> xbar x xbar x
         e1 = vcomp_many(
             unitor_left(t),
             hcomp2(counit, id2(t)),
             hcomp2_many(id2(psi_a), gam, id2(t)),
             hcomp2(id2(psi_a), nested),
         )
-        sec.add(f"adjoint_left[{a}]", residual(dagger2(gam), e1))
+        out.add(f"gamma_bend.adjoint_left[{a}]", residual(dagger2(gam), e1))
         e2 = vcomp_many(
             hcomp2(id2(t), counit),
             hcomp2_many(id2(t), gam, id2(psi_a)),
             hcomp2(nested, id2(psi_a)),
             dagger2(unitor_left(psi_a)),
         )
-        sec.add(f"adjoint_right[{a}]", residual(dagger2(gam), e2))
+        out.add(f"gamma_bend.adjoint_right[{a}]", residual(dagger2(gam), e2))
         lhs = vcomp(dagger2(q.m[a]), gam)
-        rhs = vcomp(hcomp2(gam, gam), _double_cup_on(pair))
-        sec.add(f"comultiplication[{a}]", residual(lhs, rhs))
-        sec.add(f"counit[{a}]",
+        rhs = vcomp(hcomp2(gam, gam), cup)
+        out.add(f"gamma_bend.comultiplication[{a}]", residual(lhs, rhs))
+        out.add(f"gamma_bend.counit[{a}]",
                 residual(vcomp(dagger2(q.i[a]), gam), dagger2(pair.coev)))
 
     # (b) path projections
-    sec = out.section("projection")
     for path, data in gc.paths.items():
-        sec.add(f"idempotent[{_pname(path)}]", projection_residual(data.proj))
-        sec.add(f"isometry[{_pname(path)}]",
+        out.add(f"projection.idempotent[{_pname(path)}]", projection_residual(data.proj))
+        out.add(f"projection.isometry[{_pname(path)}]",
                 frob(dagger2(data.u).mat @ data.u.mat - np.eye(data.image.dim)))
-        sec.add(f"splits[{_pname(path)}]",
+        out.add(f"projection.splits[{_pname(path)}]",
                 residual(vcomp(data.u, dagger2(data.u)), data.proj))
 
     # (c) two-path contraction identity
-    sec = out.section("isometry_product")
     for p, qq in cat.composable_pairs():
-        sec.add(f"[{_pname(p)},{_pname(qq)}]",
+        out.add(f"isometry_product.[{_pname(p)},{_pname(qq)}]",
                 _isometry_product_residual(gc, p, qq))
 
     # (d) compressed action identities
-    sec = out.section("gamma_action")
     for a in cat.zero_cells:
         pair = gc.splits[a].pair
         x, xbar = pair.Xbar, pair.X
         gam, m_a = gc.gamma[a], q.m[a]
         psi_a = q.psi.comp0[a]
-        pinch = vcomp(unitor_left(x), hcomp2(pair.ev, id2(x)))
-        lhs = vcomp_many(gam, hcomp2(id2(xbar), pinch),
-                         hcomp2_many(id2(xbar), id2(x), dagger2(gam)))
-        sec.add(f"left[{a}]", residual(lhs, vcomp(m_a, hcomp2(gam, id2(psi_a)))))
-        lhs2 = vcomp_many(gam, hcomp2(id2(xbar), pinch),
-                          hcomp2_many(dagger2(gam), id2(xbar), id2(x)))
-        sec.add(f"right[{a}]", residual(lhs2, vcomp(m_a, hcomp2(id2(psi_a), gam))))
+        mult = qsystem_from_dual(pair).m
+        lhs = vcomp_many(gam, mult, hcomp2_many(id2(xbar), id2(x), dagger2(gam)))
+        out.add(f"gamma_action.left[{a}]",
+                residual(lhs, vcomp(m_a, hcomp2(gam, id2(psi_a)))))
+        lhs2 = vcomp_many(gam, mult, hcomp2_many(dagger2(gam), id2(xbar), id2(x)))
+        out.add(f"gamma_action.right[{a}]",
+                residual(lhs2, vcomp(m_a, hcomp2(id2(psi_a), gam))))
 
     # (e) projections against the functor structure
-    sec = out.section("crossing_transport")
     for p, qq in cat.composable_pairs():
         a, c = qq.src, p.tgt
         fp2 = f.tensorator(p, qq)
         whisk = hcomp2_many(id2(gc.x[c]), fp2, id2(gc.xbar[a]))
         lhs = vcomp(gc.paths[p * qq].proj, whisk)
         rhs = vcomp(whisk, _double_crossing_projection(gc, p, qq))
-        sec.add(f"tensorator[{_pname(p)},{_pname(qq)}]", residual(lhs, rhs))
+        out.add(f"crossing_transport.tensorator[{_pname(p)},{_pname(qq)}]",
+                residual(lhs, rhs))
     for two in cat.gen_two_cells:
         a, b = two.source.src, two.source.tgt
         ff = eval_expr(f, EGen(two.label))
         whisk = hcomp2_many(id2(gc.x[b]), ff, id2(gc.xbar[a]))
         lhs = vcomp(gc.paths[two.target].proj, whisk)
         rhs = vcomp(whisk, gc.paths[two.source].proj)
-        sec.add(f"naturality[{two.label}]", residual(lhs, rhs))
+        out.add(f"crossing_transport.naturality[{two.label}]", residual(lhs, rhs))
 
     # (f) full functor checker
-    out.section("functor").extend("", check_functor(cat, g))
+    out.extend("functor.", check_functor(cat, g))
 
     # (g) phi and phibar are transformations
-    sec = out.section("transformation")
-    sec.extend("phi.", check_transformation(phi))
-    sec.extend("phibar.", check_transformation(phibar))
+    out.extend("transformation.phi.", check_transformation(phi))
+    out.extend("transformation.phibar.", check_transformation(phibar))
 
     # (h) duality of phi
-    sec = out.section("duality")
     coev_mod = ModificationData({a: gc.coev[a] for a in cat.zero_cells})
     ev_mod = ModificationData({a: dagger2(gc.ev[a]) for a in cat.zero_cells})
     phibar_phi = tensor_transformations(phibar, phi)
     phi_phibar = tensor_transformations(phi, phibar)
-    sec.extend("coev.", check_modification(coev_mod, identity_transformation(f),
-                                           phibar_phi))
-    sec.extend("ev.", check_modification(ev_mod, identity_transformation(g),
-                                         phi_phibar))
+    out.extend("duality.coev.", check_modification(coev_mod, identity_transformation(f),
+                                                   phibar_phi))
+    out.extend("duality.ev.", check_modification(ev_mod, identity_transformation(g),
+                                                 phi_phibar))
     for a in cat.zero_cells:
         pair = gc.splits[a].pair
         z1, z2 = zigzag_residuals(pair.X, pair.Xbar, pair.ev, pair.coev)
-        sec.add(f"zigzag[{a}]", max(z1, z2))
-        sec.add(f"ev_coisometry[{a}]",
+        out.add(f"duality.zigzag[{a}]", max(z1, z2))
+        out.add(f"duality.ev_coisometry[{a}]",
                 residual(vcomp(gc.ev[a], dagger2(gc.ev[a])), id2(id1(gc.splits[a].k))))
 
     # (i) gamma slides through the crossings
-    sec = out.section("modification")
     gamma_mod = ModificationData(dict(gc.gamma))
-    sec.extend("", check_modification(gamma_mod, phibar_phi, q.psi))
+    out.extend("modification.", check_modification(gamma_mod, phibar_phi, q.psi))
 
     # (j) Q-system isomorphism at every zero-cell
-    sec = out.section("qsystem_iso")
     for a in cat.zero_cells:
-        sec.extend(f"[{a}].", gc.splits[a].iso)
+        out.extend(f"qsystem_iso.[{a}].", gc.splits[a].iso)
 
     out.gconstruction = gc
     return out
@@ -882,14 +848,6 @@ def _isometry_product_residual(gc: GConstruction, p: Path, q: Path) -> float:
     xbar_b, xb = gc.xbar[b], gc.x[b]
     psi = gc.q.psi
     psi_b = psi.comp0[b]
-    up, uq = gc.u_of(p), gc.u_of(q)
-
-    lhs = vcomp_many(
-        hcomp2_many(id2(xc), id2(fp), unitor_left(hcomp1(fq, xbar_a))),
-        hcomp2_many(id2(xc), id2(fp), dagger2(gc.coev[b]), id2(fq), id2(xbar_a)),
-        hcomp2(up, uq),
-    )
-
     pre5 = hcomp1_many(xc, fp, xbar_b, xb, fq)
     r2 = hcomp2(id2(pre5), hcomp2(id2(xbar_a), dagger2(gc.ev[a])))
     r3 = hcomp2_many(id2(pre5), gc.gamma[a], id2(xbar_a))
@@ -901,8 +859,8 @@ def _isometry_product_residual(gc: GConstruction, p: Path, q: Path) -> float:
     r8 = hcomp2_many(id2(xc), dagger2(gc.gamma[c]), id2(fp), id2(fq), id2(xbar_a))
     full_tail = hcomp1_many(xc, fp, fq, xbar_a)
     r9 = vcomp(unitor_left(full_tail), hcomp2(gc.ev[c], id2(full_tail)))
-    rhs = vcomp_many(r9, r8, r7, r6, r5, r4, r3, r2, hcomp2(up, uq))
-    return residual(lhs, rhs)
+    rhs = vcomp_many(r9, r8, r7, r6, r5, r4, r3, r2, hcomp2(gc.u_of(p), gc.u_of(q)))
+    return residual(gc._capped_product(p, q), rhs)
 
 
 # --------------------------------------------------------------------------

@@ -7,9 +7,10 @@ Checkers report Frobenius-norm residuals per axiom and never raise on
 failure: verification is the product.
 
 ``check_qsystem`` contracts associativity and the Frobenius condition
-one grading sector at a time.  That equals the dense contraction only
-because ``m`` and ``i`` vanish off their grading sectors, which
-``QSystemData`` enforces.
+one grading sector at a time, on ``QSystemData.tensor``: the read-only
+``N x N x N`` multiplication array that each Q-system builds once.
+That equals the dense contraction only because ``m`` and ``i`` vanish
+off their grading sectors, which ``QSystemData`` enforces.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +84,19 @@ class QSystemData:
     def zero_cell(self) -> ZeroCell:
         return self.Q.src
 
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        """The multiplication as a read-only N x N x N array: ``t[i, a, b]``
+        is the coefficient of basis vector i in the product of a and b
+        (zero for non-composable pairs).  ``t[:, a, :]`` is left and
+        ``t[:, :, b]`` right multiplication by a basis vector."""
+        n = self.Q.dim
+        _, p_idx, q_idx = _hcomp_plan(self.Q, self.Q)
+        t = np.zeros((n, n, n), dtype=complex)
+        t[:, p_idx, q_idx] = self.m.mat
+        t.flags.writeable = False
+        return t
+
 
 @dataclass(frozen=True, eq=False)
 class DualPair:
@@ -108,17 +123,6 @@ class BimoduleData:
             raise CellMismatch("left action must map Q.X -> X")
         if self.rho.source != hcomp1(self.X, self.P.Q) or self.rho.target != self.X:
             raise CellMismatch("right action must map X.P -> X")
-
-
-def _mult_tensor(q: QSystemData) -> np.ndarray:
-    """The multiplication as an N x N x N tensor: t[i, a, b] is the
-    coefficient of basis vector i in the product of a and b (zero for
-    non-composable pairs)."""
-    n = q.Q.dim
-    _, p_idx, q_idx = _hcomp_plan(q.Q, q.Q)
-    t = np.zeros((n, n, n), dtype=complex)
-    t[:, p_idx, q_idx] = q.m.mat
-    return t
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -188,7 +192,7 @@ def check_qsystem(q: QSystemData) -> ResidualReport:
     rep = ResidualReport()
     n = Q.src.n
     order = sorted(range(Q.dim), key=Q.grading.__getitem__)
-    t = _mult_tensor(q)[np.ix_(order, order, order)]
+    t = q.tensor[np.ix_(order, order, order)]
     keys = [(r - 1) * n + c - 1 for r, c in (Q.grading[k] for k in order)]
     lo = np.searchsorted(keys, np.arange(n * n), "left").reshape(n, n)
     hi = np.searchsorted(keys, np.arange(n * n), "right").reshape(n, n)
@@ -364,7 +368,7 @@ def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData) -> Residu
         raise CellMismatch("iso candidate does not match the Q-system cells")
     rep = ResidualReport()
     rep.add("unitary", is_unitary_residual(g))
-    y = np.tensordot(np.tensordot(_mult_tensor(b), g.mat, (1, 0)), g.mat, (1, 0))
+    y = np.tensordot(np.tensordot(b.tensor, g.mat, (1, 0)), g.mat, (1, 0))
     _, p_idx, q_idx = _hcomp_plan(a.Q, a.Q)
     rep.add("multiplication", frob(vcomp(g, a.m).mat - y[:, p_idx, q_idx]))
     rep.add("unit", residual(vcomp(g, a.i), b.i))

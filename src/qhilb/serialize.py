@@ -196,10 +196,9 @@ def _expr_from_json(cat: PresentedTwoCat, d: dict):
         return EId(_path_from_json(cat, d["id"]))
     if "dagger" in d:
         return EDagger(_expr_from_json(cat, d["dagger"]))
-    if "vcomp" in d:
-        return EVComp(tuple(_expr_from_json(cat, x) for x in d["vcomp"]))
-    if "hcomp" in d:
-        return EHComp(tuple(_expr_from_json(cat, x) for x in d["hcomp"]))
+    for key, node in (("vcomp", EVComp), ("hcomp", EHComp)):
+        if key in d and d[key]:  # an empty composite is no expression
+            return node(tuple(_expr_from_json(cat, x) for x in d[key]))
     raise ParseError(f"unknown expression {d!r}")
 
 
@@ -231,7 +230,7 @@ def presentation_from_json(d: dict) -> PresentedTwoCat:
         rel = tuple((_expr_from_json(cat, l), _expr_from_json(cat, r))
                     for l, r in d.get("relations", ()))
         return PresentedTwoCat(zero, gens, two, rel)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad presentation: {exc}") from exc
 
 
@@ -339,7 +338,11 @@ def load_document(path: str) -> dict:
 
 
 def dump_document(doc: dict, path: str) -> None:
-    # json.dumps encodes in C; json.dump would encode in Python
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+    """Write ``doc`` to ``path``; a path that cannot be written is a ``ParseError``."""
+    try:
+        # json.dumps encodes in C; json.dump would encode in Python
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+            fh.write("\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc

@@ -7,9 +7,10 @@ balanced dual pair over a new zero-cell, together with the unitary
 ``gamma : X . Xbar -> Q`` intertwining multiplication and unit.
 
 The algorithm works on the total space of ``Q`` viewed as an
-associative algebra via left/right multiplication operators.  The
-center is the null space of the commutator map ``z -> z a - a z`` on
-the structure constants (an ``N^2 x N`` matrix), the hermitian part of
+associative algebra via left/right multiplication operators, the
+slices ``t[:, a, :]`` and ``t[:, :, b]`` of ``QSystemData.tensor``.
+The center is the null space of the commutator map ``z -> z a - a z``
+on the structure constants (an ``N^2 x N`` matrix), the hermitian part of
 left multiplication by a random central element separates the simple
 blocks (the random-element method of Murota, Kanno, Kojima and Kojima,
 Japan J. Indust. Appl. Math. 27 (2010)), and a minimal projection in
@@ -44,7 +45,6 @@ from .linalg import Tolerance, dagger, frob, herm_part, range_isometry, spectral
 from .qsystem import (
     DualPair,
     QSystemData,
-    _mult_tensor,
     check_qsystem,
     check_qsystem_iso,
     qsystem_from_dual,
@@ -54,7 +54,6 @@ from .report import ResidualReport
 
 __all__ = [
     "SplitResult",
-    "RegularRep",
     "split_projection",
     "regular_reps",
     "center_basis",
@@ -76,25 +75,6 @@ class SplitResult:
     pair: DualPair
     gamma: BlockTwoCell
     iso: ResidualReport
-
-
-@dataclass(frozen=True, eq=False)
-class RegularRep:
-    """Left/right multiplication operators on the total space of Q,
-    one per basis vector, as views of the multiplication tensor
-    ``t[i, a, b]`` (coefficient of ``e_i`` in ``e_a e_b``)."""
-
-    tensor: np.ndarray
-
-    @property
-    def left_ops(self) -> np.ndarray:
-        """``left_ops[a] = t[:, a, :]``, multiplication by ``e_a`` from the left."""
-        return self.tensor.transpose(1, 0, 2)
-
-    @property
-    def right_ops(self) -> np.ndarray:
-        """``right_ops[b] = t[:, :, b]``, multiplication by ``e_b`` from the right."""
-        return self.tensor.transpose(2, 0, 1)
 
 
 def split_projection(x: GradedOneCell, p: BlockTwoCell,
@@ -128,17 +108,18 @@ def split_projection(x: GradedOneCell, p: BlockTwoCell,
     return y, BlockTwoCell(y, x, mat)
 
 
-def regular_reps(q: QSystemData, tol: Tolerance = Tolerance()) -> RegularRep:
-    """Left and right multiplication operators of a valid Q-system."""
+def regular_reps(q: QSystemData, tol: Tolerance = Tolerance()) -> np.ndarray:
+    """``q.tensor`` of a valid Q-system, whose slices ``t[:, a, :]`` and
+    ``t[:, :, b]`` are its left and right multiplication operators."""
     return _checked_reps(q, check_qsystem(q), tol)
 
 
-def _checked_reps(q: QSystemData, rep: ResidualReport, tol: Tolerance) -> RegularRep:
+def _checked_reps(q: QSystemData, rep: ResidualReport, tol: Tolerance) -> np.ndarray:
     """``regular_reps`` of ``q``, whose ``check_qsystem`` residuals are ``rep``."""
     if not rep.passes(10 * tol.atol):
         name, value = rep.worst()
         raise InvalidQSystem(f"axiom {name} fails with residual {value:.3e}")
-    return RegularRep(_mult_tensor(q))
+    return q.tensor
 
 
 def _random_hermitian_in_span(rng: np.random.Generator, basis) -> np.ndarray:
@@ -171,16 +152,14 @@ def central_decomposition(q: QSystemData, tol: Tolerance = Tolerance(),
     by a random central element.  Retries with fresh randomness if the
     sampled element fails to separate the blocks.
     """
-    rng = np.random.default_rng(rng)
-    rep = regular_reps(q, tol)
-    return _central_from_rep(rep, tol, rng)
+    return _central_projections(regular_reps(q, tol), tol, np.random.default_rng(rng))
 
 
-def _central_from_rep(rep: RegularRep, tol: Tolerance, rng: np.random.Generator):
+def _central_projections(t: np.ndarray, tol: Tolerance, rng: np.random.Generator):
     # L_z for each basis vector z of the center; these span the joint
     # commutant of left and right multiplication, which is closed under
     # adjoints, so the hermitian part of a random combination stays in it
-    center = np.tensordot(center_basis(rep.tensor, tol), rep.left_ops, axes=(0, 0))
+    center = np.tensordot(center_basis(t, tol), t.transpose(1, 0, 2), axes=(0, 0))
     k = len(center)
     for _ in range(_MAX_RANDOM_ATTEMPTS):
         h = _random_hermitian_in_span(rng, center)
@@ -240,8 +219,8 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
 def _split(q: QSystemData, checked: ResidualReport, tol: Tolerance,
            rng: np.random.Generator) -> SplitResult:
     """``split_qsystem`` of ``q``, whose ``check_qsystem`` residuals are ``checked``."""
-    rep = _checked_reps(q, checked, tol)
-    zs = _central_from_rep(rep, tol, rng)
+    tensor = _checked_reps(q, checked, tol)
+    zs = _central_projections(tensor, tol, rng)
     Q = q.Q
     n_rows = Q.tgt.n
     N = Q.dim
@@ -255,7 +234,7 @@ def _split(q: QSystemData, checked: ResidualReport, tol: Tolerance,
         d_t = isqrt(m_t)
         if d_t * d_t != m_t:
             raise InvalidQSystem("central block dimension is not a perfect square")
-        f = w @ _minimal_projection(rep.right_ops, w, d_t, tol, rng) @ dagger(w)
+        f = w @ _minimal_projection(tensor.transpose(2, 0, 1), w, d_t, tol, rng) @ dagger(w)
         per_row = {}
         for j in range(1, n_rows + 1):
             pj = f * (rows == j)  # f composed with the row-j projection
@@ -284,7 +263,8 @@ def _split(q: QSystemData, checked: ResidualReport, tol: Tolerance,
     gdag = np.zeros((src.dim, N), dtype=complex)
     for t, (d, per_row) in enumerate(blocks, start=1):
         v = np.concatenate([per_row[j] for j in sorted(per_row)], axis=1)
-        mmat = (dagger(v) @ rep.left_ops @ v).transpose(1, 2, 0).reshape(d * d, N)
+        mmat = dagger(v) @ tensor.transpose(1, 0, 2) @ v
+        mmat = mmat.transpose(1, 2, 0).reshape(d * d, N)
         gram = mmat @ dagger(mmat)
         s2 = float(np.real(np.trace(gram))) / (d * d)
         if s2 <= 0 or frob(gram - s2 * np.eye(d * d)) > 1e-6 * max(1.0, s2) * d * d:

@@ -535,3 +535,48 @@ def test_gen_size_applies_to_qsystem_only(tmp_path, capsys):
     code = main(["gen", "--kind", "qsystem", "--size", "65", "--out", str(tmp_path / "q.json")])
     assert code == 2
     assert capsys.readouterr().err == "error: --size must be at most 64\n"
+
+
+@pytest.mark.parametrize("command", ["gen", "split-qsystem", "verify-fun"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    files = {"gen": [], "split-qsystem": ["qsystem"], "verify-fun": ["scenario"]}
+    argv = [command, "--kind", "qsystem"] if command == "gen" else [command]
+    for kind in files[command]:
+        path = str(tmp_path / f"{kind}.json")
+        run(capsys, "gen", "--kind", kind, "--seed", "3", "--out", path)
+        argv.append(path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: --seed must be non-negative, got -1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gen", "split-qsystem"])
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command, target):
+    out = tmp_path / "missing" / "out.json" if target == "missing_directory" else tmp_path
+    argv = ["gen", "--kind", "qsystem"]
+    if command == "split-qsystem":
+        qfile = str(tmp_path / "q.json")
+        run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
+        argv = ["split-qsystem", qfile]
+    assert _one_error_line([*argv, "--out", str(out)], capsys) == 2
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("kind", ["scenario", "constant"])
+@pytest.mark.parametrize("relation", [
+    ["a", "b", "c"],
+    [{"gen": "f1"}],
+    [{"vcomp": []}, {"vcomp": []}],
+    [{"hcomp": []}, {"hcomp": []}],
+], ids=["three_items", "one_item", "empty_vcomp", "empty_hcomp"])
+def test_exit_code_bad_relation(tmp_path, capsys, kind, relation):
+    path = str(tmp_path / f"{kind}.json")
+    run(capsys, "gen", "--kind", kind, "--seed", "1", "--out", path)
+    doc = load_document(path)
+    doc["presentation"]["relations"] = [relation]
+    dump_document(doc, path)
+    assert _one_error_line(["verify-fun", path], capsys) == 2

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +26,7 @@ from qhilb.generate import (
 )
 from qhilb.linalg import Tolerance, commutant_basis, dagger, frob, herm_part
 from qhilb.qsystem import (
+    QSystemData,
     check_qsystem,
     check_qsystem_iso,
     qsystem_from_dual,
@@ -86,20 +89,30 @@ def test_split_projection_rejects():
         split_projection(x, random_sector_matrix(RNG, x, x))
 
 
+def left_ops(t):
+    """``left_ops(t)[a] = t[:, a, :]``, multiplication by ``e_a`` from the left."""
+    return t.transpose(1, 0, 2)
+
+
+def right_ops(t):
+    """``right_ops(t)[b] = t[:, :, b]``, multiplication by ``e_b`` from the right."""
+    return t.transpose(2, 0, 1)
+
+
 def test_regular_reps_trivial():
-    rep = regular_reps(trivial_qsystem(3))
-    for j, l in enumerate(rep.left_ops):
+    t = regular_reps(trivial_qsystem(3))
+    for j, l in enumerate(left_ops(t)):
         e = np.zeros((3, 3))
         e[j, j] = 1
         assert frob(l - e) < 1e-12
-        assert frob(rep.right_ops[j] - e) < 1e-12
+        assert frob(right_ops(t)[j] - e) < 1e-12
 
 
 def test_regular_reps_m2_span():
     x = one_cell(1, 1, [(1, 1)] * 2)
     q = qsystem_from_dual(standard_dual_pair(x))
-    rep = regular_reps(q)
-    vecs = np.stack([l.reshape(-1) for l in rep.left_ops])
+    t = regular_reps(q)
+    vecs = np.stack([l.reshape(-1) for l in left_ops(t)])
     assert np.linalg.matrix_rank(vecs) == 4
 
 
@@ -107,7 +120,7 @@ def test_regular_reps_homomorphism():
     from qhilb.cells import hcomp_pairs
 
     q, _ = random_qsystem(RNG, zero_cell=2, blocks=2)
-    rep = regular_reps(q)
+    ops = left_ops(regular_reps(q))
     index = {pq: k for k, pq in enumerate(hcomp_pairs(q.Q, q.Q))}
     n = q.Q.dim
     worst = 0.0
@@ -116,35 +129,35 @@ def test_regular_reps_homomorphism():
             prod = np.zeros(n, dtype=complex)
             if (b, c) in index:
                 prod = q.m.mat[:, index[(b, c)]]
-            expected = sum(prod[d] * rep.left_ops[d] for d in range(n))
-            worst = max(worst, frob(rep.left_ops[b] @ rep.left_ops[c] - expected))
+            expected = sum(prod[d] * ops[d] for d in range(n))
+            worst = max(worst, frob(ops[b] @ ops[c] - expected))
     assert worst < 1e-9
 
 
 def test_regular_reps_match_column_loop():
     # reference: one column of m per composable pair, copied in a loop
     q, _ = random_qsystem(RNG, zero_cell=3, blocks=2)
-    rep = regular_reps(q)
+    t = regular_reps(q)
     n = q.Q.dim
     left = np.zeros((n, n, n), dtype=complex)
     right = np.zeros((n, n, n), dtype=complex)
     for k, (b, c) in enumerate(hcomp_pairs(q.Q, q.Q)):
         left[b][:, c] = q.m.mat[:, k]
         right[c][:, b] = q.m.mat[:, k]
-    assert np.array_equal(rep.left_ops, left)
-    assert np.array_equal(rep.right_ops, right)
+    assert np.array_equal(left_ops(t), left)
+    assert np.array_equal(right_ops(t), right)
 
 
 def test_regular_reps_commute_and_star_closed():
     q, _ = random_qsystem(RNG, zero_cell=2, blocks=2)
-    rep = regular_reps(q)
-    for l in rep.left_ops[:4]:
-        for r in rep.right_ops[:4]:
+    t = regular_reps(q)
+    for l in left_ops(t)[:4]:
+        for r in right_ops(t)[:4]:
             assert frob(l @ r - r @ l) < 1e-9
     # the span of the left operators is closed under adjoints
-    vecs = np.stack([l.reshape(-1) for l in rep.left_ops], axis=1)
+    vecs = np.stack([l.reshape(-1) for l in left_ops(t)], axis=1)
     proj = vecs @ np.linalg.pinv(vecs)
-    for l in rep.left_ops:
+    for l in left_ops(t):
         v = dagger(l).reshape(-1)
         assert np.linalg.norm(proj @ v - v) < 1e-8
 
@@ -240,16 +253,16 @@ def test_split_gamma_unitary_and_separable():
 
 def test_degenerate_randomness_raises():
     from qhilb.errors import DegenerateRandomElement
-    from qhilb.splitting import _central_from_rep
+    from qhilb.splitting import _central_projections
     from qhilb.linalg import Tolerance
 
     class ZeroRng:
         def standard_normal(self, n):
             return np.zeros(n)
 
-    rep = regular_reps(trivial_qsystem(3))
+    t = regular_reps(trivial_qsystem(3))
     with pytest.raises(DegenerateRandomElement):
-        _central_from_rep(rep, Tolerance(), ZeroRng())
+        _central_projections(t, Tolerance(), ZeroRng())
 
 
 def test_split_seed_deterministic():
@@ -258,6 +271,29 @@ def test_split_seed_deterministic():
     r2 = split_qsystem(q, rng=np.random.default_rng(42))
     assert np.array_equal(r1.gamma.mat, r2.gamma.mat)
     assert r1.pair.X.grading == r2.pair.X.grading
+
+
+def test_split_builds_the_multiplication_tensor_once(monkeypatch):
+    # the check, the centre, the blocks and the isomorphism check of one
+    # split all read the same read-only q.tensor
+    built = []
+    build = QSystemData.tensor.func
+
+    def counted(q):
+        built.append(q)
+        return build(q)
+
+    tensor = functools.cached_property(counted)
+    tensor.__set_name__(QSystemData, "tensor")
+    monkeypatch.setattr(QSystemData, "tensor", tensor)
+    q, _ = random_qsystem(np.random.default_rng(5), zero_cell=2, blocks=2)
+    split_qsystem(q, rng=np.random.default_rng(42))
+    assert built == [q]
+    t = q.tensor
+    assert q.tensor is t and regular_reps(q) is t and len(built) == 1
+    assert t.shape == (q.Q.dim,) * 3 and not t.flags.writeable
+    with pytest.raises(ValueError):
+        t[0, 0, 0] = 1
 
 
 @st.composite
@@ -290,12 +326,12 @@ def test_center_of_dual_pair_qsystems(structure, dressed, seed):
     if dressed:
         q = dress_qsystem(rng, q)
     tol = Tolerance()
-    rep = regular_reps(q, tol)
+    t = regular_reps(q, tol)
 
-    z = center_basis(rep.tensor, tol)
+    z = center_basis(t, tol)
     assert z.shape == (q.Q.dim, k)
-    ops = np.concatenate([rep.left_ops, rep.right_ops])
-    for lz in np.tensordot(z, rep.left_ops, axes=(0, 0)):
+    ops = np.concatenate([left_ops(t), right_ops(t)])
+    for lz in np.tensordot(z, left_ops(t), axes=(0, 0)):
         h = herm_part(lz)
         assert max(frob(c) for c in h @ ops - ops @ h) <= 10 * tol.atol
     gens = list(ops) + [dagger(g) for g in ops]
