@@ -8,18 +8,18 @@ supported on matching grading sectors.
 Horizontal composition of one-cells pairs basis vectors across the
 middle index and orders the pairs lexicographically (left factor
 major).  That convention makes horizontal composition *strictly*
-associative on the nose, and it makes ``X . unit`` literally equal to
-``X``; only the left unitor ``unit . X -> X`` is a nontrivial
+associative on the nose, and it makes ``X . unit`` the cell ``X``
+itself; only the left unitor ``unit . X -> X`` is a nontrivial
 permutation two-cell.
 
 Horizontal composition of two-cells is the hot path of the
 functor-category verifier, so its Python set-up is paid once per pair
 of one-cells rather than once per call:
 
-- a ``GradedOneCell`` hashes its grading once, at construction, and
-  compares by identity, then by the stored hash, before the fields, so
-  an ``lru_cache`` lookup keyed by cells no longer walks the gradings
-  when it is handed the cells it was filled with;
+- there is one object per one-cell value: building a ``GradedOneCell``
+  whose ``(src, tgt, grading)`` equals a live one returns that object,
+  so one-cells compare and hash by identity and every ``lru_cache``
+  keyed by cells hits by pointer;
 - ``_hcomp_plan(y, x)`` matches the gradings of ``y`` and ``x`` in one
   array comparison and caches the composite one-cell together with the
   index arrays of its basis pairs.  It is the one code that orders the
@@ -42,6 +42,8 @@ of one-cells rather than once per call:
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,32 +83,36 @@ class ZeroCell:
             raise CellMismatch("zero-cell size must be >= 1")
 
 
-@dataclass(frozen=True, eq=False)
+def _read_only(cell, *args):
+    raise AttributeError(f"{type(cell).__name__} is immutable: cannot change {args[0]!r}")
+
+
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_intern_lock = threading.Lock()
+
+
 class GradedOneCell:
     """One-cell ``src -> tgt``: ordered basis graded by (row, col).
 
-    Equality is by value; the hash is computed once, at construction."""
+    Interned: while a cell of the same value is alive, the constructor
+    returns that cell.  Assigning an attribute raises ``AttributeError``."""
 
-    src: ZeroCell
-    tgt: ZeroCell
-    grading: tuple[tuple[int, int], ...]
+    __slots__ = ("src", "tgt", "grading", "__weakref__")
 
-    def __post_init__(self):
-        for r, c in self.grading:
-            if not (1 <= r <= self.tgt.n and 1 <= c <= self.src.n):
-                raise CellMismatch(f"grading pair {(r, c)} out of range")
-        object.__setattr__(self, "_hash", hash((self.src, self.tgt, self.grading)))
+    def __new__(cls, src: ZeroCell, tgt: ZeroCell, grading: tuple[tuple[int, int], ...]):
+        key = (src, tgt, grading)
+        with _intern_lock:   # one check-then-insert at a time
+            cell = _interned.get(key)
+            if cell is None:
+                for r, c in grading:
+                    if not (1 <= r <= tgt.n and 1 <= c <= src.n):
+                        raise CellMismatch(f"grading pair {(r, c)} out of range")
+                cell = _interned[key] = object.__new__(cls)
+                for name, value in zip(cls.__slots__, key):
+                    object.__setattr__(cell, name, value)
+        return cell
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, GradedOneCell):
-            return NotImplemented
-        return (self._hash == other._hash and self.src == other.src
-                and self.tgt == other.tgt and self.grading == other.grading)
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def dim(self) -> int:
@@ -156,11 +162,7 @@ class BlockTwoCell:
         _set_target(self, target)
         _set_mat(self, mat)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"two-cells are immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"two-cells are immutable: cannot delete {name!r}")
+    __setattr__ = __delattr__ = _read_only
 
     def __repr__(self):
         return f"{type(self).__name__}({self.source!r} => {self.target!r})"
@@ -200,13 +202,9 @@ def sector_mask(target: GradedOneCell, source: GradedOneCell) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=None)
 def id2(x: GradedOneCell) -> BlockTwoCell:
     """The identity two-cell on ``x``, shared between calls."""
-    return _identity2(x)
-
-
-@lru_cache(maxsize=None)
-def _identity2(x: GradedOneCell) -> BlockTwoCell:
     return _Identity2(x, x, np.eye(x.dim, dtype=complex))
 
 
@@ -241,7 +239,7 @@ def hcomp1(y: GradedOneCell, x: GradedOneCell) -> GradedOneCell:
 
 def hcomp1_many(*cells: GradedOneCell) -> GradedOneCell:
     """Left fold of ``hcomp1``; associativity is strict so any
-    bracketing yields the identical cell."""
+    bracketing yields the same cell."""
     out = cells[0]
     for c in cells[1:]:
         out = hcomp1(out, c)
@@ -306,7 +304,7 @@ def hcomp2_many(*fs: BlockTwoCell) -> BlockTwoCell:
 def vcomp(g: BlockTwoCell, f: BlockTwoCell) -> BlockTwoCell:
     """Vertical composite ``g . f`` (f acts first); an identity on
     either side returns the other operand."""
-    if f.target is not g.source and f.target != g.source:
+    if f.target is not g.source:
         raise CellMismatch("vertical composition: target/source cells differ")
     if type(g) is _Identity2:
         return f
@@ -341,7 +339,7 @@ def unitor_left(x: GradedOneCell) -> BlockTwoCell:
 
 def unitor_right(x: GradedOneCell) -> BlockTwoCell:
     """The unitor ``x . unit -> x``: ``id2(x)``, because the pairing
-    convention makes ``x . unit`` literally equal to ``x``."""
+    convention makes ``x . unit`` the cell ``x`` itself."""
     return id2(x)
 
 
@@ -385,8 +383,7 @@ def standard_dual(x: GradedOneCell):
 
 def residual(f: BlockTwoCell, g: BlockTwoCell) -> float:
     """Frobenius distance between two parallel two-cells."""
-    if (f.source is not g.source and f.source != g.source) \
-            or (f.target is not g.target and f.target != g.target):
+    if f.source is not g.source or f.target is not g.target:
         raise CellMismatch("cannot compare two-cells with different cells")
     return frob(f.mat - g.mat)
 
@@ -400,6 +397,6 @@ def is_unitary_residual(f: BlockTwoCell) -> float:
 
 def projection_residual(p: BlockTwoCell) -> float:
     """max(|p - p*|, |p^2 - p|) for an endo two-cell."""
-    if p.source != p.target:
+    if p.source is not p.target:
         raise CellMismatch("projection must be an endo two-cell")
     return max(frob(p.mat - dagger(p.mat)), frob(p.mat @ p.mat - p.mat))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,6 +157,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)   # one parser serves every call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qhilb",

@@ -111,7 +111,7 @@ class FunctorData:
         for f in self.cat.gen_two_cells:
             if f.label in self.on2:
                 img = self.on2[f.label]
-                if img.source != self.cell(f.source) or img.target != self.cell(f.target):
+                if img.source is not self.cell(f.source) or img.target is not self.cell(f.target):
                     raise CellMismatch(f"image of {f.label} has wrong cells")
 
     def zero_cell(self, a: str) -> ZeroCell:
@@ -130,7 +130,7 @@ class FunctorData:
             return unitor_left(self.cell(q))
         src = hcomp1(self.cell(p), self.cell(q))
         tgt = self.cell(p * q)
-        if src != tgt:
+        if src is not tgt:
             raise CellMismatch("free tensorator expects literally equal cells")
         return id2(src)
 
@@ -152,7 +152,7 @@ def eval_expr(f, e) -> BlockTwoCell:
     if isinstance(e, EGen):
         g = cat.gen2(e.label)
         img = f.gen2_image(e.label)
-        if img.source != f.cell(g.source) or img.target != f.cell(g.target):
+        if img.source is not f.cell(g.source) or img.target is not f.cell(g.target):
             raise CellMismatch(f"image of {e.label} has wrong cells")
         return img
     if isinstance(e, EId):
@@ -399,9 +399,13 @@ class EndFQSystem:
     psi: TransformationData
     m: ModificationData
     i: ModificationData
+    _at: dict[str, QSystemData] = field(init=False, repr=False, default_factory=dict)
 
     def at(self, a: str) -> QSystemData:
-        return QSystemData(self.psi.comp0[a], self.m[a], self.i[a])
+        """The Q-system at zero-cell ``a``, built on the first call."""
+        if a not in self._at:
+            self._at[a] = QSystemData(self.psi.comp0[a], self.m[a], self.i[a])
+        return self._at[a]
 
 
 def check_endf_qsystem(cat: PresentedTwoCat, f: FunctorData,
@@ -439,7 +443,7 @@ def qsystem_from_dualizable_transformation(phi: TransformationData,
     qs = {}
     for a in cat.zero_cells:
         pair = standard_dual_pair(phibar.comp0[a])
-        if pair.Xbar != phi.comp0[a]:
+        if pair.Xbar is not phi.comp0[a]:
             raise CellMismatch(
                 f"components at {a} are not a transposed dual pair")
         qs[a] = qsystem_from_dual(pair)
@@ -512,9 +516,6 @@ class GConstruction:
 
     # -- per-path data ----------------------------------------------------
 
-    def scell(self, path: Path) -> GradedOneCell:
-        return hcomp1_many(self.x[path.tgt], self.F.cell(path), self.xbar[path.src])
-
     def path_projection(self, path: Path) -> BlockTwoCell:
         """The projection on ``x_b . F(p) . xbar_a`` cut out by the
         crossing of ``psi`` conjugated with the comparison unitaries."""
@@ -540,7 +541,6 @@ class GConstruction:
         data = self.paths.get(path)
         if data is not None:
             return data
-        s = self.scell(path)
         proj = self.path_projection(path)
         if not path.labels:
             a = path.src
@@ -550,7 +550,7 @@ class GConstruction:
                 dagger2(self.ev[a]),
             )
         else:
-            image, u = split_projection(s, proj, self.tol)
+            image, u = split_projection(proj.source, proj, self.tol)
         data = _PathData(proj, u, image)
         self.paths[path] = data
         return data
@@ -769,7 +769,7 @@ def verify_main_theorem(cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
         x, xbar = pair.Xbar, pair.X
         gam, m_a = gc.gamma[a], q.m[a]
         psi_a = q.psi.comp0[a]
-        mult = qsystem_from_dual(pair).m
+        mult = gc.splits[a].dual.m
         lhs = vcomp_many(gam, mult, hcomp2_many(id2(xbar), id2(x), dagger2(gam)))
         out.add(f"gamma_action.left[{a}]",
                 residual(lhs, vcomp(m_a, hcomp2(gam, id2(psi_a)))))

@@ -195,6 +195,8 @@ class PresentedTwoCat:
         if isinstance(e, EDagger):
             s, t = self.expr_type(e.expr)
             return t, s
+        if isinstance(e, (EVComp, EHComp)) and not e.exprs:
+            raise IllTypedPath(f"empty composite {e!r}")
         if isinstance(e, EVComp):
             types = [self.expr_type(x) for x in e.exprs]
             for upper, lower in zip(types[:-1], types[1:]):

@@ -72,9 +72,9 @@ class QSystemData:
     def __post_init__(self):
         if self.Q.src != self.Q.tgt:
             raise CellMismatch("a Q-system lives on a single zero-cell")
-        if self.m.source != hcomp1(self.Q, self.Q) or self.m.target != self.Q:
+        if self.m.source is not hcomp1(self.Q, self.Q) or self.m.target is not self.Q:
             raise CellMismatch("multiplication must map Q.Q -> Q")
-        if self.i.source != id1(self.Q.src) or self.i.target != self.Q:
+        if self.i.source is not id1(self.Q.src) or self.i.target is not self.Q:
             raise CellMismatch("unit must map unit -> Q")
         for name, f in (("m", self.m), ("i", self.i)):
             if f.mat[~sector_mask(f.target, f.source)].any():
@@ -119,9 +119,9 @@ class BimoduleData:
     rho: BlockTwoCell
 
     def __post_init__(self):
-        if self.lam.source != hcomp1(self.Q.Q, self.X) or self.lam.target != self.X:
+        if self.lam.source is not hcomp1(self.Q.Q, self.X) or self.lam.target is not self.X:
             raise CellMismatch("left action must map Q.X -> X")
-        if self.rho.source != hcomp1(self.X, self.P.Q) or self.rho.target != self.X:
+        if self.rho.source is not hcomp1(self.X, self.P.Q) or self.rho.target is not self.X:
             raise CellMismatch("right action must map X.P -> X")
 
 
@@ -323,7 +323,7 @@ def unit_bimodule(x: GradedOneCell) -> BimoduleData:
 def check_intertwiner(f: BlockTwoCell, src: BimoduleData,
                       dst: BimoduleData) -> ResidualReport:
     """Residuals of the two bimodule-map equations for ``f : X -> Y``."""
-    if f.source != src.X or f.target != dst.X:
+    if f.source is not src.X or f.target is not dst.X:
         raise CellMismatch("intertwiner endpoints do not match the bimodules")
     rep = ResidualReport()
     rep.add("left", residual(
@@ -345,7 +345,7 @@ def relative_tensor(xb: BimoduleData, yb: BimoduleData,
     from .splitting import split_projection
 
     P = xb.P
-    if yb.Q is not P and yb.Q.Q != P.Q:
+    if yb.Q.Q is not P.Q:
         raise CellMismatch("bimodules do not share the middle Q-system")
     X, Y = xb.X, yb.X
     sep = vcomp(dagger2(P.m), P.i)
@@ -364,7 +364,7 @@ def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData) -> Residu
     ``b`` one leg at a time (``2 N^4`` operations, three ``N^3``
     arrays), and the result is read at the composable pairs of ``a``.
     """
-    if g.source != a.Q or g.target != b.Q:
+    if g.source is not a.Q or g.target is not b.Q:
         raise CellMismatch("iso candidate does not match the Q-system cells")
     rep = ResidualReport()
     rep.add("unitary", is_unitary_residual(g))

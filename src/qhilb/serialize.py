@@ -250,16 +250,12 @@ def scenario_to_json(cat: PresentedTwoCat, f: FunctorData,
         "qsystem": {
             "psi0": {a: cell_to_json(q.psi.comp0[a]) for a in cat.zero_cells},
             "psi1": {g.label: two_cell_to_json(
-                q.psi.comp1[cat_path_of(cat, g.label)])
+                q.psi.comp1[cat.path((g.label,))])
                 for g in cat.gen_one_cells},
             "m": {a: two_cell_to_json(q.m[a]) for a in cat.zero_cells},
             "i": {a: two_cell_to_json(q.i[a]) for a in cat.zero_cells},
         },
     }
-
-
-def cat_path_of(cat: PresentedTwoCat, label: str) -> Path:
-    return cat.path((label,))
 
 
 def scenario_from_json(d: dict):
@@ -285,7 +281,7 @@ def scenario_from_json(d: dict):
         on2 = {lab: two_cell_from_json(c) for lab, c in fd.get("on2", {}).items()}
         f = FunctorData(cat, on0, on1, on2)
         comp0 = {a: cell_from_json(c) for a, c in qd["psi0"].items()}
-        comp1 = {cat_path_of(cat, lab): two_cell_from_json(c)
+        comp1 = {cat.path((lab,)): two_cell_from_json(c)
                  for lab, c in qd["psi1"].items()}
         psi = TransformationData(f, f, comp0, comp1)
         m = ModificationData({a: two_cell_from_json(c) for a, c in qd["m"].items()})

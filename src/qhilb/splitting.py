@@ -67,14 +67,15 @@ _MAX_RANDOM_ATTEMPTS = 5
 @dataclass(frozen=True, eq=False)
 class SplitResult:
     """Output of Q-system splitting: new zero-cell ``k``, balanced dual
-    pair with ``X : k -> b``, the unitary ``gamma : X . Xbar -> Q``, and
-    ``iso``, the residuals of ``gamma`` as a Q-system isomorphism
-    (``check_qsystem_iso``)."""
+    pair with ``X : k -> b``, the unitary ``gamma : X . Xbar -> Q``, the
+    residuals ``iso`` of ``gamma : dual -> Q`` as a Q-system isomorphism
+    (``check_qsystem_iso``), and ``dual = qsystem_from_dual(pair)``."""
 
     k: ZeroCell
     pair: DualPair
     gamma: BlockTwoCell
     iso: ResidualReport
+    dual: QSystemData
 
 
 def split_projection(x: GradedOneCell, p: BlockTwoCell,
@@ -85,7 +86,7 @@ def split_projection(x: GradedOneCell, p: BlockTwoCell,
     ``u u* = p``.  ``y`` carries one basis vector per unit of sector
     rank, graded pairs sorted by (row, col).
     """
-    if p.source != x or p.target != x:
+    if p.source is not x or p.target is not x:
         raise NotAProjection("projection must be an endo two-cell on x")
     scale = max(1.0, frob(p.mat))
     if projection_residual(p) > 10 * tol.atol * scale:
@@ -274,9 +275,10 @@ def _split(q: QSystemData, checked: ResidualReport, tol: Tolerance,
     # zero the numerical dust on mismatched (row, col) sectors
     gamma = BlockTwoCell(src, Q, np.where(sector_mask(Q, src), dagger(gdag), 0))
 
-    iso = check_qsystem_iso(gamma, qsystem_from_dual(pair), q)
+    dual = qsystem_from_dual(pair)
+    iso = check_qsystem_iso(gamma, dual, q)
     if not iso.passes(10 * tol.atol):
         name, value = iso.worst()
         raise NormalizationFailure(
             f"splitting produced gamma with {name} residual {value:.3e}")
-    return SplitResult(ZeroCell(k), pair, gamma, iso)
+    return SplitResult(ZeroCell(k), pair, gamma, iso, dual)

@@ -1,3 +1,8 @@
+import gc
+import json
+import sys
+import threading
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -12,6 +17,7 @@ from qhilb.cells import (
     ZeroCell,
     dagger2,
     hcomp1,
+    hcomp1_many,
     hcomp2,
     hcomp2_many,
     hcomp_pairs,
@@ -30,6 +36,7 @@ from qhilb.cells import (
 from qhilb.errors import CellMismatch, EmptyColumn
 from qhilb.generate import interchanger, outer_cell, random_cell, random_sector_matrix
 from qhilb.linalg import frob
+from qhilb.serialize import cell_from_json, cell_to_json
 
 RNG = np.random.default_rng(99)
 
@@ -324,7 +331,7 @@ def test_two_cell_shape_validation():
         two_cell(x, y, np.zeros((2, 2)))
 
 
-# -- the composition plan, stored hashes and shared identities ---------------
+# -- interned one-cells, the composition plan and shared identities ----------
 
 
 @st.composite
@@ -410,7 +417,7 @@ def test_equal_cells_share_hash_and_cache(src, tgt, data):
     grading = data.draw(gradings(src, tgt))
     x1 = GradedOneCell(ZeroCell(src), ZeroCell(tgt), grading)
     x2 = GradedOneCell(ZeroCell(src), ZeroCell(tgt), tuple(map(tuple, grading)))
-    assert x1 is not x2
+    assert x1 is x2
     assert x1 == x2 and hash(x1) == hash(x2)
     u = id1(tgt)
     assert cells._hcomp_plan(u, x1) is cells._hcomp_plan(u, x2)
@@ -425,6 +432,80 @@ def test_equal_cells_share_hash_and_cache(src, tgt, data):
 def test_cell_equality_with_other_types():
     x = one_cell(1, 1, [(1, 1)])
     assert x != ((1, 1),) and x != None  # noqa: E711
+
+
+def hcomp1_by_definition(y, x):
+    return GradedOneCell(x.src, y.tgt, tuple((y.grading[p][0], x.grading[q][1])
+                                             for p, q in pairs_by_definition(y, x)))
+
+
+@given(st.lists(st.integers(1, 3), min_size=4, max_size=4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_route_to_a_cell_value_gives_one_object(n, data):
+    a, b, c, d = n
+    grading = data.draw(gradings(a, b))
+    x = GradedOneCell(ZeroCell(a), ZeroCell(b), grading)
+    assert GradedOneCell(ZeroCell(a), ZeroCell(b), tuple(map(tuple, grading))) is x
+    assert one_cell(a, b, [list(g) for g in grading]) is x
+    assert cell_from_json(json.loads(json.dumps(cell_to_json(x)))) is x
+    # a composite, whichever way it is bracketed or built
+    y = GradedOneCell(ZeroCell(b), ZeroCell(c), data.draw(gradings(b, c)))
+    z = GradedOneCell(ZeroCell(c), ZeroCell(d), data.draw(gradings(c, d)))
+    zyx = hcomp1_many(hcomp1_many(z, y), x)
+    assert hcomp1_many(z, hcomp1_many(y, x)) is zyx is hcomp1_many(z, y, x)
+    assert hcomp1_by_definition(hcomp1_by_definition(z, y), x) is zyx
+    assert hcomp1(x, id1(a)) is x
+    # the dual's xbar, and the dual of xbar
+    full = GradedOneCell(ZeroCell(a), ZeroCell(b), grading
+                         + tuple((r, 1) for r in range(1, b + 1))
+                         + tuple((1, col) for col in range(1, a + 1)))
+    xbar = standard_dual(full)[0]
+    assert xbar is GradedOneCell(ZeroCell(b), ZeroCell(a),
+                                 tuple((col, r) for r, col in full.grading))
+    assert standard_dual(xbar)[0] is full
+
+
+def test_invalid_grading_adds_nothing_to_the_table():
+    key = (ZeroCell(2), ZeroCell(1), ((1, 1), (2, 1)))
+    size = len(cells._interned)
+    with pytest.raises(CellMismatch, match="out of range"):
+        GradedOneCell(*key)
+    assert key not in cells._interned and len(cells._interned) <= size
+
+
+def test_threads_building_equal_cells_get_one_object():
+    # four threads build the same fresh values at once; a lost insert
+    # would hand two threads two objects for one value
+    keys = [(ZeroCell(7), ZeroCell(6), ((6, 7),) * k) for k in range(1, 301)]
+    got = [None] * 4
+
+    def build(i):
+        got[i] = [GradedOneCell(*key) for key in keys]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(a is b for cells_i in got[1:] for a, b in zip(got[0], cells_i))
+
+
+def test_a_cell_nothing_holds_leaves_the_table():
+    key = (ZeroCell(9), ZeroCell(8), ((8, 9), (1, 1), (8, 9)))
+    x = GradedOneCell(*key)
+    assert cells._interned[key] is x
+    alive = weakref.ref(x)
+    del x
+    gc.collect()
+    assert alive() is None and key not in cells._interned
+    with pytest.raises(AttributeError):
+        GradedOneCell(*key).grading = ()
 
 
 def test_id2_is_shared_and_read_only():

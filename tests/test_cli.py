@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhilb import qsystem, splitting
+from qhilb import cli, qsystem, splitting
 from qhilb.cells import dagger2, hcomp2, id2, residual, sector_mask, vcomp
 from qhilb.cli import main
 from qhilb.generate import product_scenario, random_qsystem
@@ -314,6 +314,34 @@ def test_reports_deterministic_bytes(tmp_path, capsys):
     _, s1 = run(capsys, "split-qsystem", qf, "--seed", "3", "--json")
     _, s2 = run(capsys, "split-qsystem", qf, "--seed", "3", "--json")
     assert s1 == s2
+
+
+def test_one_parser_serves_every_command(tmp_path, capsys):
+    # each command prints what it prints with a parser of its own, also
+    # after commands with other flags
+    qfile = str(tmp_path / "q.json")
+    run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
+    argvs = [["check-qsystem", qfile, "--json"], ["check-qsystem", qfile],
+             ["split-qsystem", qfile, "--seed", "2", "--tol", "1e-12"],
+             ["split-qsystem", qfile], ["check-qsystem", qfile, "--tol", "1e-30"],
+             ["check-qsystem", qfile], ["check-qsystem", qfile, "--tol", "-1"]]
+
+    def outputs(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(outputs(argv))
+    cli.build_parser.cache_clear()
+    assert [outputs(argv) for argv in argvs] == fresh
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, *_ in fresh] == [0, 0, 0, 0, 1, 0, 2]
 
 
 def _check_sees_small_perturbation(tmp_path, capsys, perturb):

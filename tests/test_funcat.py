@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,7 @@ from qhilb.presentation import (
     PresentedTwoCat,
 )
 from qhilb.linalg import Tolerance
-from qhilb.qsystem import check_qsystem, qsystem_from_dual, standard_dual_pair
+from qhilb.qsystem import QSystemData, check_qsystem, qsystem_from_dual, standard_dual_pair
 from qhilb.splitting import split_qsystem
 
 RNG = np.random.default_rng(31337)
@@ -86,6 +88,16 @@ def test_path_validation():
         cat.path(("Z",))
     assert len(cat.composable_pairs()) == 2
     assert len(cat.composable_triples()) == 2
+
+
+@pytest.mark.parametrize("node", [EVComp, EHComp])
+def test_empty_composite_is_ill_typed(node):
+    cat = two_cell_cat()
+    with pytest.raises(IllTypedPath, match="empty composite"):
+        cat.expr_type(node(()))
+    with pytest.raises(IllTypedPath, match="empty composite"):
+        PresentedTwoCat(cat.zero_cells, cat.gen_one_cells, (),
+                        ((node(()), EId(Path(("X",), "a", "b"))),))
 
 
 # --- functors --------------------------------------------------------------
@@ -342,6 +354,45 @@ def test_verify_main_theorem_checks_each_qsystem_once(monkeypatch):
         assert verify_main_theorem(cat, f, endf, rng=seed).passes(1e-7)
         zero_cells += len(cat.zero_cells)
     assert zero_cells == len(calls) == 26
+
+
+def test_verify_main_theorem_builds_each_endf_tensor_once(monkeypatch):
+    # the input check and the split of a zero-cell read the one
+    # QSystemData that EndFQSystem.at hands out for it
+    built = []
+    build = QSystemData.tensor.func
+
+    def counted(q):
+        built.append(q)
+        return build(q)
+
+    tensor = functools.cached_property(counted)
+    tensor.__set_name__(QSystemData, "tensor")
+    monkeypatch.setattr(QSystemData, "tensor", tensor)
+    cat, f, endf = product_scenario(np.random.default_rng(1))
+    assert verify_main_theorem(cat, f, endf, rng=1).passes(1e-7)
+    assert len(cat.zero_cells) == 2
+    assert built == [endf.at(a) for a in cat.zero_cells]
+
+
+def test_verify_main_theorem_builds_each_dual_qsystem_once(monkeypatch):
+    # the gamma_action section reads the dual-pair Q-system of the split
+    calls = []
+
+    def counted(pair):
+        calls.append(pair)
+        return qsystem_from_dual(pair)
+
+    for module in (funcat, splitting):
+        monkeypatch.setattr(module, "qsystem_from_dual", counted)
+    cat, f, endf = product_scenario(np.random.default_rng(1))
+    out = verify_main_theorem(cat, f, endf, rng=1)
+    assert out.passes(1e-7)
+    splits = out.gconstruction.splits
+    assert calls == [splits[a].pair for a in cat.zero_cells]
+    for a in cat.zero_cells:
+        pair = splits[a].pair
+        assert splits[a].dual.Q is hcomp1(pair.X, pair.Xbar)
 
 
 def test_trivial_endf_recovers_F():
