@@ -25,7 +25,6 @@ from .errors import IllTypedPath, ParseError, QhilbError
 from .funcat import constant_functor_scenario, verify_main_theorem
 from .generate import product_scenario, random_presentation, random_qsystem
 from .linalg import Tolerance
-from .qsystem import check_qsystem
 from .serialize import (
     constant_from_json,
     constant_to_json,
@@ -94,7 +93,7 @@ def cmd_check_qsystem(args) -> int:
     tol = args.tolerance
     doc = _load(args.file, ("qsystem",))
     q = qsystem_from_json(doc)
-    rep = check_qsystem(q)
+    rep = q.residuals
     return _emit(rep.rows(tol.atol), rep.info, args.json,
                  f"Q-system axioms ({args.file})")
 
@@ -134,6 +133,8 @@ def cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.kind == "qsystem":
         size = args.size
+        if size < 1:
+            raise ParseError("--size must be at least 1")
         if size > 64:
             raise ParseError("--size must be at most 64")
         blocks = max(1, min(3, size // 3))
@@ -192,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("qsystem", "scenario", "constant"),
                    required=True)
     p.add_argument("--size", type=int, default=8,
-                   help="total dimension budget of --kind qsystem (max 64)")
+                   help="1-64, --kind qsystem: max(1, min(3, size//3)) blocks over "
+                        "max(1, min(3, size//4)) zero-cells, N <= 24 (default 8)")
     seed(p)
     p.add_argument("--out", default=None, help="output file")
     p.set_defaults(func=cmd_gen)
@@ -208,8 +210,8 @@ def main(argv=None) -> int:
         try:
             args.tolerance = Tolerance(atol=args.tol, gap_tol=args.gap_tol)
         except ValueError:
-            parser.error(f"need 0 < --tol <= --gap-tol, got --tol {args.tol} "
-                         f"--gap-tol {args.gap_tol}")
+            parser.error(f"need 0 < --tol <= --gap-tol, both finite, got --tol "
+                         f"{args.tol} --gap-tol {args.gap_tol}")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -49,13 +49,12 @@ from .presentation import EDagger, EGen, EHComp, EId, EVComp, Path, PresentedTwo
 from .qsystem import (
     DualPair,
     QSystemData,
-    check_qsystem,
     qsystem_from_dual,
     standard_dual_pair,
     zigzag_residuals,
 )
 from .report import ResidualReport
-from .splitting import SplitResult, _split, split_projection
+from .splitting import SplitResult, split_projection, split_qsystem
 
 __all__ = [
     "FunctorData",
@@ -414,21 +413,12 @@ def check_endf_qsystem(cat: PresentedTwoCat, f: FunctorData,
     ``psi`` and sliding residuals of the multiplication and unit."""
     rep = ResidualReport()
     for a in cat.zero_cells:
-        rep.extend(f"qsystem[{a}].", check_qsystem(q.at(a)))
+        rep.extend(f"qsystem[{a}].", q.at(a).residuals)
     rep.extend("psi.", check_transformation(q.psi))
     psi2 = tensor_transformations(q.psi, q.psi)
     rep.extend("m.", check_modification(q.m, psi2, q.psi))
     rep.extend("i.", check_modification(q.i, identity_transformation(f), q.psi))
     return rep
-
-
-def _qsystem_residuals(rep: ResidualReport, a: str) -> ResidualReport:
-    """``check_qsystem(q.at(a))`` as ``check_endf_qsystem`` put it in ``rep``."""
-    part, prefix = ResidualReport(), f"qsystem[{a}]."
-    for name, value in rep.residuals.items():
-        if name.startswith(prefix) and "." not in name[len(prefix):]:
-            part.add(name[len(prefix):], value)
-    return part
 
 
 def qsystem_from_dualizable_transformation(phi: TransformationData,
@@ -470,7 +460,7 @@ class GConstruction:
     images of generator two-cells.
 
     Raises ``InvalidQSystem`` when an ``input`` residual exceeds
-    ``100 atol``.
+    ``100 atol``; ``split_qsystem`` gates each zero-cell at ``10 atol``.
     """
 
     def __init__(self, cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
@@ -494,7 +484,7 @@ class GConstruction:
         self._capped: dict[tuple[Path, Path], BlockTwoCell] = {}
         self._tensorators: dict[tuple[Path, Path], BlockTwoCell] = {}
         for a in cat.zero_cells:
-            res = _split(q.at(a), _qsystem_residuals(self.input, a), tol, rng)
+            res = split_qsystem(q.at(a), tol, rng)
             self.splits[a] = res
             self.xbar[a] = res.pair.X
             self.x[a] = res.pair.Xbar

@@ -41,8 +41,8 @@ class Tolerance:
     gap_tol: float = 1e-6
 
     def __post_init__(self):
-        if not (self.atol > 0 and self.gap_tol > 0 and self.gap_tol >= self.atol):
-            raise ValueError("need 0 < atol <= gap_tol")
+        if not 0 < self.atol <= self.gap_tol < np.inf:
+            raise ValueError("need 0 < atol <= gap_tol < inf")
 
 
 def as_matrix(a) -> np.ndarray:

@@ -97,6 +97,11 @@ class QSystemData:
         t.flags.writeable = False
         return t
 
+    @cached_property
+    def residuals(self) -> ResidualReport:
+        """``check_qsystem(self)``, computed once and shared by every reader."""
+        return check_qsystem(self)
+
 
 @dataclass(frozen=True, eq=False)
 class DualPair:

@@ -260,14 +260,17 @@ def scenario_to_json(cat: PresentedTwoCat, f: FunctorData,
 
 def scenario_from_json(d: dict):
     """Scenario ``(cat, f, q)``; ``on0``, ``psi0``, ``m`` and ``i`` must
-    cover every zero-cell and ``on1``, ``psi1`` every generator."""
+    cover every zero-cell, ``on1``, ``psi1`` every generator and ``on2``
+    (optional without generator two-cells) every generator two-cell."""
     try:
         cat = presentation_from_json(d["presentation"])
         fd, qd = d["functor"], d["qsystem"]
         zero = cat.zero_cells
         gens = [g.label for g in cat.gen_one_cells]
+        twos = [t.label for t in cat.gen_two_cells]
         for table, keys, what in ((fd["on0"], zero, "functor.on0"),
                                   (fd["on1"], gens, "functor.on1"),
+                                  (fd.get("on2", {}), twos, "functor.on2"),
                                   (qd["psi0"], zero, "qsystem.psi0"),
                                   (qd["psi1"], gens, "qsystem.psi1"),
                                   (qd["m"], zero, "qsystem.m"),

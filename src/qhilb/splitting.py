@@ -1,10 +1,12 @@
 """Splitting projections and Q-systems.
 
 ``split_projection`` realizes local orthogonal projection completeness
-of the graded matrix model.  ``split_qsystem`` realizes Q-system
-completeness: every Q-system ``Q`` is exhibited as ``X . Xbar`` for a
-balanced dual pair over a new zero-cell, together with the unitary
-``gamma : X . Xbar -> Q`` intertwining multiplication and unit.
+of the graded matrix model; it checks the whole projection once.
+``split_qsystem`` realizes Q-system completeness: every Q-system ``Q``
+is exhibited as ``X . Xbar`` for a balanced dual pair over a new
+zero-cell, together with the unitary ``gamma : X . Xbar -> Q``
+intertwining multiplication and unit.  Its gate reads the cached
+``QSystemData.residuals``, so no Q-system is checked twice.
 
 The algorithm works on the total space of ``Q`` viewed as an
 associative algebra via left/right multiplication operators, the
@@ -32,20 +34,20 @@ from .cells import (
     GradedOneCell,
     ZeroCell,
     _hcomp_plan,
-    projection_residual,
     sector_mask,
 )
 from .errors import (
+    CellMismatch,
     DegenerateRandomElement,
     InvalidQSystem,
     NormalizationFailure,
     NotAProjection,
 )
-from .linalg import Tolerance, dagger, frob, herm_part, range_isometry, spectral_projections
+from .linalg import (Tolerance, _check_projection, dagger, frob, herm_part,
+                     range_isometry, spectral_projections)
 from .qsystem import (
     DualPair,
     QSystemData,
-    check_qsystem,
     check_qsystem_iso,
     qsystem_from_dual,
     standard_dual_pair,
@@ -85,40 +87,35 @@ def split_projection(x: GradedOneCell, p: BlockTwoCell,
     Returns ``(y, u)`` with ``u : y -> x`` an isometry, ``u* u = id`` and
     ``u u* = p``.  ``y`` carries one basis vector per unit of sector
     rank, graded pairs sorted by (row, col).
+
+    ``|p - p*|``, ``|p^2 - p|`` and the norm of ``p`` off the grading
+    sectors must be at most ``10 atol max(1, |p|)`` (``NotAProjection``);
+    then the eigenvectors above 1/2 of each sector block span its range.
     """
     if p.source is not x or p.target is not x:
         raise NotAProjection("projection must be an endo two-cell on x")
-    scale = max(1.0, frob(p.mat))
-    if projection_residual(p) > 10 * tol.atol * scale:
-        raise NotAProjection("two-cell is not a hermitian idempotent")
+    _check_projection(p.mat, tol)
+    if frob(p.mat[~sector_mask(x, x)]) > 10 * tol.atol * max(1.0, frob(p.mat)):
+        raise NotAProjection("matrix has weight off the grading sectors")
 
-    sectors = x.sectors()
     grading: list[tuple[int, int]] = []
-    blocks = []   # (basis indices of a sector, isometry onto its range)
-    for g in sorted(sectors):
-        idx = np.array(sectors[g], dtype=int)
-        v = range_isometry(herm_part(p.mat[np.ix_(idx, idx)]), tol)
+    cols = [np.zeros((x.dim, 0), dtype=complex)]   # u's columns, sector by sector
+    for g, idx in sorted(x.sectors().items()):
+        w, e = np.linalg.eigh(herm_part(p.mat[np.ix_(idx, idx)]))
+        v = np.zeros((x.dim, np.count_nonzero(w > 0.5)), dtype=complex)
+        v[idx] = e[:, w > 0.5]
         grading += [g] * v.shape[1]
-        blocks.append((idx, v))
+        cols.append(v)
     y = GradedOneCell(x.src, x.tgt, tuple(grading))
-    mat = np.zeros((x.dim, y.dim), dtype=complex)
-    col = 0
-    for idx, v in blocks:
-        mat[idx, col:col + v.shape[1]] = v
-        col += v.shape[1]
-    return y, BlockTwoCell(y, x, mat)
+    return y, BlockTwoCell(y, x, np.hstack(cols))
 
 
 def regular_reps(q: QSystemData, tol: Tolerance = Tolerance()) -> np.ndarray:
     """``q.tensor`` of a valid Q-system, whose slices ``t[:, a, :]`` and
-    ``t[:, :, b]`` are its left and right multiplication operators."""
-    return _checked_reps(q, check_qsystem(q), tol)
-
-
-def _checked_reps(q: QSystemData, rep: ResidualReport, tol: Tolerance) -> np.ndarray:
-    """``regular_reps`` of ``q``, whose ``check_qsystem`` residuals are ``rep``."""
-    if not rep.passes(10 * tol.atol):
-        name, value = rep.worst()
+    ``t[:, :, b]`` are its left and right multiplication operators;
+    ``InvalidQSystem`` if ``q.residuals`` exceeds ``10 atol``."""
+    if not q.residuals.passes(10 * tol.atol):
+        name, value = q.residuals.worst()
         raise InvalidQSystem(f"axiom {name} fails with residual {value:.3e}")
     return q.tensor
 
@@ -212,15 +209,14 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
 
     The returned data satisfies ``gamma`` unitary,
     ``gamma (id . ev . id) = m (gamma . gamma)`` and
-    ``gamma coev = i`` within ``10 atol``.
+    ``gamma coev = i`` within ``10 atol``.  A zero-dimensional ``Q``
+    raises ``CellMismatch``: its split would need a zero-cell of size 0.
     """
-    return _split(q, check_qsystem(q), tol, np.random.default_rng(rng))
-
-
-def _split(q: QSystemData, checked: ResidualReport, tol: Tolerance,
-           rng: np.random.Generator) -> SplitResult:
-    """``split_qsystem`` of ``q``, whose ``check_qsystem`` residuals are ``checked``."""
-    tensor = _checked_reps(q, checked, tol)
+    if q.Q.dim == 0:
+        raise CellMismatch("cannot split a zero-dimensional Q-system: "
+                           "it would need a zero-cell of size 0")
+    tensor = regular_reps(q, tol)
+    rng = np.random.default_rng(rng)
     zs = _central_projections(tensor, tol, rng)
     Q = q.Q
     n_rows = Q.tgt.n

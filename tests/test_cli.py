@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from qhilb import cli, qsystem, splitting
-from qhilb.cells import dagger2, hcomp2, id2, residual, sector_mask, vcomp
+from qhilb.cells import (dagger2, hcomp1, hcomp2, id1, id2, one_cell, residual,
+                         sector_mask, two_cell, vcomp)
 from qhilb.cli import main
 from qhilb.generate import product_scenario, random_qsystem
-from qhilb.qsystem import check_qsystem
+from qhilb.qsystem import QSystemData, check_qsystem
 from qhilb.serialize import (
     dump_document,
     load_document,
@@ -410,7 +411,8 @@ def test_invalid_tolerance_is_usage_error(tmp_path, capsys):
     qfile = str(tmp_path / "q.json")
     run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
     for flags in (["--tol", "-1"], ["--tol", "0"], ["--gap-tol", "-1"],
-                  ["--tol", "1e-3", "--gap-tol", "1e-6"]):
+                  ["--tol", "1e-3", "--gap-tol", "1e-6"],
+                  ["--tol", "inf", "--gap-tol", "inf"], ["--gap-tol", "inf"]):
         with pytest.raises(SystemExit) as exc:
             main(["check-qsystem", qfile, *flags])
         assert exc.value.code == 2
@@ -429,12 +431,13 @@ def _first(table):
     lambda d: d["functor"]["on0"].update({_first(d["functor"]["on0"]): True}),
     lambda d: d["functor"]["on0"].pop(_first(d["functor"]["on0"])),
     lambda d: d["functor"]["on1"].pop(_first(d["functor"]["on1"])),
+    lambda d: d["functor"]["on2"].clear(),
     lambda d: d["qsystem"]["psi0"].pop(_first(d["qsystem"]["psi0"])),
     lambda d: d["qsystem"]["psi1"].clear(),
     lambda d: d["qsystem"]["m"].pop(_first(d["qsystem"]["m"])),
     lambda d: d["qsystem"]["i"].pop(_first(d["qsystem"]["i"])),
 ], ids=["on0_not_integer", "on0_float", "on0_bool", "on0_missing", "on1_missing",
-        "psi0_missing", "psi1_empty", "m_missing", "i_missing"])
+        "on2_empty", "psi0_missing", "psi1_empty", "m_missing", "i_missing"])
 def test_exit_code_incomplete_scenario(tmp_path, capsys, mutate):
     sc = str(tmp_path / "sc.json")
     run(capsys, "gen", "--kind", "scenario", "--seed", "1", "--out", sc)
@@ -563,6 +566,24 @@ def test_gen_size_applies_to_qsystem_only(tmp_path, capsys):
     code = main(["gen", "--kind", "qsystem", "--size", "65", "--out", str(tmp_path / "q.json")])
     assert code == 2
     assert capsys.readouterr().err == "error: --size must be at most 64\n"
+    for size in ("0", "-3"):
+        code = main(["gen", "--kind", "qsystem", "--size", size, "--out", str(tmp_path / "q.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --size must be at least 1\n"
+    assert not (tmp_path / "q.json").exists()
+
+
+def test_split_zero_dimensional_qsystem_is_shape_error(tmp_path, capsys):
+    # it passes the axiom check, but its split needs a zero-cell of size 0
+    Q = one_cell(2, 2, [])
+    q = QSystemData(Q, two_cell(hcomp1(Q, Q), Q, np.zeros((0, 0))),
+                    two_cell(id1(Q.src), Q, np.zeros((0, 2))))
+    qfile = str(tmp_path / "q.json")
+    dump_document(qsystem_to_json(q), qfile)
+    assert run(capsys, "check-qsystem", qfile)[0] == 0
+    assert main(["split-qsystem", qfile]) == 3
+    assert capsys.readouterr().err == ("error: cannot split a zero-dimensional Q-system: "
+                                       "it would need a zero-cell of size 0\n")
 
 
 @pytest.mark.parametrize("command", ["gen", "split-qsystem", "verify-fun"])

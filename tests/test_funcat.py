@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from qhilb import funcat, splitting
+from qhilb import funcat, qsystem, splitting
 from qhilb.cells import (
     dagger2,
     hcomp1,
@@ -346,14 +346,36 @@ def test_verify_main_theorem_checks_each_qsystem_once(monkeypatch):
         calls.append(q)
         return check_qsystem(q)
 
-    for module in (funcat, splitting):
-        monkeypatch.setattr(module, "check_qsystem", counted)
+    monkeypatch.setattr(qsystem, "check_qsystem", counted)
     zero_cells = 0
     for seed in range(10):
         cat, f, endf = product_scenario(np.random.default_rng(seed))
         assert verify_main_theorem(cat, f, endf, rng=seed).passes(1e-7)
         zero_cells += len(cat.zero_cells)
     assert zero_cells == len(calls) == 26
+
+
+def test_verify_main_theorem_builds_each_qsystem_report_once(monkeypatch):
+    # the input check and the split of a zero-cell read the one cached
+    # QSystemData.residuals of the Q-system that EndFQSystem.at hands out
+    built = []
+    build = QSystemData.residuals.func
+
+    def counted(q):
+        built.append(q)
+        return build(q)
+
+    residuals = functools.cached_property(counted)
+    residuals.__set_name__(QSystemData, "residuals")
+    monkeypatch.setattr(QSystemData, "residuals", residuals)
+    zero_cells = 0
+    for seed in range(10):
+        cat, f, endf = product_scenario(np.random.default_rng(seed))
+        out = verify_main_theorem(cat, f, endf, rng=seed)
+        assert out.passes(1e-7)
+        assert built[zero_cells:] == [endf.at(a) for a in cat.zero_cells]
+        zero_cells += len(cat.zero_cells)
+    assert len(built) == 26
 
 
 def test_verify_main_theorem_builds_each_endf_tensor_once(monkeypatch):

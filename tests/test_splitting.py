@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qhilb import splitting
+from qhilb import linalg, splitting
 from qhilb.cells import (
     GradedOneCell,
     ZeroCell,
@@ -87,6 +87,39 @@ def test_split_projection_rejects():
     from qhilb.generate import random_sector_matrix
     with pytest.raises(NotAProjection):
         split_projection(x, random_sector_matrix(RNG, x, x))
+
+
+def test_split_projection_rejects_weight_off_the_sectors():
+    # an exact projection that mixes two one-dimensional sectors: each
+    # sector block alone is within 10 atol of a projection, but no u
+    # graded by sector has u u* = p
+    x = one_cell(2, 1, [(1, 1), (1, 2)])
+    v = np.array([np.cos(1e-5), np.sin(1e-5)])
+    p = two_cell(x, x, np.outer(v, v))
+    with pytest.raises(NotAProjection, match="off the grading sectors"):
+        split_projection(x, p)
+
+
+def test_split_projection_checks_once(monkeypatch):
+    # the whole projection is checked once; its sector blocks are not
+    # checked again
+    calls = []
+    check = linalg._check_projection
+
+    def counted(p, tol):
+        calls.append(p.shape)
+        return check(p, tol)
+
+    def isometry(*args):
+        raise AssertionError("range_isometry called")
+
+    for module in (linalg, splitting):
+        monkeypatch.setattr(module, "_check_projection", counted)
+        monkeypatch.setattr(module, "range_isometry", isometry)
+    x = one_cell(1, 2, [(1, 1)] * 3 + [(2, 1)] * 4)
+    y, u = split_projection(x, id2(x))
+    assert calls == [(7, 7)] and y is x
+    assert frob(u.mat - np.eye(7)) == 0
 
 
 def left_ops(t):
