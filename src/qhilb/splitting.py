@@ -11,15 +11,19 @@ intertwining multiplication and unit.  Its gate reads the cached
 The algorithm works on the total space of ``Q`` viewed as an
 associative algebra via left/right multiplication operators, the
 slices ``t[:, a, :]`` and ``t[:, :, b]`` of ``QSystemData.tensor``.
-The center is the null space of the commutator map ``z -> z a - a z``
-on the structure constants (an ``N^2 x N`` matrix), the hermitian part of
-left multiplication by a random central element separates the simple
-blocks (the random-element method of Murota, Kanno, Kojima and Kojima,
-Japan J. Indust. Appl. Math. 27 (2010)), and a minimal projection in
-the compressed right-multiplication algebra cuts each block down to a
-column space.  Compressing *left* multiplication to those column spaces
-is an algebra map by construction, which is what makes ``gamma``
-multiplicative.
+The center is the null space of the ``N^2 x N`` commutator map
+``z -> z a - a z``, from ``eigh`` of its ``N x N`` Gram matrix.  The
+hermitian part of left multiplication by a random central element
+separates the simple blocks (the random-element method of Murota,
+Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)), and
+in each block a spectral projection of the hermitian part of compressed
+right multiplication by one random vector is a minimal projection that
+cuts the block down to a column space.  Compressing *left*
+multiplication to those column spaces is an algebra map by
+construction, which is what makes ``gamma`` multiplicative.  The
+blocks are ordered by dimension and row profile, so ``X`` does not
+depend on the random draws; ``gamma`` is fixed up to a unitary gauge
+that the draws choose, so a seed fixes every byte of the result.
 """
 
 from __future__ import annotations
@@ -120,26 +124,21 @@ def regular_reps(q: QSystemData, tol: Tolerance = Tolerance()) -> np.ndarray:
     return q.tensor
 
 
-def _random_hermitian_in_span(rng: np.random.Generator, basis) -> np.ndarray:
-    coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    t = sum(c * b for c, b in zip(coeff, basis))
-    return herm_part(t)
-
-
 def center_basis(t: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Orthonormal basis (as columns) of the center of the algebra with
     multiplication tensor ``t``.
 
     ``z`` is central iff ``z a - a z = 0`` for every basis vector ``a``,
     so the center is the null space of the ``N^2 x N`` map
-    ``z -> (t[:, z, a] - t[:, a, z])_a``.  Singular values at most
-    ``gap_tol * max(1, sigma_max)`` count as zero.
+    ``C : z -> (t[:, z, a] - t[:, a, z])_a``: the eigenvectors of the
+    ``N x N`` Gram ``C* C`` with eigenvalue at most
+    ``(gap_tol * max(1, sigma_max))^2``, that is, the singular vectors of
+    ``C`` with singular value at most ``gap_tol * max(1, sigma_max)``.
     """
     n = t.shape[0]
     comm = (t.transpose(0, 2, 1) - t).reshape(n * n, n)
-    _, s, vh = np.linalg.svd(comm, full_matrices=False)
-    cut = tol.gap_tol * max(1.0, float(s[0]) if len(s) else 1.0)
-    return vh[s <= cut].conj().T
+    lam, e = np.linalg.eigh(dagger(comm) @ comm)
+    return e[:, lam <= tol.gap_tol ** 2 * lam.max(initial=1.0)]
 
 
 def central_decomposition(q: QSystemData, tol: Tolerance = Tolerance(),
@@ -160,7 +159,8 @@ def _central_projections(t: np.ndarray, tol: Tolerance, rng: np.random.Generator
     center = np.tensordot(center_basis(t, tol), t.transpose(1, 0, 2), axes=(0, 0))
     k = len(center)
     for _ in range(_MAX_RANDOM_ATTEMPTS):
-        h = _random_hermitian_in_span(rng, center)
+        coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        h = herm_part(sum(c * z for c, z in zip(coeff, center)))
         clusters = spectral_projections(h, tol)
         if len(clusters) != k:
             continue
@@ -178,19 +178,16 @@ def _support_key(z: np.ndarray):
     return (rank, first)
 
 
-def _minimal_projection(ops, w, d, tol, rng):
-    """Rank-``d`` spectral projection of a random hermitian element of
-    the compressed operator span (columns of ``w`` = block range)."""
-    comp = dagger(w) @ ops @ w
-    comp = np.concatenate([comp, comp.conj().transpose(0, 2, 1)])
-    # orthonormalize the compressed span to draw uniformly from it
-    vecs = comp.reshape(len(comp), -1).T
-    u, s, _ = np.linalg.svd(vecs, full_matrices=False)
-    keep = s > tol.gap_tol * max(1.0, float(s[0]) if len(s) else 1.0)
-    basis = [u[:, j].reshape(comp[0].shape) for j in range(u.shape[1]) if keep[j]]
+def _minimal_projection(t, w, d, tol, rng):
+    """Rank-``d`` spectral projection of ``herm(w* (t @ x) w)``, the
+    compressed right multiplication by a random complex Gaussian ``x``
+    (columns of ``w`` = block range).  Its hermitian parts cover every
+    hermitian element of the compressed span plus its adjoints, so
+    ``x`` is generic with probability 1."""
+    n = t.shape[0]
     for _ in range(_MAX_RANDOM_ATTEMPTS):
-        h = _random_hermitian_in_span(rng, basis)
-        clusters = spectral_projections(h, tol)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        clusters = spectral_projections(herm_part(dagger(w) @ (t @ x) @ w), tol)
         ranks = [int(round(float(np.real(np.trace(p))))) for _, p in clusters]
         if all(r == d for r in ranks) and len(clusters) * d == w.shape[1]:
             return clusters[0][1]
@@ -204,7 +201,8 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     Steps: regular representations; central decomposition into ``k``
     simple blocks; one minimal right-multiplication projection per
     block; the column spaces, refined by the row grading, become the
-    sectors of ``X``; compressed left multiplication, rescaled to be
+    sectors of ``X``, blocks sorted by dimension, then by rows and
+    their column counts; compressed left multiplication, rescaled to be
     isometric block by block, is ``gamma*``.
 
     The returned data satisfies ``gamma`` unitary,
@@ -231,7 +229,7 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
         d_t = isqrt(m_t)
         if d_t * d_t != m_t:
             raise InvalidQSystem("central block dimension is not a perfect square")
-        f = w @ _minimal_projection(tensor.transpose(2, 0, 1), w, d_t, tol, rng) @ dagger(w)
+        f = w @ _minimal_projection(tensor, w, d_t, tol, rng) @ dagger(w)
         per_row = {}
         for j in range(1, n_rows + 1):
             pj = f * (rows == j)  # f composed with the row-j projection
@@ -242,7 +240,7 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
         if total != d_t:
             raise InvalidQSystem("block column space does not refine the row grading")
         blocks.append((d_t, per_row))
-    blocks.sort(key=lambda b: (b[0], min(b[1])))
+    blocks.sort(key=lambda b: (b[0], [(j, v.shape[1]) for j, v in sorted(b[1].items())]))
     k = len(blocks)
 
     # X : k -> b, grading pairs (row j, block t) sorted lexicographically

@@ -1,4 +1,5 @@
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 from qhilb import linalg, splitting
 from qhilb.cells import (
+    BlockTwoCell,
     GradedOneCell,
     ZeroCell,
     dagger2,
+    hcomp2,
     hcomp_pairs,
     id2,
     one_cell,
@@ -17,7 +20,8 @@ from qhilb.cells import (
     two_cell,
     vcomp,
 )
-from qhilb.errors import NotAProjection
+from qhilb.cli import main
+from qhilb.errors import DegenerateRandomElement, NotAProjection
 from qhilb.generate import (
     dress_qsystem,
     dsum_qsystems,
@@ -330,10 +334,11 @@ def test_split_builds_the_multiplication_tensor_once(monkeypatch):
 
 
 @st.composite
-def block_structures(draw):
+def block_structures(draw, max_dim=24):
     """Per-block sector dimensions over the rows of a dual-pair cell
-    ``X : k -> b``, as ``(rows, sectors)`` with ``sectors[t][r]``; with
-    ``equal`` every block repeats the first one."""
+    ``X : k -> b``, as ``(rows, sectors)`` with ``sectors[t][r]`` and at
+    most ``max_dim`` basis vectors in ``X . Xbar``; half of the draws
+    repeat the first block in every block."""
     rows = draw(st.integers(1, 3))
     k = draw(st.integers(1, 3))
     column = st.lists(st.integers(0, 2), min_size=rows, max_size=rows).filter(any)
@@ -342,8 +347,20 @@ def block_structures(draw):
         sectors = [first] * k
     else:
         sectors = [first] + [draw(column) for _ in range(k - 1)]
-    assume(sum(sum(col) ** 2 for col in sectors) <= 24)
+    assume(sum(sum(col) ** 2 for col in sectors) <= max_dim)
     return rows, sectors
+
+
+def dual_pair_qsystem(structure, rng, dressed):
+    """The Q-system of the dual pair of ``block_structures``' cell,
+    dressed by a random sector unitary if ``dressed``."""
+    rows, sectors = structure
+    k = len(sectors)
+    grading = tuple((r + 1, t + 1) for r in range(rows) for t in range(k)
+                    for _ in range(sectors[t][r]))
+    x = GradedOneCell(ZeroCell(k), ZeroCell(rows), grading)
+    q = qsystem_from_dual(standard_dual_pair(x))
+    return dress_qsystem(rng, q) if dressed else q
 
 
 @given(block_structures(), st.booleans(), st.integers(0, 2 ** 32 - 1))
@@ -351,13 +368,8 @@ def block_structures(draw):
 def test_center_of_dual_pair_qsystems(structure, dressed, seed):
     rows, sectors = structure
     k = len(sectors)
-    grading = tuple((r + 1, t + 1) for r in range(rows) for t in range(k)
-                    for _ in range(sectors[t][r]))
-    x = GradedOneCell(ZeroCell(k), ZeroCell(rows), grading)
     rng = np.random.default_rng(seed)
-    q = qsystem_from_dual(standard_dual_pair(x))
-    if dressed:
-        q = dress_qsystem(rng, q)
+    q = dual_pair_qsystem(structure, rng, dressed)
     tol = Tolerance()
     t = regular_reps(q, tol)
 
@@ -381,3 +393,97 @@ def test_center_basis_phase_does_not_matter(monkeypatch):
                         lambda t, tol: 1j * center_basis(t, tol))
     zs = central_decomposition(trivial_qsystem(3), rng=np.random.default_rng(1))
     assert len(zs) == 3
+
+
+def svd_center_basis(t, tol):
+    """The center as the null space of the ``N^2 x N`` commutator map,
+    from its SVD with the cut ``gap_tol max(1, sigma_max)``."""
+    n = t.shape[0]
+    comm = (t.transpose(0, 2, 1) - t).reshape(n * n, n)
+    _, s, vh = np.linalg.svd(comm, full_matrices=False)
+    cut = tol.gap_tol * max(1.0, float(s[0]) if len(s) else 1.0)
+    return vh[s <= cut].conj().T
+
+
+@given(block_structures(max_dim=36), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_center_basis_spans_the_svd_null_space(structure, dressed, seed):
+    q = dual_pair_qsystem(structure, np.random.default_rng(seed), dressed)
+    tol = Tolerance()
+    z, oracle = center_basis(q.tensor, tol), svd_center_basis(q.tensor, tol)
+    assert z.shape == oracle.shape == (q.Q.dim, len(structure[1]))
+    assert frob(dagger(z) @ z - np.eye(z.shape[1])) < 1e-10
+    assert frob(z @ dagger(z) - oracle @ dagger(oracle)) < 1e-10
+
+
+def test_minimal_projection_gives_up_on_a_constant_draw():
+    # the zero vector draws the zero right multiplication, whose one
+    # cluster has rank d^2, not d, on every attempt
+    class ZeroRng:
+        calls = 0
+
+        def standard_normal(self, n):
+            self.calls += 1
+            return np.zeros(n)
+
+    x = one_cell(1, 2, [(1, 1), (1, 1), (2, 1)])
+    t = qsystem_from_dual(standard_dual_pair(x)).tensor
+    rng = ZeroRng()
+    with pytest.raises(DegenerateRandomElement):
+        splitting._minimal_projection(t, np.eye(9), 3, Tolerance(), rng)
+    # one complex draw is a real and an imaginary standard normal vector
+    assert rng.calls == 2 * splitting._MAX_RANDOM_ATTEMPTS
+
+
+def test_split_calls_no_svd(monkeypatch, capsys):
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    x = one_cell(1, 2, [(1, 1)] * 3 + [(2, 1)] * 3)
+    q = dress_qsystem(np.random.default_rng(3), qsystem_from_dual(standard_dual_pair(x)))
+    assert q.Q.dim == 36
+    res = split_qsystem(q, rng=np.random.default_rng(0))
+    assert block_dims(res) == [6] and res.iso.passes(1e-8)
+    path = Path(__file__).parent / "data" / "scenario-schema2.json"
+    assert main(["verify-fun", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+
+
+def permuted_qsystem(q, rng):
+    """``q`` with the basis of ``Q`` permuted inside each grading sector,
+    ``m`` and ``i`` conjugated to match."""
+    perm = np.arange(q.Q.dim)
+    for idx in q.Q.sectors().values():
+        perm[idx] = rng.permutation(idx)
+    p = BlockTwoCell(q.Q, q.Q, np.eye(q.Q.dim)[perm])
+    return QSystemData(q.Q, vcomp(p, vcomp(q.m, hcomp2(dagger2(p), dagger2(p)))),
+                       vcomp(p, q.i))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_basis_order_invariance(zero_cell, blocks, seed):
+    rng = np.random.default_rng(seed)
+    q, dims = random_qsystem(rng, zero_cell=zero_cell, blocks=blocks)
+    qp = permuted_qsystem(q, rng)
+    for name, value in q.residuals.residuals.items():
+        assert abs(qp.residuals[name] - value) <= 1e-12 * max(1.0, frob(q.m.mat))
+    tol = Tolerance()
+    res, resp = (split_qsystem(a, tol, np.random.default_rng(seed)) for a in (q, qp))
+    assert res.k == resp.k and block_dims(res) == block_dims(resp) == dims
+    # the blocks are ordered by their row profiles, which a basis order
+    # inside the sectors does not change
+    assert resp.pair.X is res.pair.X
+    assert resp.iso.passes(10 * tol.atol)
+
+
+def test_block_order_does_not_depend_on_the_random_elements():
+    # two blocks of dimension 2 that both start in row 1; the row
+    # profiles, not the order of the random element's clusters, set
+    # which block comes first
+    x = one_cell(2, 2, [(1, 1), (1, 2), (1, 2), (2, 1)])
+    q = dress_qsystem(np.random.default_rng(1), qsystem_from_dual(standard_dual_pair(x)))
+    gradings = {split_qsystem(q, rng=np.random.default_rng(s)).pair.X.grading
+                for s in range(10)}
+    assert gradings == {((1, 1), (1, 2), (1, 2), (2, 1))}

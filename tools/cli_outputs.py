@@ -3,6 +3,7 @@
 Usage::
 
     python3 tools/cli_outputs.py TREE OUTDIR
+    python3 tools/cli_outputs.py --compare OLD_OUTDIR NEW_OUTDIR
 
 Imports ``qhilb`` from ``TREE/src`` and calls ``qhilb.cli.main``
 in-process with ``OUTDIR`` as the working directory, so the file paths
@@ -17,13 +18,24 @@ Each run leaves ``runs/<name>.code``, ``.stdout`` and ``.stderr``
 (an uncaught exception is recorded as its type and message); files that
 runs write go to ``files/``.  Two trees behave the same on these runs
 exactly when ``diff -r`` of their two OUTDIRs is empty.
+
+``--compare`` reads two such OUTDIRs for a change that may move
+residuals by rounding and the gauge of a split's ``gamma``, but nothing
+else.  It requires the same runs, exit codes and stderr, and stdout
+that is the same once each residual is masked (verdicts, row names,
+thresholds, ``k``, ``block_dims``, ``G_zero_cells``); written files
+must be the same bytes, except a ``split_result``'s ``gamma`` entries.
+It prints the largest residual change per command and every mismatch,
+and exits 1 if there is one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
+import re
 import shutil
 import sys
 
@@ -74,11 +86,92 @@ def run(main, argv) -> tuple[str, str, str]:
     return str(code), out.getvalue(), err.getvalue()
 
 
+# a text report row: "  name  residual  <= threshold  ok|FAIL"
+ROW = re.compile(r"^(  \S+ +)(\S+)(  <= \S+  (?:ok|FAIL))$")
+
+
+def masked(stdout: str) -> tuple[str, list[float]]:
+    """``stdout`` with each report residual replaced by ``*``, and the
+    residuals in order."""
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict) and "checks" in doc:
+        values = [check.pop("residual") for check in doc["checks"]]
+        return json.dumps(doc, sort_keys=True), values
+    lines, values = [], []
+    for line in stdout.splitlines():
+        row = ROW.match(line)
+        if row:
+            values.append(float(row[2]))
+            line = f"{row[1]}*{row[3]}"
+        lines.append(line)
+    return "\n".join(lines), values
+
+
+def without_gamma_entries(path: str):
+    """The document at ``path``, with a ``split_result``'s gamma entries
+    dropped."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if doc.get("kind") == "split_result":
+        del doc["gamma"]["entries"]
+    return doc
+
+
+def read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def compare(old: str, new: str) -> int:
+    """Check that OUTDIR ``new`` differs from ``old`` only in residuals
+    and in ``gamma`` entries; print the largest residual change per
+    command and every mismatch."""
+    mismatches, change, gauged = [], {}, 0
+    for name, argv in runs():
+        command = argv[0]
+        change.setdefault(command, 0.0)
+        a, b = (os.path.join(d, "runs", name) for d in (old, new))
+        for ext in ("code", "stderr"):
+            if read(f"{a}.{ext}") != read(f"{b}.{ext}"):
+                mismatches.append(f"{name}.{ext}")
+        (text_a, res_a), (text_b, res_b) = (masked(read(f"{p}.stdout")) for p in (a, b))
+        if text_a != text_b or len(res_a) != len(res_b):
+            mismatches.append(f"{name}.stdout")
+            continue
+        change[command] = max([change[command]]
+                              + [abs(x - y) for x, y in zip(res_a, res_b)])
+    files = [sorted(os.listdir(os.path.join(d, "files"))) for d in (old, new)]
+    if files[0] != files[1]:
+        mismatches.append("files/ (the written files differ in name)")
+    for name in files[0] if files[0] == files[1] else ():
+        a, b = (os.path.join(d, "files", name) for d in (old, new))
+        if read(a) == read(b):
+            continue
+        if without_gamma_entries(a) != without_gamma_entries(b):
+            mismatches.append(f"files/{name}")
+        else:
+            gauged += 1
+    for command, value in change.items():
+        print(f"{command}: largest residual change {value:.3e}")
+    print(f"{gauged} written files differ only in gamma entries")
+    for name in mismatches:
+        print(f"MISMATCH {name}")
+    print(f"{len(mismatches)} mismatches")
+    return 1 if mismatches else 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(*(os.path.abspath(a) for a in argv[1:]))
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: python3 tools/cli_outputs.py TREE OUTDIR", file=sys.stderr)
+        print("usage: python3 tools/cli_outputs.py TREE OUTDIR\n"
+              "       python3 tools/cli_outputs.py --compare OLD_OUTDIR NEW_OUTDIR",
+              file=sys.stderr)
         return 2
     tree, outdir = (os.path.abspath(a) for a in argv)
     sys.path.insert(0, os.path.join(tree, "src"))
