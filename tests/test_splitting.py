@@ -288,18 +288,32 @@ def test_split_gamma_unitary_and_separable():
     assert frob(ev.mat @ dagger(ev.mat) - np.eye(res.k.n)) < 1e-9
 
 
-def test_degenerate_randomness_raises():
-    from qhilb.errors import DegenerateRandomElement
-    from qhilb.splitting import _central_projections
-    from qhilb.linalg import Tolerance
+class ZeroRng:
+    """Draws the constant zero vector and counts the draws."""
 
-    class ZeroRng:
-        def standard_normal(self, n):
-            return np.zeros(n)
+    def __init__(self):
+        self.calls = 0
+
+    def standard_normal(self, n):
+        self.calls += 1
+        return np.zeros(n)
+
+
+def test_degenerate_randomness_raises():
+    from qhilb.splitting import _central_projections
 
     t = regular_reps(trivial_qsystem(3))
     with pytest.raises(DegenerateRandomElement):
         _central_projections(t, Tolerance(), ZeroRng())
+
+    # the zero right multiplication has one cluster, of rank d^2, not d;
+    # each attempt draws a real and an imaginary vector
+    x = one_cell(1, 2, [(1, 1), (1, 1), (2, 1)])
+    t = qsystem_from_dual(standard_dual_pair(x)).tensor
+    rng = ZeroRng()
+    with pytest.raises(DegenerateRandomElement):
+        splitting._minimal_projection(t, np.eye(9), 3, Tolerance(), rng)
+    assert rng.calls == 2 * splitting._MAX_RANDOM_ATTEMPTS
 
 
 def test_split_seed_deterministic():
@@ -366,7 +380,7 @@ def dual_pair_qsystem(structure, rng, dressed):
 @given(block_structures(), st.booleans(), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_center_of_dual_pair_qsystems(structure, dressed, seed):
-    rows, sectors = structure
+    sectors = structure[1]
     k = len(sectors)
     rng = np.random.default_rng(seed)
     q = dual_pair_qsystem(structure, rng, dressed)
@@ -414,25 +428,6 @@ def test_center_basis_spans_the_svd_null_space(structure, dressed, seed):
     assert z.shape == oracle.shape == (q.Q.dim, len(structure[1]))
     assert frob(dagger(z) @ z - np.eye(z.shape[1])) < 1e-10
     assert frob(z @ dagger(z) - oracle @ dagger(oracle)) < 1e-10
-
-
-def test_minimal_projection_gives_up_on_a_constant_draw():
-    # the zero vector draws the zero right multiplication, whose one
-    # cluster has rank d^2, not d, on every attempt
-    class ZeroRng:
-        calls = 0
-
-        def standard_normal(self, n):
-            self.calls += 1
-            return np.zeros(n)
-
-    x = one_cell(1, 2, [(1, 1), (1, 1), (2, 1)])
-    t = qsystem_from_dual(standard_dual_pair(x)).tensor
-    rng = ZeroRng()
-    with pytest.raises(DegenerateRandomElement):
-        splitting._minimal_projection(t, np.eye(9), 3, Tolerance(), rng)
-    # one complex draw is a real and an imaginary standard normal vector
-    assert rng.calls == 2 * splitting._MAX_RANDOM_ATTEMPTS
 
 
 def test_split_calls_no_svd(monkeypatch, capsys):

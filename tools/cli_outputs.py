@@ -110,19 +110,18 @@ def masked(stdout: str) -> tuple[str, list[float]]:
     return "\n".join(lines), values
 
 
-def without_gamma_entries(path: str):
-    """The document at ``path``, with a ``split_result``'s gamma entries
-    dropped."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("kind") == "split_result":
-        del doc["gamma"]["entries"]
-    return doc
-
-
 def read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def without_gamma_entries(path: str):
+    """The document at ``path``, with a ``split_result``'s gamma entries
+    dropped."""
+    doc = json.loads(read(path))
+    if doc.get("kind") == "split_result":
+        del doc["gamma"]["entries"]
+    return doc
 
 
 def compare(old: str, new: str) -> int:
@@ -138,7 +137,7 @@ def compare(old: str, new: str) -> int:
             if read(f"{a}.{ext}") != read(f"{b}.{ext}"):
                 mismatches.append(f"{name}.{ext}")
         (text_a, res_a), (text_b, res_b) = (masked(read(f"{p}.stdout")) for p in (a, b))
-        if text_a != text_b or len(res_a) != len(res_b):
+        if text_a != text_b:
             mismatches.append(f"{name}.stdout")
             continue
         change[command] = max([change[command]]
