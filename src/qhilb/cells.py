@@ -33,11 +33,17 @@ of one-cells rather than once per call:
   ``_Identity2``, which only ``id2`` makes.  Its matrix is read-only,
   like every ``BlockTwoCell.mat``, so sharing it is safe.  Because the
   type marks it as the identity, ``vcomp`` and ``dagger2`` return an
-  operand instead of multiplying by it, and ``hcomp2_many`` (which
-  ``hcomp2`` calls) folds each run of identity factors into one
-  identity on the composite one-cell, so ``id . id`` costs no product
-  and a whisker ``id . f . id`` is one gather per factor with no
-  intermediate two-cell.
+  operand instead of multiplying by it;
+- ``vcomp_many`` evaluates a whiskered composite, a string diagram, into
+  one two-cell.  Its layers are listed top to bottom; a tuple is one
+  horizontal layer, in which a one-cell ``x`` stands for the strand
+  ``id2(x)``, as in ``hcomp2_many``.  ``_gather`` places a layer's
+  factors in the composite basis, a run of identities as one factor,
+  and the layers are multiplied as raw arrays, with the products of the
+  ``hcomp2``/``vcomp`` folds in their order, so the bytes are the same.
+  Products are not associative, so a composite that those folds built
+  first enters as a nested call; even flattening the identities of a
+  nested horizontal composite can flip the sign of a zero entry.
 """
 
 from __future__ import annotations
@@ -176,8 +182,8 @@ _set_mat = BlockTwoCell.mat.__set__
 
 class _Identity2(BlockTwoCell):
     """The identity two-cell on a one-cell.  Only ``id2`` makes one, so
-    ``vcomp``, ``dagger2`` and ``hcomp2_many`` may treat it as the
-    identity without multiplying by its matrix."""
+    ``vcomp``, ``vcomp_many``, ``dagger2`` and ``_gather`` may treat it
+    as the identity without multiplying by its matrix."""
 
     __slots__ = ()
 
@@ -262,43 +268,52 @@ def hcomp2(g: BlockTwoCell, f: BlockTwoCell) -> BlockTwoCell:
     return hcomp2_many(g, f)
 
 
-def hcomp2_many(*fs: BlockTwoCell) -> BlockTwoCell:
-    """Horizontal composite of two-cells, listed left to right.
-
-    A run of identity factors is the identity on the ``hcomp1``
-    composite of their one-cells, so it enters as one factor; if every
-    factor is an identity the result is ``id2`` of the composite.  Each
-    factor is gathered into the composite basis once (an identity as
-    the gather of its ``eye``) and the gathers are multiplied in order,
-    so no intermediate two-cell is built.
-    """
+def _gather(fs) -> tuple[GradedOneCell, GradedOneCell, np.ndarray | None]:
+    """``(source, target, matrix)`` of the horizontal composite of ``fs``
+    (two-cells and one-cells, left to right); ``matrix`` is None if every
+    factor is an identity.  A run of identities enters as one factor;
+    each factor is gathered into the composite basis once (an identity
+    as the gather of its ``eye``) and the gathers are multiplied in order."""
     facs: list = []   # the factors, a run of identities as its one-cell
     for f in fs:
-        if type(f) is not _Identity2:
+        if type(f) is _Identity2:
+            f = f.source
+        if type(f) is not GradedOneCell:
             facs.append(f)
         elif facs and type(facs[-1]) is GradedOneCell:
-            facs[-1] = hcomp1(facs[-1], f.source)
+            facs[-1] = hcomp1(facs[-1], f)
         else:
-            facs.append(f.source)
-    facs = [id2(f) if type(f) is GradedOneCell else f for f in facs]
+            facs.append(f)
+    if not facs:
+        raise CellMismatch("empty horizontal composite")
     if len(facs) == 1:
-        return facs[0]
-    src, s_idx = _fold_plan([f.source for f in facs])
-    tgt, t_idx = _fold_plan([f.target for f in facs])
+        f = facs[0]
+        return (f, f, None) if type(f) is GradedOneCell else (f.source, f.target, f.mat)
+    src, s_idx = _fold_plan([f if type(f) is GradedOneCell else f.source for f in facs])
+    tgt, t_idx = _fold_plan([f if type(f) is GradedOneCell else f.target for f in facs])
     out, exact = None, True   # exact: every factor so far is an identity
     for f, si, ti in zip(facs, s_idx, t_idx):
-        g = f.mat.take(ti, 0).take(si, 1)
+        ident = type(f) is GradedOneCell
+        g = (id2(f) if ident else f).mat.take(ti, 0).take(si, 1)
         if out is None:
             out = g
-        elif exact or type(f) is _Identity2:
+        elif exact or ident:
             # one side holds only 0 and 1, so every product is exact and
             # writing it in place cannot change its rounding
             np.multiply(out, g, out=out)
         else:
             out = out * g
-        exact = exact and type(f) is _Identity2
+        exact = exact and ident
         del g   # not held while the next factor is gathered
-    return BlockTwoCell(src, tgt, out)
+    return src, tgt, out
+
+
+def hcomp2_many(*fs: BlockTwoCell | GradedOneCell) -> BlockTwoCell:
+    """Horizontal composite of two-cells listed left to right, where a
+    one-cell ``x`` stands for ``id2(x)``; ``id2`` of the composite if every
+    factor is an identity."""
+    src, tgt, mat = _gather(fs)
+    return id2(src) if mat is None else BlockTwoCell(src, tgt, mat)
 
 
 def vcomp(g: BlockTwoCell, f: BlockTwoCell) -> BlockTwoCell:
@@ -313,13 +328,36 @@ def vcomp(g: BlockTwoCell, f: BlockTwoCell) -> BlockTwoCell:
     return BlockTwoCell(f.source, g.target, g.mat @ f.mat)
 
 
-def vcomp_many(*fs: BlockTwoCell) -> BlockTwoCell:
-    """Vertical composite of several two-cells, listed top to bottom
-    (``fs[-1]`` acts first)."""
-    out = fs[-1]
-    for f in fs[-2::-1]:
-        out = vcomp(f, out)
-    return out
+def vcomp_many(*layers) -> BlockTwoCell:
+    """The string diagram ``layers`` (top to bottom: ``layers[-1]`` acts
+    first) as one two-cell.
+
+    A layer is a two-cell or a tuple of factors as for ``hcomp2_many``.
+    The non-identity layers are multiplied bottom-up on raw arrays,
+    ``L0 @ (L1 @ (... @ Ln))``, as a fold of ``vcomp`` does.  The result
+    is the operand itself if it is the only non-identity layer, and the
+    shared ``id2`` if there is none.  Raises ``CellMismatch`` on an empty
+    stack or layer and on layers that do not chain."""
+    if not layers:
+        raise CellMismatch("empty vertical composite")
+    out = cell = bottom = below = None   # cell: the operand that is all of out
+    for layer in reversed(layers):
+        if type(layer) is tuple:
+            src, tgt, mat = _gather(layer)
+        else:
+            src, tgt = layer.source, layer.target
+            mat = None if type(layer) is _Identity2 else layer.mat
+        if below is None:
+            bottom = src
+        elif src is not below:
+            raise CellMismatch("vertical composition: target/source cells differ")
+        below = tgt
+        if mat is not None:
+            cell = layer if out is None and type(layer) is not tuple else None
+            out = mat if out is None else mat @ out
+    if out is None:
+        return id2(below)
+    return cell if cell is not None else BlockTwoCell(bottom, below, out)
 
 
 def dagger2(f: BlockTwoCell) -> BlockTwoCell:

@@ -47,7 +47,6 @@ from .errors import CellMismatch, IllTypedPath, InvalidQSystem
 from .linalg import Tolerance, frob
 from .presentation import EDagger, EGen, EHComp, EId, EVComp, Path, PresentedTwoCat
 from .qsystem import (
-    DualPair,
     QSystemData,
     qsystem_from_dual,
     standard_dual_pair,
@@ -166,11 +165,8 @@ def eval_expr(f, e) -> BlockTwoCell:
         for sub in e.exprs[1:]:
             img = eval_expr(f, sub)
             s, t = cat.expr_type(sub)
-            acc = vcomp_many(
-                f.tensorator(t_acc, t),
-                hcomp2(acc, img),
-                dagger2(f.tensorator(s_acc, s)),
-            )
+            acc = vcomp_many(f.tensorator(t_acc, t), (acc, img),
+                             dagger2(f.tensorator(s_acc, s)))
             s_acc, t_acc = s_acc * s, t_acc * t
         return acc
     raise IllTypedPath(f"unknown expression node {e!r}")
@@ -188,16 +184,16 @@ def check_functor(cat: PresentedTwoCat, f) -> ResidualReport:
         t2 = f.tensorator(p, q)
         rep.add(f"tensorator_unitary[{_pname(p)},{_pname(q)}]", is_unitary_residual(t2))
     for p, q, r in cat.composable_triples():
-        lhs = vcomp(f.tensorator(p * q, r), hcomp2(f.tensorator(p, q), id2(f.cell(r))))
-        rhs = vcomp(f.tensorator(p, q * r), hcomp2(id2(f.cell(p)), f.tensorator(q, r)))
+        lhs = vcomp_many(f.tensorator(p * q, r), (f.tensorator(p, q), f.cell(r)))
+        rhs = vcomp_many(f.tensorator(p, q * r), (f.cell(p), f.tensorator(q, r)))
         rep.add(f"tensorator_assoc[{_pname(p)},{_pname(q)},{_pname(r)}]",
                 residual(lhs, rhs))
     for g in cat.gen_one_cells:
         p = cat.path((g.label,))
         ea, eb = cat.empty_path(g.src), cat.empty_path(g.tgt)
-        right = vcomp(f.tensorator(p, ea), hcomp2(id2(f.cell(p)), f.unit(g.src)))
+        right = vcomp_many(f.tensorator(p, ea), (f.cell(p), f.unit(g.src)))
         rep.add(f"unit_right[{g.label}]", residual(right, id2(f.cell(p))))
-        left = vcomp(f.tensorator(eb, p), hcomp2(f.unit(g.tgt), id2(f.cell(p))))
+        left = vcomp_many(f.tensorator(eb, p), (f.unit(g.tgt), f.cell(p)))
         rep.add(f"unit_left[{g.label}]", residual(left, unitor_left(f.cell(p))))
     for k, (lhs, rhs) in enumerate(cat.relations):
         rep.add(f"relation[{k}]", residual(eval_expr(f, lhs), eval_expr(f, rhs)))
@@ -236,19 +232,16 @@ class TransformationData:
         if not path.labels:
             return vcomp(dagger2(unitor_left(c)), unitor_right(c))
         cat = self.source.cat
-        steps = []
         labels = path.labels
+        layers = []
         for i, lab in enumerate(labels):
-            gp = cat.path((lab,))
-            cross = self.comp1[gp]
-            parts = []
+            layer = [self.comp1[cat.path((lab,))]]
             if i > 0:
-                parts.append(id2(self.target.cell(cat.path(labels[:i]))))
-            parts.append(cross)
+                layer.insert(0, self.target.cell(cat.path(labels[:i])))
             if i + 1 < len(labels):
-                parts.append(id2(self.source.cell(cat.path(labels[i + 1:]))))
-            steps.append(hcomp2_many(*parts))
-        return vcomp_many(*reversed(steps))
+                layer.append(self.source.cell(cat.path(labels[i + 1:])))
+            layers.append(tuple(layer))
+        return vcomp_many(*reversed(layers))
 
 
 @dataclass(eq=False)
@@ -284,25 +277,23 @@ def check_transformation(phi: TransformationData) -> ResidualReport:
         rep.add(f"unitary[{gen.label}]", is_unitary_residual(phi.component(p)))
     for p, q in cat.composable_pairs():
         a = q.src
-        lhs = vcomp_many(
-            hcomp2(g.tensorator(p, q), id2(phi.comp0[a])),
-            hcomp2(id2(g.cell(p)), phi.component(q)),
-            hcomp2(phi.component(p), id2(f.cell(q))),
-        )
-        rhs = vcomp(phi.component(p * q), hcomp2(id2(phi.comp0[p.tgt]), f.tensorator(p, q)))
+        lhs = vcomp_many((g.tensorator(p, q), phi.comp0[a]),
+                         (g.cell(p), phi.component(q)),
+                         (phi.component(p), f.cell(q)))
+        rhs = vcomp_many(phi.component(p * q), (phi.comp0[p.tgt], f.tensorator(p, q)))
         rep.add(f"composite[{_pname(p)},{_pname(q)}]", residual(lhs, rhs))
     for two in cat.gen_two_cells:
         a, b = two.source.src, two.source.tgt
-        lhs = vcomp(hcomp2(eval_expr(g, EGen(two.label)), id2(phi.comp0[a])),
-                    phi.component(two.source))
-        rhs = vcomp(phi.component(two.target),
-                    hcomp2(id2(phi.comp0[b]), eval_expr(f, EGen(two.label))))
+        lhs = vcomp_many((eval_expr(g, EGen(two.label)), phi.comp0[a]),
+                         phi.component(two.source))
+        rhs = vcomp_many(phi.component(two.target),
+                         (phi.comp0[b], eval_expr(f, EGen(two.label))))
         rep.add(f"naturality[{two.label}]", residual(lhs, rhs))
     for a in cat.zero_cells:
         e = cat.empty_path(a)
         c = phi.comp0[a]
-        lhs = vcomp(phi.component(e), hcomp2(id2(c), f.unit(a)))
-        rhs = vcomp(hcomp2(g.unit(a), id2(c)), dagger2(unitor_left(c)))
+        lhs = vcomp_many(phi.component(e), (c, f.unit(a)))
+        rhs = vcomp_many((g.unit(a), c), dagger2(unitor_left(c)))
         rep.add(f"unit[{a}]", residual(lhs, rhs))
     return rep
 
@@ -317,8 +308,8 @@ def check_modification(eta: ModificationData, phi: TransformationData,
     for gen in cat.gen_one_cells:
         p = cat.path((gen.label,))
         a, b = gen.src, gen.tgt
-        lhs = vcomp(psi.component(p), hcomp2(eta[b], id2(f.cell(p))))
-        rhs = vcomp(hcomp2(id2(g.cell(p)), eta[a]), phi.component(p))
+        lhs = vcomp_many(psi.component(p), (eta[b], f.cell(p)))
+        rhs = vcomp_many((g.cell(p), eta[a]), phi.component(p))
         rep.add(f"slide[{gen.label}]", residual(lhs, rhs))
     for a in cat.zero_cells:
         rep.add_info(f"norm[{a}]",
@@ -339,10 +330,8 @@ def tensor_transformations(outer: TransformationData,
     for gen in cat.gen_one_cells:
         p = cat.path((gen.label,))
         a, b = gen.src, gen.tgt
-        comp1[p] = vcomp(
-            hcomp2(outer.component(p), id2(inner.comp0[a])),
-            hcomp2(id2(outer.comp0[b]), inner.component(p)),
-        )
+        comp1[p] = vcomp_many((outer.component(p), inner.comp0[a]),
+                              (outer.comp0[b], inner.component(p)))
     return TransformationData(inner.source, outer.target, comp0, comp1)
 
 
@@ -377,11 +366,9 @@ def split_modification_projection(p: ModificationData, phi: TransformationData,
     for gen in cat.gen_one_cells:
         path = cat.path((gen.label,))
         a, b = gen.src, gen.tgt
-        comp1[path] = vcomp_many(
-            hcomp2(id2(g.cell(path)), dagger2(isos[a])),
-            phi.component(path),
-            hcomp2(isos[b], id2(f.cell(path))),
-        )
+        comp1[path] = vcomp_many((g.cell(path), dagger2(isos[a])),
+                                 phi.component(path),
+                                 (isos[b], f.cell(path)))
     x = TransformationData(f, g, comp0, comp1)
     return x, ModificationData(isos)
 
@@ -519,13 +506,13 @@ class GConstruction:
         comparison unitaries and capped by the evaluations."""
         xb, xbar_a = self.x[b], self.xbar[a]
         tail = hcomp1_many(xb, mid, xbar_a)
-        c2 = hcomp2_many(id2(xb), id2(mid),
-                         hcomp2(id2(xbar_a), dagger2(self.ev[a])))
-        c3 = hcomp2_many(id2(xb), id2(mid), self.gamma[a], id2(xbar_a))
-        c4 = hcomp2_many(id2(xb), dagger2(cross), id2(xbar_a))
-        c5 = hcomp2_many(id2(xb), dagger2(self.gamma[b]), id2(mid), id2(xbar_a))
-        c6 = vcomp(unitor_left(tail), hcomp2(self.ev[b], id2(tail)))
-        return vcomp_many(c6, c5, c4, c3, c2)
+        return vcomp_many(
+            vcomp_many(unitor_left(tail), (self.ev[b], tail)),
+            (xb, dagger2(self.gamma[b]), mid, xbar_a),
+            (xb, dagger2(cross), xbar_a),
+            (xb, mid, self.gamma[a], xbar_a),
+            (xb, mid, hcomp2_many(xbar_a, dagger2(self.ev[a]))),
+        )
 
     def materialize(self, path: Path) -> _PathData:
         data = self.paths.get(path)
@@ -535,10 +522,8 @@ class GConstruction:
         if not path.labels:
             a = path.src
             image = id1(self.splits[a].k)
-            u = vcomp(
-                hcomp2(id2(self.x[a]), dagger2(unitor_left(self.xbar[a]))),
-                dagger2(self.ev[a]),
-            )
+            u = vcomp_many((self.x[a], dagger2(unitor_left(self.xbar[a]))),
+                           dagger2(self.ev[a]))
         else:
             image, u = split_projection(proj.source, proj, self.tol)
         data = _PathData(proj, u, image)
@@ -554,8 +539,8 @@ class GConstruction:
     def _gen2_image(self, two) -> BlockTwoCell:
         a, b = two.source.src, two.source.tgt
         ff = eval_expr(self.F, EGen(two.label))
-        mid = hcomp2_many(id2(self.x[b]), ff, id2(self.xbar[a]))
-        return vcomp_many(dagger2(self.u_of(two.target)), mid, self.u_of(two.source))
+        return vcomp_many(dagger2(self.u_of(two.target)), (self.x[b], ff, self.xbar[a]),
+                          self.u_of(two.source))
 
     def tensorator(self, p: Path, q: Path) -> BlockTwoCell:
         """``G(p) . G(q) -> G(p q)`` through the splitting isometries,
@@ -568,8 +553,9 @@ class GConstruction:
 
     def _build_tensorator(self, p: Path, q: Path) -> BlockTwoCell:
         a, c = q.src, p.tgt
-        tens = hcomp2_many(id2(self.x[c]), self.F.tensorator(p, q), id2(self.xbar[a]))
-        return vcomp_many(dagger2(self.u_of(p * q)), tens, self._capped_product(p, q))
+        return vcomp_many(dagger2(self.u_of(p * q)),
+                          (self.x[c], self.F.tensorator(p, q), self.xbar[a]),
+                          self._capped_product(p, q))
 
     def _capped_product(self, p: Path, q: Path) -> BlockTwoCell:
         """``u_p . u_q`` with its middle ``xbar_b . x_b`` capped by ``coev_b*``,
@@ -578,13 +564,11 @@ class GConstruction:
         capped = self._capped.get((p, q))
         if capped is None:
             a, b, c = q.src, p.src, p.tgt
-            fp, fq = self.F.cell(p), self.F.cell(q)
-            cap = hcomp2_many(id2(self.x[c]), id2(fp), dagger2(self.coev[b]),
-                              id2(fq), id2(self.xbar[a]))
-            drop = hcomp2_many(id2(self.x[c]), id2(fp),
-                               unitor_left(hcomp1(fq, self.xbar[a])))
+            xc, fp, fq, xbar_a = self.x[c], self.F.cell(p), self.F.cell(q), self.xbar[a]
             capped = self._capped[p, q] = vcomp_many(
-                drop, cap, hcomp2(self.u_of(p), self.u_of(q)))
+                (xc, fp, unitor_left(hcomp1(fq, xbar_a))),
+                (xc, fp, dagger2(self.coev[b]), fq, xbar_a),
+                (self.u_of(p), self.u_of(q)))
         return capped
 
     def functor(self) -> "ConstructedFunctor":
@@ -633,11 +617,8 @@ def construct_phi(gc: GConstruction) -> TransformationData:
     comp1 = {}
     for path in gc.paths:
         a, b = path.src, path.tgt
-        front = hcomp1(gc.x[b], gc.F.cell(path))
-        comp1[path] = vcomp(
-            hcomp2(dagger2(gc.u_of(path)), id2(gc.x[a])),
-            hcomp2(id2(front), gc.coev[a]),
-        )
+        comp1[path] = vcomp_many((dagger2(gc.u_of(path)), gc.x[a]),
+                                 (gc.x[b], gc.F.cell(path), gc.coev[a]))
     return TransformationData(gc.F, gc.functor(), comp0, comp1)
 
 
@@ -649,11 +630,8 @@ def construct_phibar(gc: GConstruction) -> TransformationData:
     for path in gc.paths:
         a, b = path.src, path.tgt
         tail = hcomp1(gc.F.cell(path), gc.xbar[a])
-        comp1[path] = vcomp_many(
-            unitor_left(tail),
-            hcomp2(dagger2(gc.coev[b]), id2(tail)),
-            hcomp2(id2(gc.xbar[b]), gc.u_of(path)),
-        )
+        comp1[path] = vcomp_many(unitor_left(tail), (dagger2(gc.coev[b]), tail),
+                                 (gc.xbar[b], gc.u_of(path)))
     return TransformationData(g, gc.F, comp0, comp1)
 
 
@@ -666,13 +644,6 @@ class MainTheoremReport(ResidualReport):
     ``section.check``, plus the constructed data itself."""
 
     gconstruction: GConstruction | None = None
-
-
-def _double_cup_on(pair: DualPair) -> BlockTwoCell:
-    """``xbar x -> xbar x xbar x`` inserting the adjoint evaluation."""
-    x, xbar = pair.Xbar, pair.X
-    inner = vcomp(hcomp2(dagger2(pair.ev), id2(x)), dagger2(unitor_left(x)))
-    return hcomp2(id2(xbar), inner)
 
 
 def verify_main_theorem(cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
@@ -716,26 +687,19 @@ def verify_main_theorem(cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
         pair = gc.splits[a].pair
         gam = gc.gamma[a]
         psi_a = q.psi.comp0[a]
-        t = hcomp1(pair.X, pair.Xbar)
+        x, xbar = pair.Xbar, pair.X
+        t = hcomp1(xbar, x)
         counit = vcomp(dagger2(q.i[a]), q.m[a])  # psi.psi -> unit
-        cup = _double_cup_on(pair)
+        # xbar x -> xbar x xbar x, inserting the adjoint evaluation
+        cup = hcomp2_many(xbar, vcomp_many((dagger2(pair.ev), x), dagger2(unitor_left(x))))
         nested = vcomp(cup, pair.coev)  # unit -> xbar x xbar x
-        e1 = vcomp_many(
-            unitor_left(t),
-            hcomp2(counit, id2(t)),
-            hcomp2_many(id2(psi_a), gam, id2(t)),
-            hcomp2(id2(psi_a), nested),
-        )
+        e1 = vcomp_many(unitor_left(t), (counit, t), (psi_a, gam, t), (psi_a, nested))
         out.add(f"gamma_bend.adjoint_left[{a}]", residual(dagger2(gam), e1))
-        e2 = vcomp_many(
-            hcomp2(id2(t), counit),
-            hcomp2_many(id2(t), gam, id2(psi_a)),
-            hcomp2(nested, id2(psi_a)),
-            dagger2(unitor_left(psi_a)),
-        )
+        e2 = vcomp_many((t, counit), (t, gam, psi_a), (nested, psi_a),
+                        dagger2(unitor_left(psi_a)))
         out.add(f"gamma_bend.adjoint_right[{a}]", residual(dagger2(gam), e2))
         lhs = vcomp(dagger2(q.m[a]), gam)
-        rhs = vcomp(hcomp2(gam, gam), cup)
+        rhs = vcomp_many((gam, gam), cup)
         out.add(f"gamma_bend.comultiplication[{a}]", residual(lhs, rhs))
         out.add(f"gamma_bend.counit[{a}]",
                 residual(vcomp(dagger2(q.i[a]), gam), dagger2(pair.coev)))
@@ -760,18 +724,17 @@ def verify_main_theorem(cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
         gam, m_a = gc.gamma[a], q.m[a]
         psi_a = q.psi.comp0[a]
         mult = gc.splits[a].dual.m
-        lhs = vcomp_many(gam, mult, hcomp2_many(id2(xbar), id2(x), dagger2(gam)))
+        lhs = vcomp_many(gam, mult, (xbar, x, dagger2(gam)))
         out.add(f"gamma_action.left[{a}]",
-                residual(lhs, vcomp(m_a, hcomp2(gam, id2(psi_a)))))
-        lhs2 = vcomp_many(gam, mult, hcomp2_many(dagger2(gam), id2(xbar), id2(x)))
+                residual(lhs, vcomp_many(m_a, (gam, psi_a))))
+        lhs2 = vcomp_many(gam, mult, (dagger2(gam), xbar, x))
         out.add(f"gamma_action.right[{a}]",
-                residual(lhs2, vcomp(m_a, hcomp2(id2(psi_a), gam))))
+                residual(lhs2, vcomp_many(m_a, (psi_a, gam))))
 
     # (e) projections against the functor structure
     for p, qq in cat.composable_pairs():
         a, c = qq.src, p.tgt
-        fp2 = f.tensorator(p, qq)
-        whisk = hcomp2_many(id2(gc.x[c]), fp2, id2(gc.xbar[a]))
+        whisk = hcomp2_many(gc.x[c], f.tensorator(p, qq), gc.xbar[a])
         lhs = vcomp(gc.paths[p * qq].proj, whisk)
         rhs = vcomp(whisk, _double_crossing_projection(gc, p, qq))
         out.add(f"crossing_transport.tensorator[{_pname(p)},{_pname(qq)}]",
@@ -779,7 +742,7 @@ def verify_main_theorem(cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
     for two in cat.gen_two_cells:
         a, b = two.source.src, two.source.tgt
         ff = eval_expr(f, EGen(two.label))
-        whisk = hcomp2_many(id2(gc.x[b]), ff, id2(gc.xbar[a]))
+        whisk = hcomp2_many(gc.x[b], ff, gc.xbar[a])
         lhs = vcomp(gc.paths[two.target].proj, whisk)
         rhs = vcomp(whisk, gc.paths[two.source].proj)
         out.add(f"crossing_transport.naturality[{two.label}]", residual(lhs, rhs))
@@ -824,7 +787,7 @@ def _double_crossing_projection(gc: GConstruction, p: Path, q: Path) -> BlockTwo
     two-step crossing stack (no tensorator inserted)."""
     fp, fq = gc.F.cell(p), gc.F.cell(q)
     psi = gc.q.psi
-    cross = vcomp(hcomp2(id2(fp), psi.component(q)), hcomp2(psi.component(p), id2(fq)))
+    cross = vcomp_many((fp, psi.component(q)), (psi.component(p), fq))
     return gc._crossing_projection(q.src, p.tgt, hcomp1(fp, fq), cross)
 
 
@@ -837,19 +800,18 @@ def _isometry_product_residual(gc: GConstruction, p: Path, q: Path) -> float:
     xc, xbar_a = gc.x[c], gc.xbar[a]
     xbar_b, xb = gc.xbar[b], gc.x[b]
     psi = gc.q.psi
-    psi_b = psi.comp0[b]
-    pre5 = hcomp1_many(xc, fp, xbar_b, xb, fq)
-    r2 = hcomp2(id2(pre5), hcomp2(id2(xbar_a), dagger2(gc.ev[a])))
-    r3 = hcomp2_many(id2(pre5), gc.gamma[a], id2(xbar_a))
-    r4 = hcomp2_many(id2(hcomp1_many(xc, fp, xbar_b, xb)),
-                     dagger2(psi.component(q)), id2(xbar_a))
-    r5 = hcomp2_many(id2(xc), id2(fp), gc.gamma[b], id2(psi_b), id2(fq), id2(xbar_a))
-    r6 = hcomp2_many(id2(xc), id2(fp), gc.q.m[b], id2(fq), id2(xbar_a))
-    r7 = hcomp2_many(id2(xc), dagger2(psi.component(p)), id2(fq), id2(xbar_a))
-    r8 = hcomp2_many(id2(xc), dagger2(gc.gamma[c]), id2(fp), id2(fq), id2(xbar_a))
     full_tail = hcomp1_many(xc, fp, fq, xbar_a)
-    r9 = vcomp(unitor_left(full_tail), hcomp2(gc.ev[c], id2(full_tail)))
-    rhs = vcomp_many(r9, r8, r7, r6, r5, r4, r3, r2, hcomp2(gc.u_of(p), gc.u_of(q)))
+    rhs = vcomp_many(
+        vcomp_many(unitor_left(full_tail), (gc.ev[c], full_tail)),
+        (xc, dagger2(gc.gamma[c]), fp, fq, xbar_a),
+        (xc, dagger2(psi.component(p)), fq, xbar_a),
+        (xc, fp, gc.q.m[b], fq, xbar_a),
+        (xc, fp, gc.gamma[b], psi.comp0[b], fq, xbar_a),
+        (xc, fp, xbar_b, xb, dagger2(psi.component(q)), xbar_a),
+        (xc, fp, xbar_b, xb, fq, gc.gamma[a], xbar_a),
+        (xc, fp, xbar_b, xb, fq, hcomp2_many(xbar_a, dagger2(gc.ev[a]))),
+        (gc.u_of(p), gc.u_of(q)),
+    )
     return residual(gc._capped_product(p, q), rhs)
 
 

@@ -20,13 +20,13 @@ from .cells import (
     dagger2,
     hcomp1,
     hcomp1_many,
+    hcomp2_many,
     id1,
     id2,
     unitor_left,
     unitor_right,
     vcomp,
     vcomp_many,
-    hcomp2,
 )
 from .errors import CellMismatch
 from .funcat import EndFQSystem, FunctorData, ModificationData, TransformationData
@@ -132,7 +132,7 @@ def dress_qsystem(rng: np.random.Generator, q: QSystemData) -> QSystemData:
     """Conjugate the structure maps by a random sector unitary; the
     axioms are preserved exactly."""
     v = random_block_unitary(rng, q.Q)
-    return QSystemData(q.Q, vcomp(v, vcomp(q.m, hcomp2(dagger2(v), dagger2(v)))),
+    return QSystemData(q.Q, vcomp_many(v, q.m, (dagger2(v), dagger2(v))),
                        vcomp(v, q.i))
 
 
@@ -168,7 +168,7 @@ def dsum_qsystems(q1: QSystemData, q2: QSystemData) -> QSystemData:
     # each summand enters through its 0/1 embedding e as e m (e* . e*)
     parts = [(q1, BlockTwoCell(q1.Q, Q, eye[:, :d1])),
              (q2, BlockTwoCell(q2.Q, Q, eye[:, d1:]))]
-    m = sum(vcomp(e, vcomp(q.m, hcomp2(dagger2(e), dagger2(e)))).mat for q, e in parts)
+    m = sum(vcomp_many(e, q.m, (dagger2(e), dagger2(e))).mat for q, e in parts)
     i = sum(vcomp(e, q.i).mat for q, e in parts)
     return QSystemData(Q, BlockTwoCell(hcomp1(Q, Q), Q, m),
                        BlockTwoCell(q1.i.source, Q, i))
@@ -347,14 +347,9 @@ def _product_scenario_once(rng: np.random.Generator, cat: PresentedTwoCat):
                    interchanger(id1(b_q), hx, qc, units[a]))
         base = vcomp(dagger2(dn), up)
         w = gauges[g.label]
-        cell = vcomp_many(
-            hcomp2(w, id2(psi0[a])),
-            hcomp2(id2(f.cell(cat.path((g.label,)))), dress[a]),
-            base,
-            hcomp2(dagger2(dress[b]), id2(on1[g.label])),
-            hcomp2(id2(psi0[b]), dagger2(w)),
-        )
-        comp1[cat.path((g.label,))] = cell
+        comp1[cat.path((g.label,))] = vcomp_many(
+            (w, psi0[a]), (on1[g.label], dress[a]), base,
+            (dagger2(dress[b]), on1[g.label]), (psi0[b], dagger2(w)))
 
     m = {}
     i = {}
@@ -362,7 +357,7 @@ def _product_scenario_once(rng: np.random.Generator, cat: PresentedTwoCat):
         v = dress[a]
         base_m = vcomp(outer_2cell(q0.m, id2(units[a])),
                        interchanger(qc, units[a], qc, units[a]))
-        m[a] = vcomp(v, vcomp(base_m, hcomp2(dagger2(v), dagger2(v))))
+        m[a] = vcomp_many(v, base_m, (dagger2(v), dagger2(v)))
         i[a] = vcomp(v, outer_2cell(q0.i, id2(units[a])))
 
     on2 = {}
@@ -426,8 +421,8 @@ def summed_transformation(rng: np.random.Generator, cat: PresentedTwoCat,
         tgt = hcomp1(g_on1[gen.label], comp0[a])
         mat = np.zeros((tgt.dim, src.dim), dtype=complex)
         for k in range(summands):
-            esrc = hcomp2(embed(b, k), id2(f.cell(path))).mat
-            etgt = hcomp2(id2(g_on1[gen.label]), embed(a, k)).mat
+            esrc = hcomp2_many(embed(b, k), f.cell(path)).mat
+            etgt = hcomp2_many(g_on1[gen.label], embed(a, k)).mat
             u = random_block_unitary(rng, src1, tgt1)
             mat += etgt @ u.mat @ esrc.conj().T
         comp1[path] = BlockTwoCell(src, tgt, mat)

@@ -29,7 +29,7 @@ from .cells import (
     _hcomp_plan,
     dagger2,
     hcomp1,
-    hcomp2,
+    hcomp2_many,
     id1,
     id2,
     is_unitary_residual,
@@ -216,8 +216,8 @@ def check_qsystem(q: QSystemData) -> ResidualReport:
             q3a += qa
             q3b += qb
     rep.add("Q1", np.sqrt(q1))
-    left_unit = vcomp(m, hcomp2(i, id2(Q)))
-    right_unit = vcomp(m, hcomp2(id2(Q), i))
+    left_unit = vcomp_many(m, (i, Q))
+    right_unit = vcomp_many(m, (Q, i))
     rep.add("Q2", max(residual(left_unit, unitor_left(Q)),
                       residual(right_unit, unitor_right(Q))))
     rep.add("Q3", np.sqrt(max(q3a, q3b)))
@@ -235,8 +235,7 @@ def trivial_qsystem(n: ZeroCell | int) -> QSystemData:
 def qsystem_from_dual(d: DualPair) -> QSystemData:
     """Q-system ``x . xbar`` with ``m = id . ev . id`` and ``i = coev``."""
     Q = hcomp1(d.X, d.Xbar)
-    pinch = hcomp2(id2(d.X), hcomp2(d.ev, id2(d.Xbar)))
-    m = vcomp(hcomp2(id2(d.X), unitor_left(d.Xbar)), pinch)
+    m = vcomp_many((d.X, unitor_left(d.Xbar)), (d.X, hcomp2_many(d.ev, d.Xbar)))
     return QSystemData(Q, m, d.coev)
 
 
@@ -250,17 +249,9 @@ def canonical_pairing(q: QSystemData) -> tuple[BlockTwoCell, BlockTwoCell]:
 def zigzag_residuals(X: GradedOneCell, Xbar: GradedOneCell,
                      ev: BlockTwoCell, coev: BlockTwoCell) -> tuple[float, float]:
     """Residuals of the two zig-zag identities (unitors inserted)."""
-    z1 = vcomp_many(
-        hcomp2(id2(X), ev),
-        hcomp2(coev, id2(X)),
-        dagger2(unitor_left(X)),
-    )
+    z1 = vcomp_many((X, ev), (coev, X), dagger2(unitor_left(X)))
     r1 = residual(z1, dagger2(unitor_right(X)))
-    z2 = vcomp_many(
-        hcomp2(ev, id2(Xbar)),
-        hcomp2(id2(Xbar), coev),
-        dagger2(unitor_right(Xbar)),
-    )
+    z2 = vcomp_many((ev, Xbar), (Xbar, coev), dagger2(unitor_right(Xbar)))
     r2 = residual(z2, dagger2(unitor_left(Xbar)))
     return r1, r2
 
@@ -288,21 +279,21 @@ def check_bimodule(b: BimoduleData) -> ResidualReport:
     mP, iP = b.P.m, b.P.i
     rep = ResidualReport()
     rep.add("B1", max(
-        residual(vcomp(lam, hcomp2(id2(Q), lam)), vcomp(lam, hcomp2(mQ, id2(X)))),
-        residual(vcomp(rho, hcomp2(rho, id2(P))), vcomp(rho, hcomp2(id2(X), mP))),
-        residual(vcomp(lam, hcomp2(id2(Q), rho)), vcomp(rho, hcomp2(lam, id2(P)))),
+        residual(vcomp_many(lam, (Q, lam)), vcomp_many(lam, (mQ, X))),
+        residual(vcomp_many(rho, (rho, P)), vcomp_many(rho, (X, mP))),
+        residual(vcomp_many(lam, (Q, rho)), vcomp_many(rho, (lam, P))),
     ))
     rep.add("B2", max(
-        residual(vcomp(lam, hcomp2(iQ, id2(X))), unitor_left(X)),
-        residual(vcomp(rho, hcomp2(id2(X), iP)), unitor_right(X)),
+        residual(vcomp_many(lam, (iQ, X)), unitor_left(X)),
+        residual(vcomp_many(rho, (X, iP)), unitor_right(X)),
     ))
     lam_mid = vcomp(dagger2(lam), lam)
     rho_mid = vcomp(dagger2(rho), rho)
     rep.add("B3", max(
-        residual(vcomp(hcomp2(mQ, id2(X)), hcomp2(id2(Q), dagger2(lam))), lam_mid),
-        residual(vcomp(hcomp2(id2(Q), lam), hcomp2(dagger2(mQ), id2(X))), lam_mid),
-        residual(vcomp(hcomp2(rho, id2(P)), hcomp2(id2(X), dagger2(mP))), rho_mid),
-        residual(vcomp(hcomp2(id2(X), mP), hcomp2(dagger2(rho), id2(P))), rho_mid),
+        residual(vcomp_many((mQ, X), (Q, dagger2(lam))), lam_mid),
+        residual(vcomp_many((Q, lam), (dagger2(mQ), X)), lam_mid),
+        residual(vcomp_many((rho, P), (X, dagger2(mP))), rho_mid),
+        residual(vcomp_many((X, mP), (dagger2(rho), P)), rho_mid),
     ))
     rep.add("B4", max(
         residual(vcomp(lam, dagger2(lam)), id2(X)),
@@ -331,10 +322,8 @@ def check_intertwiner(f: BlockTwoCell, src: BimoduleData,
     if f.source is not src.X or f.target is not dst.X:
         raise CellMismatch("intertwiner endpoints do not match the bimodules")
     rep = ResidualReport()
-    rep.add("left", residual(
-        vcomp(f, src.lam), vcomp(dst.lam, hcomp2(id2(src.Q.Q), f))))
-    rep.add("right", residual(
-        vcomp(f, src.rho), vcomp(dst.rho, hcomp2(f, id2(src.P.Q)))))
+    rep.add("left", residual(vcomp(f, src.lam), vcomp_many(dst.lam, (src.Q.Q, f))))
+    rep.add("right", residual(vcomp(f, src.rho), vcomp_many(dst.rho, (f, src.P.Q))))
     return rep
 
 
@@ -354,8 +343,8 @@ def relative_tensor(xb: BimoduleData, yb: BimoduleData,
         raise CellMismatch("bimodules do not share the middle Q-system")
     X, Y = xb.X, yb.X
     sep = vcomp(dagger2(P.m), P.i)
-    insert = hcomp2(id2(X), vcomp(hcomp2(sep, id2(Y)), dagger2(unitor_left(Y))))
-    p = vcomp(hcomp2(xb.rho, yb.lam), insert)
+    p = vcomp_many((xb.rho, yb.lam),
+                   (X, vcomp_many((sep, Y), dagger2(unitor_left(Y)))))
     z, u = split_projection(hcomp1(X, Y), p, tol)
     return z, dagger2(u)
 

@@ -219,6 +219,11 @@ def presentation_to_json(cat: PresentedTwoCat) -> dict:
 def presentation_from_json(d: dict) -> PresentedTwoCat:
     try:
         zero = tuple(d["zero_cells"])
+        labels = [g["label"] for key in ("gen_one_cells", "gen_two_cells")
+                  for g in d.get(key, ())]
+        for label in (*zero, *labels):
+            if not isinstance(label, str):
+                raise TypeError(f"label {label!r} is not a string")
         gens = tuple(GenOneCell(g["label"], g["src"], g["tgt"])
                      for g in d["gen_one_cells"])
         cat = PresentedTwoCat(zero, gens)

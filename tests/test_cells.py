@@ -32,6 +32,7 @@ from qhilb.cells import (
     unitor_left,
     unitor_right,
     vcomp,
+    vcomp_many,
 )
 from qhilb.errors import CellMismatch, EmptyColumn
 from qhilb.generate import interchanger, outer_cell, random_cell, random_sector_matrix
@@ -603,3 +604,133 @@ def test_two_cells_are_immutable_and_checked():
     a = np.zeros((x.dim, 2 * x.dim))[:, ::2]
     h = BlockTwoCell(x, x, a)
     assert h.mat.dtype == complex and h.mat.flags.c_contiguous and h.mat is not a
+
+
+# -- string diagrams -------------------------------------------------------------
+
+
+def random_two_cell(rng, src, tgt):
+    shape = (tgt.dim, src.dim)
+    return BlockTwoCell(src, tgt, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def vcomp_fold(fs):
+    """``fs`` (top to bottom) folded bottom-up by the two-operand ``vcomp``."""
+    return reduce(lambda below, above: vcomp(above, below), reversed(fs))
+
+
+@st.composite
+def string_diagrams(draw):
+    """``(layers, flat, fold)``: a stack of 1-4 layers over 1-3 strands,
+    listed top to bottom, as ``vcomp_many`` takes it, and as the explicit
+    fold of ``vcomp``, ``hcomp2_many`` and ``id2`` that it replaces.
+
+    A strand of a layer is a random two-cell or an identity, given as a
+    one-cell or as its ``id2``.  Some layers end in a nested horizontal
+    composite, and some runs of layers are nested ``vcomp_many`` calls,
+    grouped the same in the fold.  ``flat`` is ``layers`` with each
+    nested horizontal composite that has at most one non-identity factor
+    flattened into its layer, or None if there is no such composite."""
+    k = draw(st.integers(1, 3))
+    zero = [draw(st.integers(1, 3)) for _ in range(k + 1)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def cell(j):
+        return GradedOneCell(ZeroCell(zero[j + 1]), ZeroCell(zero[j]),
+                             draw(gradings(zero[j + 1], zero[j], max_dim=3)))
+
+    strands = [cell(j) for j in range(k)]
+    layers, flat, folds = [], [], []   # bottom to top
+    flattened = False
+    for _ in range(draw(st.integers(1, 4))):
+        layer, fold = [], []
+        for j, x in enumerate(strands):
+            kind = draw(st.sampled_from(["one-cell", "id2", "two-cell"]))
+            if kind == "two-cell":
+                strands[j] = cell(j)
+                f = random_two_cell(rng, x, strands[j])
+                layer.append(f)
+                fold.append(f)
+            else:
+                layer.append(x if kind == "one-cell" else id2(x))
+                fold.append(id2(x))
+        i = draw(st.integers(0, k))
+        if i < k - 1:   # nest layer[i:]; the fold nests fold[i:] the same way
+            nested = hcomp2_many(*layer[i:])
+            if sum(type(f) is BlockTwoCell for f in layer[i:]) <= 1:
+                flat.append(tuple(layer))
+                flattened = True
+            else:
+                flat.append(tuple(layer[:i]) + (nested,))
+            layer[i:] = [nested]
+            fold[i:] = [hcomp2_many(*fold[i:])]
+        else:
+            flat.append(tuple(layer))
+        if len(layer) == 1 and type(layer[0]) is not GradedOneCell and draw(st.booleans()):
+            layers.append(layer[0])
+        else:
+            layers.append(tuple(layer))
+        folds.append(hcomp2_many(*fold))
+    layers, flat, folds = layers[::-1], flat[::-1], folds[::-1]
+    start = draw(st.integers(0, len(layers) - 1))
+    stop = draw(st.integers(start, len(layers)))
+    if stop - start > 1:
+        layers[start:stop] = [vcomp_many(*layers[start:stop])]
+        flat[start:stop] = [vcomp_many(*flat[start:stop])]
+        folds[start:stop] = [vcomp_fold(folds[start:stop])]
+    return layers, flat if flattened else None, vcomp_fold(folds)
+
+
+def same_bytes(a, b):
+    return a.mat.shape == b.mat.shape and np.array_equal(a.mat.view(np.uint64),
+                                                         b.mat.view(np.uint64))
+
+
+@given(string_diagrams())
+@settings(max_examples=300, deadline=None)
+def test_vcomp_many_matches_the_explicit_folds(diagram):
+    layers, flat, fold = diagram
+    out = vcomp_many(*layers)
+    assert out.source is fold.source and out.target is fold.target
+    assert same_bytes(out, fold)
+    if type(fold) is cells._Identity2:
+        assert out is fold
+    if flat is not None:
+        # every product of a flattened identity is by 0 or 1, so only the
+        # sign of a zero may change
+        out = vcomp_many(*flat)
+        assert out.source is fold.source and out.target is fold.target
+        assert np.array_equal(out.mat, fold.mat)
+
+
+def test_vcomp_many_of_identities_and_one_cells():
+    y, x = composable_pair(RNG)
+    yx = hcomp1(y, x)
+    assert vcomp_many(id2(yx), (y, x), (id2(y), x)) is id2(yx)
+    assert vcomp_many((y, x)) is id2(yx)
+    f, g = rand_endo(x), rand_endo(y)
+    assert vcomp_many(f) is f
+    assert vcomp_many(id2(x), f, (x,)) is f
+    for strands in ((y, f), (g, x)):
+        ident = [id2(c) if type(c) is GradedOneCell else c for c in strands]
+        assert same_bytes(hcomp2_many(*strands), hcomp2_many(*ident))
+        assert same_bytes(vcomp_many(strands), hcomp2_many(*ident))
+
+
+def test_vcomp_many_rejects_bad_stacks():
+    y, x = composable_pair(RNG)
+    f = rand_endo(x)
+    with pytest.raises(CellMismatch, match="empty"):
+        vcomp_many()
+    with pytest.raises(CellMismatch, match="empty"):
+        vcomp_many(())
+    with pytest.raises(CellMismatch, match="empty"):
+        vcomp_many(f, ())
+    with pytest.raises(CellMismatch, match="empty"):
+        hcomp2_many()
+    with pytest.raises(CellMismatch, match="differ"):
+        vcomp_many(f, (y, x))
+    with pytest.raises(CellMismatch, match="differ"):
+        vcomp_many((y, f), f)
+    with pytest.raises(CellMismatch, match="differ"):
+        vcomp_many(id2(y), id2(x))

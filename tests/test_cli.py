@@ -629,3 +629,91 @@ def test_exit_code_bad_relation(tmp_path, capsys, kind, relation):
     doc["presentation"]["relations"] = [relation]
     dump_document(doc, path)
     assert _one_error_line(["verify-fun", path], capsys) == 2
+
+
+@pytest.mark.parametrize("cells", ["zero_cells", "gen_one_cells", "gen_two_cells"])
+@pytest.mark.parametrize("label", [1, None, True, [1]], ids=["number", "null", "true", "list"])
+def test_exit_code_non_string_label(tmp_path, capsys, cells, label):
+    # labels are JSON strings: each of these ended verify-fun in a
+    # traceback, in exit 3 or in a pass
+    path = str(tmp_path / "constant.json")
+    run(capsys, "gen", "--kind", "constant", "--seed", "1", "--out", path)
+    doc = load_document(path)
+    pres = doc["presentation"]
+    gen = pres["gen_one_cells"][0]
+    edge = {"labels": [gen["label"]], "src": gen["src"]}
+    pres["gen_two_cells"] = [{"label": "f1", "source": edge, "target": edge}]
+    if cells == "zero_cells":
+        pres["zero_cells"].append(label)
+    else:
+        pres[cells][0]["label"] = label
+    dump_document(doc, path)
+    code = main(["verify-fun", path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: bad presentation: label {label!r} is not a string\n"
+
+
+def relabelled(doc):
+    """The scenario ``doc`` with every zero-cell and generator renamed,
+    the new names sorting in the reverse order of the old ones, and the
+    generator one-cells listed in reverse."""
+    pres, fd, qd = doc["presentation"], doc["functor"], doc["qsystem"]
+
+    def names(labels, prefix):
+        return {old: f"{prefix}{len(labels) - i}" for i, old in enumerate(labels)}
+
+    zero = names(pres["zero_cells"], "z")
+    gens = names([g["label"] for g in pres["gen_one_cells"]], "g")
+    twos = names([t["label"] for t in pres["gen_two_cells"]], "t")
+
+    def path(p):
+        return {"labels": [gens[x] for x in p["labels"]], "src": zero[p["src"]]}
+
+    def expr(e):
+        (key, value), = e.items()
+        if key == "gen":
+            return {"gen": twos[value]}
+        if key == "id":
+            return {"id": path(value)}
+        if key == "dagger":
+            return {"dagger": expr(value)}
+        return {key: [expr(x) for x in value]}
+
+    def keyed(table, new):
+        return {new[k]: v for k, v in table.items()}
+
+    return {
+        **doc,
+        "presentation": {
+            "zero_cells": [zero[a] for a in pres["zero_cells"]],
+            "gen_one_cells": [{"label": gens[g["label"]], "src": zero[g["src"]],
+                               "tgt": zero[g["tgt"]]}
+                              for g in reversed(pres["gen_one_cells"])],
+            "gen_two_cells": [{"label": twos[t["label"]], "source": path(t["source"]),
+                               "target": path(t["target"])}
+                              for t in pres["gen_two_cells"]],
+            "relations": [[expr(lhs), expr(rhs)] for lhs, rhs in pres["relations"]],
+        },
+        "functor": {"on0": keyed(fd["on0"], zero), "on1": keyed(fd["on1"], gens),
+                    "on2": keyed(fd["on2"], twos)},
+        "qsystem": {"psi0": keyed(qd["psi0"], zero), "psi1": keyed(qd["psi1"], gens),
+                    "m": keyed(qd["m"], zero), "i": keyed(qd["i"], zero)},
+    }
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_verify_fun_is_invariant_under_relabelling(tmp_path, capsys, seed):
+    # the construction is natural in the presentation: names and the order
+    # of the generators must not change the verdict, the checks made or G
+    files = [str(tmp_path / "sc.json"), str(tmp_path / "relabelled.json")]
+    run(capsys, "gen", "--kind", "scenario", "--seed", str(seed), "--out", files[0])
+    dump_document(relabelled(load_document(files[0])), files[1])
+    seen = []
+    for path in files:
+        code, out = run(capsys, "verify-fun", path, "--seed", "1", "--json")
+        report = json.loads(out)
+        seen.append((code, report["pass"], len(report["checks"]),
+                     sorted(report["G_zero_cells"].values())))
+    assert seen[0] == seen[1]
+    assert seen[0][:2] == (0, True)

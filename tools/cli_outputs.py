@@ -25,8 +25,9 @@ else.  It requires the same runs, exit codes and stderr, and stdout
 that is the same once each residual is masked (verdicts, row names,
 thresholds, ``k``, ``block_dims``, ``G_zero_cells``); written files
 must be the same bytes, except a ``split_result``'s ``gamma`` entries.
-It prints the largest residual change per command and every mismatch,
-and exits 1 if there is one.
+A run file missing from either OUTDIR is a mismatch.  It prints the
+largest residual change per command and every mismatch, and exits 1 if
+there is one.
 """
 
 from __future__ import annotations
@@ -133,6 +134,12 @@ def compare(old: str, new: str) -> int:
         command = argv[0]
         change.setdefault(command, 0.0)
         a, b = (os.path.join(d, "runs", name) for d in (old, new))
+        lost = [f"{name}.{ext} (missing in {path})" for path in (old, new)
+                for ext in ("code", "stdout", "stderr")
+                if not os.path.exists(os.path.join(path, "runs", f"{name}.{ext}"))]
+        if lost:
+            mismatches.extend(lost)
+            continue
         for ext in ("code", "stderr"):
             if read(f"{a}.{ext}") != read(f"{b}.{ext}"):
                 mismatches.append(f"{name}.{ext}")
