@@ -427,10 +427,13 @@ def residual(f: BlockTwoCell, g: BlockTwoCell) -> float:
 
 
 def is_unitary_residual(f: BlockTwoCell) -> float:
-    """max(|f*f - id|, |f f* - id|)."""
+    """max(|f*f - id|, |f f* - id|).  For a square ``f`` the two are
+    equal (``f* f`` and ``f f*`` are hermitian with the same
+    eigenvalues), so only ``f* f`` is formed."""
     a = frob(dagger(f.mat) @ f.mat - np.eye(f.source.dim))
-    b = frob(f.mat @ dagger(f.mat) - np.eye(f.target.dim))
-    return max(a, b)
+    if f.source.dim == f.target.dim:
+        return a
+    return max(a, frob(f.mat @ dagger(f.mat) - np.eye(f.target.dim)))
 
 
 def projection_residual(p: BlockTwoCell) -> float:

@@ -90,14 +90,9 @@ def range_isometry(p: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
     return np.ascontiguousarray(u[:, w > 0.5])
 
 
-def spectral_projections(h: np.ndarray, tol: Tolerance = Tolerance()):
-    """Eigenvalue clusters of a hermitian matrix.
-
-    Returns a list of ``(eigenvalue, projection)`` pairs, eigenvalues
-    ascending, where consecutive eigenvalues are merged into one cluster
-    whenever their gap is below ``gap_tol``.  The projections are
-    hermitian, idempotent, mutually orthogonal and sum to the identity.
-    """
+def _eigen_clusters(h: np.ndarray, tol: Tolerance) -> list[tuple[float, np.ndarray]]:
+    """``(eigenvalue, orthonormal eigenvectors)`` per cluster of
+    ``spectral_projections``, in the same order."""
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise NotHermitian("matrix is not square")
@@ -109,10 +104,20 @@ def spectral_projections(h: np.ndarray, tol: Tolerance = Tolerance()):
     start = 0
     for i in range(1, len(w) + 1):
         if i == len(w) or w[i] - w[i - 1] > tol.gap_tol:
-            block = u[:, start:i]
-            out.append((float(np.mean(w[start:i])), block @ dagger(block)))
+            out.append((float(np.mean(w[start:i])), u[:, start:i]))
             start = i
     return out
+
+
+def spectral_projections(h: np.ndarray, tol: Tolerance = Tolerance()):
+    """Eigenvalue clusters of a hermitian matrix.
+
+    Returns a list of ``(eigenvalue, projection)`` pairs, eigenvalues
+    ascending, where consecutive eigenvalues are merged into one cluster
+    whenever their gap is below ``gap_tol``.  The projections are
+    hermitian, idempotent, mutually orthogonal and sum to the identity.
+    """
+    return [(lam, v @ dagger(v)) for lam, v in _eigen_clusters(h, tol)]
 
 
 def commutant_basis(generators, tol: Tolerance = Tolerance()):

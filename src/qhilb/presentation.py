@@ -106,6 +106,11 @@ class PresentedTwoCat:
     _gens: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        if not self.zero_cells:
+            raise IllTypedPath("a presentation needs at least one zero-cell")
+        for k, c in enumerate(self.zero_cells):
+            if c in self.zero_cells[:k]:
+                raise IllTypedPath(f"duplicate zero-cell label {c}")
         gens = {}
         for g in self.gen_one_cells:
             if g.src not in self.zero_cells or g.tgt not in self.zero_cells:

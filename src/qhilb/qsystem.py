@@ -16,9 +16,9 @@ off their grading sectors, which ``QSystemData`` enforces.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,13 +130,35 @@ class BimoduleData:
             raise CellMismatch("right action must map X.P -> X")
 
 
-def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of ``a`` and the first of ``b``, as one
-    matrix product (``np.tensordot``'s own set-up costs more than the
-    product on most sector blocks)."""
-    k = a.shape[-1]
-    out = a.reshape(math.prod(a.shape[:-1]), k) @ b.reshape(k, math.prod(b.shape[1:]))
-    return out.reshape(a.shape[:-1] + b.shape[1:])
+class _Block(NamedTuple):
+    """A contiguous sector block and its two matrix views: rows over the
+    first axis (``head``) and over the first two (``tail``)."""
+    cube: np.ndarray
+    head: np.ndarray
+    tail: np.ndarray
+
+
+class _SectorBlocks(dict):
+    """``B[x, y, z]``: the block ``T(x, y, z)`` of the multiplication
+    tensor ``t`` (``conj``: its conjugate, stored as ``[a, i, b]``),
+    copied out of ``t`` on first use and kept as a ``_Block``."""
+
+    def __init__(self, t: np.ndarray, index, conj: bool):
+        super().__init__()
+        self.t, self.index, self.conj = t, index, conj
+
+    def __missing__(self, key) -> _Block:
+        x, y, z = key
+        i, a, b = self.index[x][z], self.index[x][y], self.index[y][z]
+        if self.conj:
+            cube = self.t[i[:, None], a[:, None, None], b]
+            np.conjugate(cube, out=cube)
+        else:
+            cube = self.t[i[:, None, None], a[:, None], b]
+        s0, s1, s2 = cube.shape
+        block = self[key] = _Block(cube, cube.reshape(s0, s1 * s2),
+                                   cube.reshape(s0 * s1, s2))
+        return block
 
 
 def _sq(x: np.ndarray) -> float:
@@ -145,82 +167,85 @@ def _sq(x: np.ndarray) -> float:
 
 def _q1_sq(T, r1, r2, r3, r4) -> float:
     """Squared norm of the associativity residual block of the quadruple:
-    ``(ab)c - a(bc)`` for ``a, b, c`` over ``(r1, r2), (r2, r3), (r3, r4)``."""
-    # (ab)c as [i, c, a, b], a(bc) as [i, a, b, c]
-    left = _contract(T(r1, r3, r4).transpose(0, 2, 1), T(r1, r2, r3))
-    right = _contract(T(r1, r2, r4), T(r2, r3, r4))
-    return _sq(np.subtract(left.transpose(0, 2, 3, 1), right, out=right))
+    ``(ab)c - a(bc)`` for ``a, b, c`` over ``(r1, r2), (r2, r3), (r3, r4)``,
+    both products as ``[i, a, b, c]``."""
+    # (ab)c batched over i; a(bc) as one product
+    left = np.matmul(T[r1, r2, r3].head.T, T[r1, r3, r4].cube)
+    right = T[r1, r2, r4].tail @ T[r2, r3, r4].head
+    return _sq(np.subtract(left, right.reshape(left.shape), out=left))
 
 
-def _q3_sq(T, r1, r2, r3, r4) -> tuple[float, float]:
-    """Squared norms of the two Frobenius residual blocks of the
-    quadruple: each composite against ``m* m``, for ``p, v`` over
-    ``(r1, r2), (r2, r3)`` and ``u, q`` over ``(r1, r4), (r4, r3)``."""
-    # the composites as [v, q, u, p] and [p, u, q, v], m* m as [p, v, u, q];
-    # the first is copied to m* m's order so that its difference can
-    # overwrite it, and the second's overwrites m* m
-    a = _contract(T(r2, r4, r3).transpose(0, 2, 1),
-                  T(r1, r2, r4).conj().transpose(2, 0, 1))
-    a = a.transpose(3, 0, 2, 1).copy()
-    mid = _contract(T(r1, r2, r3).conj().transpose(1, 2, 0), T(r1, r4, r3))
-    qa = _sq(np.subtract(a, mid, out=a))
-    del a
-    b = _contract(T(r1, r4, r2), T(r4, r2, r3).conj().transpose(1, 0, 2))
-    return qa, _sq(np.subtract(b.transpose(0, 3, 1, 2), mid, out=mid))
+def _q3_sq(T, C, r1, r2, r3, r4) -> float:
+    """Squared norm of the Frobenius residual block ``(m . 1)(1 . m*) -
+    m* m`` of the quadruple, for ``p, v`` over ``(r1, r2), (r2, r3)``
+    and ``u, q`` over ``(r1, r4), (r4, r3)``, both as ``[p, u, q, v]``."""
+    # m* m batched over p; the composite sums over b in (r4, r2)
+    mid = np.matmul(T[r1, r4, r3].head.T, C[r1, r2, r3].cube)
+    comp = T[r1, r4, r2].tail @ C[r4, r2, r3].head
+    return _sq(np.subtract(mid, comp.reshape(mid.shape), out=mid))
 
 
 def check_qsystem(q: QSystemData) -> ResidualReport:
     """Residuals of the four Q-system axioms.
 
-    Keys Q1 (associativity), Q2 (unitality, both sides), Q3 (Frobenius,
-    both equalities), Q4 (separability).  The unit's norm is recorded as
-    info; no normalization of ``i* i`` is imposed.
+    Keys Q1 (associativity), Q2 (unitality, both sides), Q3 (Frobenius),
+    Q4 (separability).  The unit's norm is recorded as info; no
+    normalization of ``i* i`` is imposed.
 
-    Q1 and Q3 are contracted on the multiplication tensor one grading
-    sector at a time.  With Q's basis stably sorted by grading, sector
-    ``(x, y)`` is a contiguous slice ``S[x][y]`` and the block
-    ``T(x, y, z) = t[S[x][z], S[x][y], S[y][z]]`` holds every product of
-    a vector over ``(x, y)`` with one over ``(y, z)``.  For each
+    Q3 compares one Frobenius composite, ``(m . 1)(1 . m*)``, with
+    ``m* m``.  The other, ``(1 . m)(m* . 1)``, is its adjoint and
+    ``m* m`` is hermitian, so the two residuals are adjoint to each
+    other and have the same norm for any ``m``.
+
+    Q1 and Q3 are contracted on the multiplication tensor ``t`` one
+    grading sector at a time.  With ``S[x][y]`` the basis indices over
+    ``(x, y)``, the block ``T(x, y, z) = t[S[x][z], S[x][y], S[y][z]]``
+    holds every product of a vector over ``(x, y)`` with one over
+    ``(y, z)``; it is copied out of ``t`` once per sector triple, as is
+    its conjugate ``C(x, y, z)``, stored as ``[a, i, b]``.  For each
     quadruple ``(r1, r2, r3, r4)`` of grading indices, Q1 compares
     ``(ab)c`` with ``a(bc)`` for ``a, b, c`` over ``(r1, r2), (r2, r3),
-    (r3, r4)``, and Q3 compares both Frobenius composites with ``m* m``
-    on ``p, v`` over ``(r1, r2), (r2, r3)`` against ``u, q`` over
-    ``(r1, r4), (r4, r3)``.  Squared block norms add up to the squared
+    (r3, r4)``, and Q3 compares the composite with ``m* m`` on ``p, v``
+    over ``(r1, r2), (r2, r3)`` against ``u, q`` over ``(r1, r4), (r4,
+    r3)``.  In those layouts one product of each pair is a single matrix
+    product and the other a matrix product batched over its free leading
+    index, and both land in the same index order, so no four-index block
+    is copied or transposed.  Squared block norms add up to the squared
     norm of the dense residual because ``m`` vanishes off its sectors,
     which ``QSystemData`` enforces.
 
-    Each quadruple's blocks live inside ``_q1_sq`` or ``_q3_sq`` and are
-    freed when it returns, and each difference is written over one of
-    its operands, so at most two four-index blocks are alive at a time.
+    Each quadruple's two four-index blocks live inside ``_q1_sq`` or
+    ``_q3_sq``, the difference overwrites one of them, and both are
+    freed when it returns, so at most two such blocks are alive at a
+    time.
+
+    Q2 reads both unit composites off ``t``: column ``q`` of ``m (i . 1)``
+    is ``sum_a i[a, row q] t[:, a, q]`` and that of ``m (1 . i)`` is
+    ``sum_b t[:, q, b] i[b, col q]``; each is compared with the identity.
     """
     Q, m, i = q.Q, q.m, q.i
     rep = ResidualReport()
     n = Q.src.n
-    order = sorted(range(Q.dim), key=Q.grading.__getitem__)
-    t = q.tensor[np.ix_(order, order, order)]
-    keys = [(r - 1) * n + c - 1 for r, c in (Q.grading[k] for k in order)]
-    lo = np.searchsorted(keys, np.arange(n * n), "left").reshape(n, n)
-    hi = np.searchsorted(keys, np.arange(n * n), "right").reshape(n, n)
-    S = [[slice(lo[x, y], hi[x, y]) for y in range(n)] for x in range(n)]
-    full = (hi > lo).tolist()
+    t = q.tensor
+    sectors = {g: np.array(v, dtype=np.intp) for g, v in Q.sectors().items()}
+    empty = np.zeros(0, dtype=np.intp)
+    S = [[sectors.get((x, y), empty) for y in range(1, n + 1)] for x in range(1, n + 1)]
+    full = [[s.size > 0 for s in row] for row in S]
+    T, C = _SectorBlocks(t, S, conj=False), _SectorBlocks(t, S, conj=True)
 
-    def T(x, y, z):
-        return t[S[x][z], S[x][y], S[y][z]]
-
-    q1 = q3a = q3b = 0.0
+    q1 = q3 = 0.0
     for r1, r2, r3, r4 in itertools.product(range(n), repeat=4):
-        if full[r1][r2] and full[r2][r3] and full[r3][r4] and full[r1][r4]:
-            q1 += _q1_sq(T, r1, r2, r3, r4)
-        if full[r1][r2] and full[r2][r3] and full[r1][r4] and full[r4][r3]:
-            qa, qb = _q3_sq(T, r1, r2, r3, r4)
-            q3a += qa
-            q3b += qb
+        if full[r1][r2] and full[r2][r3] and full[r1][r4]:
+            if full[r3][r4]:
+                q1 += _q1_sq(T, r1, r2, r3, r4)
+            if full[r4][r3]:
+                q3 += _q3_sq(T, C, r1, r2, r3, r4)
     rep.add("Q1", np.sqrt(q1))
-    left_unit = vcomp_many(m, (i, Q))
-    right_unit = vcomp_many(m, (Q, i))
-    rep.add("Q2", max(residual(left_unit, unitor_left(Q)),
-                      residual(right_unit, unitor_right(Q))))
-    rep.add("Q3", np.sqrt(max(q3a, q3b)))
+    rows, cols = (np.array(Q.grading, dtype=np.intp).reshape(-1, 2) - 1).T
+    eye = np.eye(Q.dim)
+    rep.add("Q2", max(frob(np.einsum("iaq,aq->iq", t, i.mat[:, rows]) - eye),
+                      frob(np.einsum("iqb,bq->iq", t, i.mat[:, cols]) - eye)))
+    rep.add("Q3", np.sqrt(q3))
     rep.add("Q4", residual(vcomp(m, dagger2(m)), id2(Q)))
     rep.add_info("unit_norm", frob(i.mat))
     return rep

@@ -18,7 +18,11 @@ separates the simple blocks (the random-element method of Murota,
 Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)), and
 in each block a spectral projection of the hermitian part of compressed
 right multiplication by one random vector is a minimal projection that
-cuts the block down to a column space.  Compressing *left*
+cuts the block down to a column space.  Central and right
+multiplications preserve the row of a basis vector, so the column space
+splits by rows inside itself: with ``V`` its isometry and ``P_j`` the
+projection onto row ``j``, ``V* P_j V`` is a ``d x d`` projection whose
+range gives the row-``j`` columns.  Compressing *left*
 multiplication to those column spaces is an algebra map by
 construction, which is what makes ``gamma`` multiplicative.  The
 blocks are ordered by dimension and row profile, so ``X`` does not
@@ -47,8 +51,8 @@ from .errors import (
     NormalizationFailure,
     NotAProjection,
 )
-from .linalg import (Tolerance, _check_projection, dagger, frob, herm_part,
-                     range_isometry, spectral_projections)
+from .linalg import (Tolerance, _check_projection, _eigen_clusters, dagger, frob,
+                     herm_part, range_isometry, spectral_projections)
 from .qsystem import (
     DualPair,
     QSystemData,
@@ -179,17 +183,17 @@ def _support_key(z: np.ndarray):
 
 
 def _minimal_projection(t, w, d, tol, rng):
-    """Rank-``d`` spectral projection of ``herm(w* (t @ x) w)``, the
-    compressed right multiplication by a random complex Gaussian ``x``
-    (columns of ``w`` = block range).  Its hermitian parts cover every
-    hermitian element of the compressed span plus its adjoints, so
-    ``x`` is generic with probability 1."""
+    """Orthonormal eigenvectors ``e`` (``w.shape[1] x d``) of a rank-``d``
+    spectral projection of ``herm(w* (t @ x) w)``, the compressed right
+    multiplication by a random complex Gaussian ``x`` (columns of ``w`` =
+    block range).  Its hermitian parts cover every hermitian element of
+    the compressed span plus its adjoints, so ``x`` is generic with
+    probability 1."""
     n = t.shape[0]
     for _ in range(_MAX_RANDOM_ATTEMPTS):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        clusters = spectral_projections(herm_part(dagger(w) @ (t @ x) @ w), tol)
-        ranks = [int(round(float(np.real(np.trace(p))))) for _, p in clusters]
-        if all(r == d for r in ranks) and len(clusters) * d == w.shape[1]:
+        clusters = _eigen_clusters(herm_part(dagger(w) @ (t @ x) @ w), tol)
+        if all(e.shape[1] == d for _, e in clusters) and len(clusters) * d == w.shape[1]:
             return clusters[0][1]
     raise DegenerateRandomElement("no generic element found in a matrix block")
 
@@ -200,10 +204,17 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
 
     Steps: regular representations; central decomposition into ``k``
     simple blocks; one minimal right-multiplication projection per
-    block; the column spaces, refined by the row grading, become the
-    sectors of ``X``, blocks sorted by dimension, then by rows and
-    their column counts; compressed left multiplication, rescaled to be
-    isometric block by block, is ``gamma*``.
+    block, whose ``d`` eigenvectors ``e`` give the isometry ``V = w e``
+    onto the block's column space (``w`` spans the block); the column
+    spaces, refined by the row grading, become the sectors of ``X``,
+    blocks sorted by dimension, then by rows and their column counts;
+    compressed left multiplication, rescaled to be isometric block by
+    block, is ``gamma*``.
+
+    The row-``j`` columns of a block are ``P_j V x``, with ``x`` the
+    eigenvalue-1 eigenvectors of the ``d x d`` projection ``V* P_j V``
+    (``range_isometry``, so its projection gate runs there); the ranks
+    over the rows must add up to ``d``.
 
     The returned data satisfies ``gamma`` unitary,
     ``gamma (id . ev . id) = m (gamma . gamma)`` and
@@ -221,32 +232,37 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     N = Q.dim
 
     rows = np.array([r for r, _ in Q.grading])
+    row_idx = [np.flatnonzero(rows == j) for j in range(1, n_rows + 1)]
 
-    blocks = []  # (d_t, per-row isometries {j: columns})
+    blocks = []  # (d_t, {row j: columns in row j}, N x d_t isometry grouped by row)
     for z in zs:
         w = range_isometry(z, tol)
         m_t = w.shape[1]
         d_t = isqrt(m_t)
         if d_t * d_t != m_t:
             raise InvalidQSystem("central block dimension is not a perfect square")
-        f = w @ _minimal_projection(tensor, w, d_t, tol, rng) @ dagger(w)
-        per_row = {}
-        for j in range(1, n_rows + 1):
-            pj = f * (rows == j)  # f composed with the row-j projection
-            v = range_isometry(herm_part(pj), tol)
-            if v.shape[1]:
-                per_row[j] = v
-        total = sum(v.shape[1] for v in per_row.values())
-        if total != d_t:
+        # V = w e spans the column space; central and right multiplications
+        # preserve rows, so V* P_j V is the projection onto its row-j part
+        v = w @ _minimal_projection(tensor, w, d_t, tol, rng)
+        counts, cols = {}, []
+        for j, idx in enumerate(row_idx, start=1):
+            vj = v[idx]
+            x = range_isometry(dagger(vj) @ vj, tol)
+            if x.shape[1]:
+                u = np.zeros((N, x.shape[1]), dtype=complex)
+                u[idx] = vj @ x
+                counts[j] = x.shape[1]
+                cols.append(u)
+        if sum(counts.values()) != d_t:
             raise InvalidQSystem("block column space does not refine the row grading")
-        blocks.append((d_t, per_row))
-    blocks.sort(key=lambda b: (b[0], [(j, v.shape[1]) for j, v in sorted(b[1].items())]))
+        blocks.append((d_t, counts, np.hstack(cols)))
+    blocks.sort(key=lambda b: (b[0], list(b[1].items())))
     k = len(blocks)
 
     # X : k -> b, grading pairs (row j, block t) sorted lexicographically
     grading = [(j, t) for j in range(1, n_rows + 1)
-               for t, (_, per_row) in enumerate(blocks, start=1)
-               if j in per_row for _ in range(per_row[j].shape[1])]
+               for t, (_, counts, _) in enumerate(blocks, start=1)
+               for _ in range(counts.get(j, 0))]
     X = GradedOneCell(ZeroCell(k), Q.tgt, tuple(grading))
     pair = standard_dual_pair(X)
     src, p_idx, _ = _hcomp_plan(X, pair.Xbar)
@@ -256,8 +272,7 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     # the basis pairs of X . Xbar in block t are, in order, the (alpha,
     # beta) of its column space in row-major order
     gdag = np.zeros((src.dim, N), dtype=complex)
-    for t, (d, per_row) in enumerate(blocks, start=1):
-        v = np.concatenate([per_row[j] for j in sorted(per_row)], axis=1)
+    for t, (d, _, v) in enumerate(blocks, start=1):
         mmat = dagger(v) @ tensor.transpose(1, 0, 2) @ v
         mmat = mmat.transpose(1, 2, 0).reshape(d * d, N)
         gram = mmat @ dagger(mmat)

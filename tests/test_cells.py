@@ -263,6 +263,23 @@ def test_interchanger_matches_the_pairing(n, data):
     assert is_unitary_residual(u) == 0.0
 
 
+@given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.integers(0, 6),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_is_unitary_residual_of_square_and_non_square_cells(rows, cols, square, rank, seed):
+    # for a square f, |f* f - 1| = |f f* - 1|, so one product is enough;
+    # rank below the size makes f rank-deficient
+    cols = rows if square else cols
+    rng = np.random.default_rng(seed)
+    r = min(rank, rows, cols)
+    a = rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r))
+    b = rng.standard_normal((r, cols)) + 1j * rng.standard_normal((r, cols))
+    f = two_cell(one_cell(1, 1, [(1, 1)] * cols), one_cell(1, 1, [(1, 1)] * rows), a @ b)
+    both = max(frob(f.mat.conj().T @ f.mat - np.eye(cols)),
+               frob(f.mat @ f.mat.conj().T - np.eye(rows)))
+    assert abs(is_unitary_residual(f) - both) <= 1e-12 * both
+
+
 def test_unitor_naturality():
     x = random_cell(RNG, 2, 3, 2)
     y = random_cell(RNG, 2, 3, 2)

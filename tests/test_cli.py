@@ -654,6 +654,21 @@ def test_exit_code_non_string_label(tmp_path, capsys, cells, label):
     assert err == f"error: bad presentation: label {label!r} is not a string\n"
 
 
+@pytest.mark.parametrize("kind, seed, mutate", [
+    ("constant", 1, lambda pres: pres.update(zero_cells=[], gen_one_cells=[])),
+    ("scenario", 3, lambda pres: pres.update(zero_cells=pres["zero_cells"] * 2)),
+], ids=["empty", "repeated"])
+def test_exit_code_empty_or_repeated_zero_cells(tmp_path, capsys, kind, seed, mutate):
+    # both passed verify-fun: the empty presentation with no check at
+    # all, the repeated labels after doing each zero-cell's work twice
+    path = str(tmp_path / f"{kind}.json")
+    run(capsys, "gen", "--kind", kind, "--seed", str(seed), "--out", path)
+    doc = load_document(path)
+    mutate(doc["presentation"])
+    dump_document(doc, path)
+    assert _one_error_line(["verify-fun", path], capsys) == 3
+
+
 def relabelled(doc):
     """The scenario ``doc`` with every zero-cell and generator renamed,
     the new names sorting in the reverse order of the old ones, and the

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 
 import pytest
@@ -15,10 +16,10 @@ def tool(monkeypatch):
     return module
 
 
-def _outdir(path):
+def _outdir(path, stdout="x.json\n"):
     os.makedirs(path / "runs")
     os.makedirs(path / "files")
-    for ext, text in (("code", "0\n"), ("stdout", "x.json\n"), ("stderr", "")):
+    for ext, text in (("code", "0\n"), ("stdout", stdout), ("stderr", "")):
         (path / "runs" / f"gen-x.{ext}").write_text(text)
     return str(path)
 
@@ -38,3 +39,24 @@ def test_compare_reports_a_missing_run_file(tmp_path, tool, capsys, side, ext):
     out = capsys.readouterr().out
     assert f"MISMATCH gen-x.{ext} (missing in {dirs[side]})\n" in out
     assert "1 mismatches" in out
+
+
+def _report(q1, q3):
+    checks = [{"name": name, "pass": True, "residual": value, "threshold": 1e-9}
+              for name, value in (("Q1", q1), ("Q3", q3))]
+    return json.dumps({"checks": checks, "pass": True}) + "\n"
+
+
+def test_compare_names_the_run_and_row_of_the_largest_change(tmp_path, tool, capsys):
+    old = _outdir(tmp_path / "old", _report(1e-16, 2e-15))
+    new = _outdir(tmp_path / "new", _report(2e-16, 5e-15))
+    assert tool.compare(old, new) == 0
+    out = capsys.readouterr().out
+    assert "gen: largest residual change 3.000e-15 (gen-x, row Q3)\n" in out
+    assert "0 mismatches" in out
+
+
+def test_compare_names_no_run_when_nothing_moved(tmp_path, tool, capsys):
+    report = _report(1e-16, 2e-15)
+    tool.compare(_outdir(tmp_path / "old", report), _outdir(tmp_path / "new", report))
+    assert "gen: largest residual change 0.000e+00\n" in capsys.readouterr().out

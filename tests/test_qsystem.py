@@ -15,7 +15,10 @@ from qhilb.cells import (
     one_cell,
     residual,
     two_cell,
+    unitor_left,
+    unitor_right,
     vcomp,
+    vcomp_many,
 )
 from qhilb.errors import CellMismatch
 from qhilb.generate import (
@@ -246,19 +249,23 @@ def test_qsystem_rejects_off_sector_entry(name):
         QSystemData(q.Q, parts["m"], parts["i"])
 
 
-def dense_q1_q3(q):
-    """Q1 and Q3 residuals from dense contractions of the whole
-    N x N x N multiplication tensor: the reference for the blocked sums."""
+def dense_residuals(q):
+    """Q1, Q2, both Frobenius residuals and Q4 from dense contractions of
+    the whole N x N x N multiplication tensor and from the composite
+    two-cells: the reference for the blocked sums and the unit sums."""
     n = q.Q.dim
     t = np.zeros((n, n, n), dtype=complex)
     pairs = np.array(hcomp_pairs(q.Q, q.Q), dtype=int).reshape(-1, 2)
     t[:, pairs[:, 0], pairs[:, 1]] = q.m.mat
     tc = t.conj()
     q1 = frob(np.einsum("iuc,uab->iabc", t, t) - np.einsum("iau,ubc->iabc", t, t))
+    q2 = max(residual(vcomp_many(q.m, (q.i, q.Q)), unitor_left(q.Q)),
+             residual(vcomp_many(q.m, (q.Q, q.i)), unitor_right(q.Q)))
     mid = np.einsum("ipv,iuq->pvuq", tc, t)
-    q3 = max(frob(np.einsum("vrq,upr->pvuq", t, tc) - mid),
-             frob(np.einsum("pub,qbv->pvuq", t, tc) - mid))
-    return q1, q3
+    q3a = frob(np.einsum("vrq,upr->pvuq", t, tc) - mid)
+    q3b = frob(np.einsum("pub,qbv->pvuq", t, tc) - mid)
+    q4 = residual(vcomp(q.m, dagger2(q.m)), id2(q.Q))
+    return q1, q2, (q3a, q3b), q4
 
 
 @st.composite
@@ -281,8 +288,18 @@ def test_blocked_axioms_match_dense(q):
     # counts; |m|^2 also scales the rounding of a residual that cancels
     rep = check_qsystem(q)
     scale = frob(q.m.mat) ** 2
-    for name, dense in zip(("Q1", "Q3"), dense_q1_q3(q)):
+    q1, q2, q3, q4 = dense_residuals(q)
+    for name, dense in (("Q1", q1), ("Q2", q2), ("Q3", max(q3)), ("Q4", q4)):
         assert abs(rep[name] - dense) <= 1e-12 * max(dense, scale)
+
+
+@given(sector_supported_structures())
+@settings(max_examples=100, deadline=None)
+def test_the_two_frobenius_residuals_are_equal(q):
+    # (1 . m)(m* . 1) - m* m is the adjoint of (m . 1)(1 . m*) - m* m,
+    # which is why check_qsystem forms only the second
+    _, _, (a, b), _ = dense_residuals(q)
+    assert abs(a - b) <= 1e-12 * max(a, b)
 
 
 # -- the iso contraction and the memory of the checks --------------------------

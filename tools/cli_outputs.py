@@ -26,8 +26,8 @@ that is the same once each residual is masked (verdicts, row names,
 thresholds, ``k``, ``block_dims``, ``G_zero_cells``); written files
 must be the same bytes, except a ``split_result``'s ``gamma`` entries.
 A run file missing from either OUTDIR is a mismatch.  It prints the
-largest residual change per command and every mismatch, and exits 1 if
-there is one.
+largest residual change per command, with the run and the report row
+where it occurred, and every mismatch, and exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -91,21 +91,21 @@ def run(main, argv) -> tuple[str, str, str]:
 ROW = re.compile(r"^(  \S+ +)(\S+)(  <= \S+  (?:ok|FAIL))$")
 
 
-def masked(stdout: str) -> tuple[str, list[float]]:
+def masked(stdout: str) -> tuple[str, list[tuple[str, float]]]:
     """``stdout`` with each report residual replaced by ``*``, and the
-    residuals in order."""
+    ``(row name, residual)`` pairs in order."""
     try:
         doc = json.loads(stdout)
     except ValueError:
         doc = None
     if isinstance(doc, dict) and "checks" in doc:
-        values = [check.pop("residual") for check in doc["checks"]]
+        values = [(check["name"], check.pop("residual")) for check in doc["checks"]]
         return json.dumps(doc, sort_keys=True), values
     lines, values = [], []
     for line in stdout.splitlines():
         row = ROW.match(line)
         if row:
-            values.append(float(row[2]))
+            values.append((row[1].strip(), float(row[2])))
             line = f"{row[1]}*{row[3]}"
         lines.append(line)
     return "\n".join(lines), values
@@ -128,11 +128,11 @@ def without_gamma_entries(path: str):
 def compare(old: str, new: str) -> int:
     """Check that OUTDIR ``new`` differs from ``old`` only in residuals
     and in ``gamma`` entries; print the largest residual change per
-    command and every mismatch."""
+    command, with its run and row, and every mismatch."""
     mismatches, change, gauged = [], {}, 0
     for name, argv in runs():
         command = argv[0]
-        change.setdefault(command, 0.0)
+        change.setdefault(command, (0.0, None, None))   # (change, run, row)
         a, b = (os.path.join(d, "runs", name) for d in (old, new))
         lost = [f"{name}.{ext} (missing in {path})" for path in (old, new)
                 for ext in ("code", "stdout", "stderr")
@@ -147,8 +147,9 @@ def compare(old: str, new: str) -> int:
         if text_a != text_b:
             mismatches.append(f"{name}.stdout")
             continue
-        change[command] = max([change[command]]
-                              + [abs(x - y) for x, y in zip(res_a, res_b)])
+        for (row, x), (_, y) in zip(res_a, res_b):
+            if abs(x - y) > change[command][0]:
+                change[command] = (abs(x - y), name, row)
     files = [sorted(os.listdir(os.path.join(d, "files"))) for d in (old, new)]
     if files[0] != files[1]:
         mismatches.append("files/ (the written files differ in name)")
@@ -160,8 +161,9 @@ def compare(old: str, new: str) -> int:
             mismatches.append(f"files/{name}")
         else:
             gauged += 1
-    for command, value in change.items():
-        print(f"{command}: largest residual change {value:.3e}")
+    for command, (value, name, row) in change.items():
+        print(f"{command}: largest residual change {value:.3e}"
+              + (f" ({name}, row {row})" if name else ""))
     print(f"{gauged} written files differ only in gamma entries")
     for name in mismatches:
         print(f"MISMATCH {name}")
