@@ -20,7 +20,13 @@ of one-cells rather than once per call:
   whose ``(src, tgt, grading)`` equals a live one returns that object,
   so one-cells compare and hash by identity and every ``lru_cache``
   keyed by cells hits by pointer;
-- ``_hcomp_plan(y, x)`` matches the gradings of ``y`` and ``x`` in one
+- a one-cell owns its grading as arrays too: ``rows`` and ``cols`` are
+  read-only ``intp`` arrays built once, with the range check, when the
+  cell is first made.  ``sector_mask``, ``_hcomp_plan``,
+  ``standard_dual``, ``qsystem.check_qsystem``,
+  ``splitting.split_qsystem``, the CLI and the generators read them;
+  no module turns ``grading`` into arrays itself;
+- ``_hcomp_plan(y, x)`` matches ``y.cols`` with ``x.rows`` in one
   array comparison and caches the composite one-cell together with the
   index arrays of its basis pairs.  It is the one code that orders the
   basis of a composite: ``hcomp1`` reads it, ``_fold_plan`` chains it
@@ -100,21 +106,33 @@ _intern_lock = threading.Lock()
 class GradedOneCell:
     """One-cell ``src -> tgt``: ordered basis graded by (row, col).
 
+    ``grading`` is the value: the interning key, the API and the
+    serialized form.  ``rows`` and ``cols`` are its two columns as
+    read-only ``intp`` arrays, built once when the cell is made; code
+    that needs the grading as arrays reads them and never converts
+    ``grading`` itself.
+
     Interned: while a cell of the same value is alive, the constructor
     returns that cell.  Assigning an attribute raises ``AttributeError``."""
 
-    __slots__ = ("src", "tgt", "grading", "__weakref__")
+    __slots__ = ("src", "tgt", "grading", "rows", "cols", "__weakref__")
 
     def __new__(cls, src: ZeroCell, tgt: ZeroCell, grading: tuple[tuple[int, int], ...]):
         key = (src, tgt, grading)
         with _intern_lock:   # one check-then-insert at a time
             cell = _interned.get(key)
             if cell is None:
-                for r, c in grading:
-                    if not (1 <= r <= tgt.n and 1 <= c <= src.n):
-                        raise CellMismatch(f"grading pair {(r, c)} out of range")
+                try:
+                    g = np.array(grading, dtype=np.intp).reshape(len(grading), 2)
+                except OverflowError:
+                    raise CellMismatch("grading index out of range") from None
+                bad = (g < 1).any(1) | (g[:, 0] > tgt.n) | (g[:, 1] > src.n)
+                if bad.any():
+                    raise CellMismatch(f"grading pair {grading[bad.argmax()]} out of range")
+                g = g.T.copy()
+                g.flags.writeable = False
                 cell = _interned[key] = object.__new__(cls)
-                for name, value in zip(cls.__slots__, key):
+                for name, value in zip(cls.__slots__, (*key, *g)):
                     object.__setattr__(cell, name, value)
         return cell
 
@@ -197,13 +215,7 @@ def sector_mask(target: GradedOneCell, source: GradedOneCell) -> np.ndarray:
     """Read-only boolean ``target.dim x source.dim`` matrix, true where
     ``target.grading[r] == source.grading[c]``: the entries a two-cell
     ``source => target`` may hold."""
-    n = max(target.src.n, source.src.n)
-
-    def keys(x):  # sector (r, c) as the integer r (n + 1) + c
-        g = np.array(x.grading, dtype=np.intp).reshape(-1, 2)
-        return g[:, 0] * (n + 1) + g[:, 1]
-
-    mask = keys(target)[:, None] == keys(source)
+    mask = (target.rows[:, None] == source.rows) & (target.cols[:, None] == source.cols)
     mask.setflags(write=False)
     return mask
 
@@ -221,12 +233,10 @@ def _hcomp_plan(y: GradedOneCell, x: GradedOneCell):
     ``p`` equal to the row of ``q``, ordered ``p`` major."""
     if x.tgt != y.src:
         raise CellMismatch(f"cannot compose {y!r} . {x!r}")
-    yg = np.array(y.grading, dtype=np.intp).reshape(-1, 2)
-    xg = np.array(x.grading, dtype=np.intp).reshape(-1, 2)
-    idx = np.array(np.nonzero(yg[:, 1, None] == xg[None, :, 0]))
+    idx = np.array(np.nonzero(y.cols[:, None] == x.rows))
     idx.setflags(write=False)
     p_idx, q_idx = idx
-    grading = tuple(zip(yg[p_idx, 0].tolist(), xg[q_idx, 1].tolist()))
+    grading = tuple(zip(y.rows[p_idx].tolist(), x.cols[q_idx].tolist()))
     return GradedOneCell(x.src, y.tgt, grading), p_idx, q_idx
 
 
@@ -394,7 +404,7 @@ def standard_dual(x: GradedOneCell):
 
     Raises ``EmptyColumn`` if some source index carries no basis vector.
     """
-    rows, cols = np.array(x.grading, dtype=np.intp).reshape(-1, 2).T - 1
+    rows, cols = x.rows - 1, x.cols - 1
     counts = np.bincount(cols, minlength=x.src.n)
     if not counts.all():
         raise EmptyColumn(int(np.argmin(counts)) + 1)

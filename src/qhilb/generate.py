@@ -148,9 +148,7 @@ def random_qsystem(rng: np.random.Generator, zero_cell: int = 1,
     """
     while True:
         x = random_cell(rng, blocks, zero_cell, max_sector_dim, full_cols=True)
-        counts = [0] * blocks
-        for _, c in x.grading:
-            counts[c - 1] += 1
+        counts = np.bincount(x.cols - 1, minlength=blocks).tolist()
         if sum(d * d for d in counts) <= max_total:
             break
     q = qsystem_from_dual(standard_dual_pair(x))

@@ -227,9 +227,8 @@ def check_qsystem(q: QSystemData) -> ResidualReport:
     rep = ResidualReport()
     n = Q.src.n
     t = q.tensor
-    sectors = {g: np.array(v, dtype=np.intp) for g, v in Q.sectors().items()}
-    empty = np.zeros(0, dtype=np.intp)
-    S = [[sectors.get((x, y), empty) for y in range(1, n + 1)] for x in range(1, n + 1)]
+    S = [[np.flatnonzero((Q.rows == x) & (Q.cols == y)) for y in range(1, n + 1)]
+         for x in range(1, n + 1)]
     full = [[s.size > 0 for s in row] for row in S]
     T, C = _SectorBlocks(t, S, conj=False), _SectorBlocks(t, S, conj=True)
 
@@ -241,10 +240,9 @@ def check_qsystem(q: QSystemData) -> ResidualReport:
             if full[r4][r3]:
                 q3 += _q3_sq(T, C, r1, r2, r3, r4)
     rep.add("Q1", np.sqrt(q1))
-    rows, cols = (np.array(Q.grading, dtype=np.intp).reshape(-1, 2) - 1).T
     eye = np.eye(Q.dim)
-    rep.add("Q2", max(frob(np.einsum("iaq,aq->iq", t, i.mat[:, rows]) - eye),
-                      frob(np.einsum("iqb,bq->iq", t, i.mat[:, cols]) - eye)))
+    rep.add("Q2", max(frob(np.einsum("iaq,aq->iq", t, i.mat[:, Q.rows - 1]) - eye),
+                      frob(np.einsum("iqb,bq->iq", t, i.mat[:, Q.cols - 1]) - eye)))
     rep.add("Q3", np.sqrt(q3))
     rep.add("Q4", residual(vcomp(m, dagger2(m)), id2(Q)))
     rep.add_info("unit_norm", frob(i.mat))

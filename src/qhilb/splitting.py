@@ -231,8 +231,7 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     n_rows = Q.tgt.n
     N = Q.dim
 
-    rows = np.array([r for r, _ in Q.grading])
-    row_idx = [np.flatnonzero(rows == j) for j in range(1, n_rows + 1)]
+    row_idx = [np.flatnonzero(Q.rows == j) for j in range(1, n_rows + 1)]
 
     blocks = []  # (d_t, {row j: columns in row j}, N x d_t isometry grouped by row)
     for z in zs:
@@ -260,13 +259,13 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     k = len(blocks)
 
     # X : k -> b, grading pairs (row j, block t) sorted lexicographically
-    grading = [(j, t) for j in range(1, n_rows + 1)
-               for t, (_, counts, _) in enumerate(blocks, start=1)
-               for _ in range(counts.get(j, 0))]
-    X = GradedOneCell(ZeroCell(k), Q.tgt, tuple(grading))
+    grading = tuple((j, t) for j in range(1, n_rows + 1)
+                    for t, (_, counts, _) in enumerate(blocks, start=1)
+                    for _ in range(counts.get(j, 0)))
+    X = GradedOneCell(ZeroCell(k), Q.tgt, grading)
     pair = standard_dual_pair(X)
     src, p_idx, _ = _hcomp_plan(X, pair.Xbar)
-    block_of = np.array(grading)[p_idx, 1]
+    block_of = X.cols[p_idx]
 
     # compressed left multiplication per block, rescaled to an isometry;
     # the basis pairs of X . Xbar in block t are, in order, the (alpha,

@@ -491,6 +491,47 @@ def test_invalid_grading_adds_nothing_to_the_table():
     assert key not in cells._interned and len(cells._interned) <= size
 
 
+def test_a_grading_of_triples_raises_and_adds_nothing_to_the_table():
+    # 2 triples hold 6 numbers, so no reshape to 2 pairs could hold them
+    key = (ZeroCell(2), ZeroCell(2), ((1, 1, 1), (2, 2, 2)))
+    size = len(cells._interned)
+    with pytest.raises(ValueError):
+        GradedOneCell(*key)
+    assert key not in cells._interned and len(cells._interned) <= size
+
+
+def test_an_index_past_intp_is_a_cell_mismatch():
+    # in range of its declared zero-cell, but no index array can hold it
+    with pytest.raises(CellMismatch, match="out of range"):
+        GradedOneCell(ZeroCell(1), ZeroCell(2 ** 70), ((2 ** 64, 1),))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_rows_and_cols_are_the_read_only_columns_of_the_grading(src, tgt, data):
+    grading = data.draw(gradings(src, tgt))
+    x = GradedOneCell(ZeroCell(src), ZeroCell(tgt), grading)
+    for arr, column in ((x.rows, [r for r, _ in grading]), (x.cols, [c for _, c in grading])):
+        assert arr.dtype == np.intp and arr.tolist() == column
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 1
+    with pytest.raises(AttributeError):
+        x.rows = np.zeros(x.dim, dtype=np.intp)
+
+
+@given(st.lists(st.integers(1, 3), min_size=3, max_size=3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_hcomp_plan_pairs_match_the_tuple_enumeration(n, data):
+    a, b, c = n
+    x = GradedOneCell(ZeroCell(a), ZeroCell(b), data.draw(gradings(a, b)))
+    y = GradedOneCell(ZeroCell(b), ZeroCell(c), data.draw(gradings(b, c)))
+    _, p_idx, q_idx = cells._hcomp_plan(y, x)
+    assert list(zip(p_idx.tolist(), q_idx.tolist())) == [
+        (p, q) for p, (_, col) in enumerate(y.grading)
+        for q, (row, _) in enumerate(x.grading) if col == row]
+
+
 def test_threads_building_equal_cells_get_one_object():
     # four threads build the same fresh values at once; a lost insert
     # would hand two threads two objects for one value
