@@ -20,12 +20,9 @@ of one-cells rather than once per call:
   whose ``(src, tgt, grading)`` equals a live one returns that object,
   so one-cells compare and hash by identity and every ``lru_cache``
   keyed by cells hits by pointer;
-- a one-cell owns its grading as arrays too: ``rows`` and ``cols`` are
-  read-only ``intp`` arrays built once, with the range check, when the
-  cell is first made.  ``sector_mask``, ``_hcomp_plan``,
-  ``standard_dual``, ``qsystem.check_qsystem``,
-  ``splitting.split_qsystem``, the CLI and the generators read them;
-  no module turns ``grading`` into arrays itself;
+- a one-cell holds its grading as read-only ``intp`` arrays ``rows``
+  and ``cols`` too, built once with the range check; every module reads
+  those, and none turns ``grading`` into arrays itself;
 - ``_hcomp_plan(y, x)`` matches ``y.cols`` with ``x.rows`` in one
   array comparison and caches the composite one-cell together with the
   index arrays of its basis pairs.  It is the one code that orders the
@@ -106,12 +103,8 @@ _intern_lock = threading.Lock()
 class GradedOneCell:
     """One-cell ``src -> tgt``: ordered basis graded by (row, col).
 
-    ``grading`` is the value: the interning key, the API and the
-    serialized form.  ``rows`` and ``cols`` are its two columns as
-    read-only ``intp`` arrays, built once when the cell is made; code
-    that needs the grading as arrays reads them and never converts
-    ``grading`` itself.
-
+    ``grading`` is the interning key, the API and the serialized form;
+    ``rows`` and ``cols`` are its columns as read-only ``intp`` arrays.
     Interned: while a cell of the same value is alive, the constructor
     returns that cell.  Assigning an attribute raises ``AttributeError``."""
 

@@ -105,8 +105,7 @@ def cmd_split_qsystem(args) -> int:
     res = split_qsystem(q, tol, np.random.default_rng(args.seed))
     if args.out:
         dump_document(split_result_to_json(res), args.out)
-    counts = np.bincount(res.pair.X.cols - 1, minlength=res.k.n)
-    extra = {"k": res.k.n, "block_dims": sorted(counts.tolist())}
+    extra = {"k": res.k.n, "block_dims": sorted(np.bincount(res.pair.X.cols)[1:].tolist())}
     return _emit(res.iso.rows(10 * tol.atol), res.iso.info, args.json,
                  f"Q-system splitting ({args.file})", extra=extra)
 

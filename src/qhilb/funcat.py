@@ -109,8 +109,10 @@ class FunctorData:
         for f in self.cat.gen_two_cells:
             if f.label in self.on2:
                 img = self.on2[f.label]
-                if img.source is not self.cell(f.source) or img.target is not self.cell(f.target):
-                    raise CellMismatch(f"image of {f.label} has wrong cells")
+                for x, p in ((img.source, f.source), (img.target, f.target)):
+                    # an empty path's cell is id1: its size first, as for a unit
+                    if not p.labels and x.dim != self.on0[p.src].n or x is not self.cell(p):
+                        raise CellMismatch(f"image of {f.label} has wrong cells")
 
     def zero_cell(self, a: str) -> ZeroCell:
         return self.on0[a]

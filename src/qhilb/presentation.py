@@ -119,7 +119,9 @@ class PresentedTwoCat:
                 raise IllTypedPath(f"duplicate generator label {g.label}")
             gens[g.label] = g
         object.__setattr__(self, "_gens", gens)
-        for f in self.gen_two_cells:
+        for k, f in enumerate(self.gen_two_cells):
+            if f.label in (t.label for t in self.gen_two_cells[:k]):
+                raise IllTypedPath(f"duplicate generator two-cell label {f.label}")
             for p in (f.source, f.target):
                 self._validate(p)
             if (f.source.src, f.source.tgt) != (f.target.src, f.target.tgt):

@@ -74,7 +74,9 @@ class QSystemData:
             raise CellMismatch("a Q-system lives on a single zero-cell")
         if self.m.source is not hcomp1(self.Q, self.Q) or self.m.target is not self.Q:
             raise CellMismatch("multiplication must map Q.Q -> Q")
-        if self.i.source is not id1(self.Q.src) or self.i.target is not self.Q:
+        # the size first: id1 of a declared size no cell lists is never built
+        if self.i.source.dim != self.Q.src.n or self.i.source is not id1(self.Q.src) \
+                or self.i.target is not self.Q:
             raise CellMismatch("unit must map unit -> Q")
         for name, f in (("m", self.m), ("i", self.i)):
             if f.mat[~sector_mask(f.target, f.source)].any():

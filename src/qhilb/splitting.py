@@ -15,8 +15,10 @@ The center is the null space of the ``N^2 x N`` commutator map
 ``z -> z a - a z``, from ``eigh`` of its ``N x N`` Gram matrix.  The
 hermitian part of left multiplication by a random central element
 separates the simple blocks (the random-element method of Murota,
-Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)), and
-in each block a spectral projection of the hermitian part of compressed
+Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)); the
+eigenvectors of each of its eigenvalue clusters are the isometry onto
+a block, so no block projection is formed and diagonalized again.  In
+each block a spectral projection of the hermitian part of compressed
 right multiplication by one random vector is a minimal projection that
 cuts the block down to a column space.  Central and right
 multiplications preserve the row of a basis vector, so the column space
@@ -52,7 +54,7 @@ from .errors import (
     NotAProjection,
 )
 from .linalg import (Tolerance, _check_projection, _eigen_clusters, dagger, frob,
-                     herm_part, range_isometry, spectral_projections)
+                     herm_part, range_isometry)
 from .qsystem import (
     DualPair,
     QSystemData,
@@ -147,16 +149,16 @@ def center_basis(t: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
 
 def central_decomposition(q: QSystemData, tol: Tolerance = Tolerance(),
                           rng: np.random.Generator | int | None = None):
-    """Minimal central projections of the multiplication algebra of Q.
-
-    Spectral projections of the hermitian part of left multiplication
-    by a random central element.  Retries with fresh randomness if the
-    sampled element fails to separate the blocks.
-    """
-    return _central_projections(regular_reps(q, tol), tol, np.random.default_rng(rng))
+    """Minimal central projections ``w w*`` of the multiplication algebra
+    of Q, with ``w`` the eigenvector blocks of ``_central_projections``."""
+    ws = _central_projections(regular_reps(q, tol), tol, np.random.default_rng(rng))
+    return [w @ dagger(w) for w in ws]
 
 
 def _central_projections(t: np.ndarray, tol: Tolerance, rng: np.random.Generator):
+    """Eigenvectors ``w`` of each minimal central projection ``w w*``,
+    sorted by rank, then by first supported basis vector; retries with
+    fresh randomness if an element fails to separate the blocks."""
     # L_z for each basis vector z of the center; these span the joint
     # commutant of left and right multiplication, which is closed under
     # adjoints, so the hermitian part of a random combination stays in it
@@ -165,21 +167,17 @@ def _central_projections(t: np.ndarray, tol: Tolerance, rng: np.random.Generator
     for _ in range(_MAX_RANDOM_ATTEMPTS):
         coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         h = herm_part(sum(c * z for c, z in zip(coeff, center)))
-        clusters = spectral_projections(h, tol)
-        if len(clusters) != k:
-            continue
-        zs = [z for _, z in clusters]
-        zs.sort(key=_support_key)
-        return zs
+        clusters = _eigen_clusters(h, tol)
+        if len(clusters) == k:
+            return sorted((w for _, w in clusters), key=_support_key)
     raise DegenerateRandomElement(
         f"could not separate {k} central blocks in {_MAX_RANDOM_ATTEMPTS} attempts")
 
 
-def _support_key(z: np.ndarray):
-    diag = np.abs(np.diag(z))
-    rank = int(round(float(np.real(np.trace(z)))))
+def _support_key(w: np.ndarray):
+    diag = np.einsum("ij,ij->i", w.conj(), w).real
     first = int(np.argmax(diag > diag.max() * 1e-6)) if diag.size else 0
-    return (rank, first)
+    return (w.shape[1], first)
 
 
 def _minimal_projection(t, w, d, tol, rng):
@@ -203,13 +201,13 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     """Split a Q-system as ``X . Xbar`` over a new zero-cell.
 
     Steps: regular representations; central decomposition into ``k``
-    simple blocks; one minimal right-multiplication projection per
-    block, whose ``d`` eigenvectors ``e`` give the isometry ``V = w e``
-    onto the block's column space (``w`` spans the block); the column
-    spaces, refined by the row grading, become the sectors of ``X``,
-    blocks sorted by dimension, then by rows and their column counts;
-    compressed left multiplication, rescaled to be isometric block by
-    block, is ``gamma*``.
+    simple blocks, each given by its eigenvectors ``w``; one minimal
+    right-multiplication projection per block, whose ``d`` eigenvectors
+    ``e`` give the isometry ``V = w e`` onto the block's column space;
+    the column spaces, refined by the row grading, become the sectors
+    of ``X``, blocks sorted by dimension, then by rows and their column
+    counts; compressed left multiplication, rescaled to be isometric
+    block by block, is ``gamma*``.
 
     The row-``j`` columns of a block are ``P_j V x``, with ``x`` the
     eigenvalue-1 eigenvectors of the ``d x d`` projection ``V* P_j V``
@@ -226,7 +224,7 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
                            "it would need a zero-cell of size 0")
     tensor = regular_reps(q, tol)
     rng = np.random.default_rng(rng)
-    zs = _central_projections(tensor, tol, rng)
+    ws = _central_projections(tensor, tol, rng)
     Q = q.Q
     n_rows = Q.tgt.n
     N = Q.dim
@@ -234,8 +232,7 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     row_idx = [np.flatnonzero(Q.rows == j) for j in range(1, n_rows + 1)]
 
     blocks = []  # (d_t, {row j: columns in row j}, N x d_t isometry grouped by row)
-    for z in zs:
-        w = range_isometry(z, tol)
+    for w in ws:
         m_t = w.shape[1]
         d_t = isqrt(m_t)
         if d_t * d_t != m_t:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhilb import cli, qsystem, splitting
+from qhilb import cli, funcat, qsystem, splitting
 from qhilb.cells import (dagger2, hcomp1, hcomp2, id1, id2, one_cell, residual,
                          sector_mask, two_cell, vcomp)
 from qhilb.cli import main
@@ -667,6 +667,56 @@ def test_exit_code_empty_or_repeated_zero_cells(tmp_path, capsys, kind, seed, mu
     mutate(doc["presentation"])
     dump_document(doc, path)
     assert _one_error_line(["verify-fun", path], capsys) == 3
+
+
+def test_exit_code_repeated_generator_two_cell(tmp_path, capsys):
+    # passed verify-fun: the second f1 was never looked at
+    path = str(tmp_path / "sc.json")
+    run(capsys, "gen", "--kind", "scenario", "--seed", "1", "--out", path)
+    doc = load_document(path)
+    twos = doc["presentation"]["gen_two_cells"]
+    assert [t["label"] for t in twos] == ["f1"]
+    twos.append(twos[0])
+    dump_document(doc, path)
+    assert _one_error_line(["verify-fun", path], capsys) == 3
+
+
+@pytest.mark.parametrize("size", [10 ** 12, 10 ** 30], ids=["1e12", "1e30"])
+@pytest.mark.parametrize("command, error", [
+    ("check-qsystem", "unit must map unit -> Q"),
+    ("verify-fun", "image of f1 has wrong cells"),
+], ids=["qsystem", "scenario"])
+def test_exit_code_declared_zero_cell_size(tmp_path, capsys, monkeypatch,
+                                           size, command, error):
+    # one-pair cells over a zero-cell declared huge: the unit of the
+    # Q-system, and the image of a generator two-cell between empty
+    # paths, list a source of dimension 1, not id1 of that size.  Building
+    # id1 of the declared size ran out of memory, so id1 is patched to
+    # refuse it; at 10**30 the sector keys overflowed before that.
+    def listed_id1(n):
+        assert getattr(n, "n", n) <= 64, "id1 of a size no cell lists"
+        return id1(n)
+
+    for module in (qsystem, funcat):
+        monkeypatch.setattr(module, "id1", listed_id1)
+    cell = {"src": size, "tgt": size, "grading": [[1, 1]]}
+    one = {"source": cell, "target": cell,
+           "entries": base64.b64encode(struct.pack("<2d", 1.0, 0.0)).decode()}
+    if command == "check-qsystem":
+        doc = {"schema": 3, "kind": "qsystem", "cell": cell, "m": one, "i": one}
+    else:
+        empty = {"labels": [], "src": "a"}
+        doc = {"schema": 3, "kind": "scenario",
+               "presentation": {"zero_cells": ["a"], "gen_one_cells": [],
+                                "gen_two_cells": [{"label": "f1", "source": empty,
+                                                   "target": empty}]},
+               "functor": {"on0": {"a": size}, "on1": {}, "on2": {"f1": one}},
+               "qsystem": {"psi0": {"a": cell}, "psi1": {},
+                           "m": {"a": one}, "i": {"a": one}}}
+    path = str(tmp_path / "big.json")
+    dump_document(doc, path)
+    assert main([command, path]) == 3
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def relabelled(doc):

@@ -482,3 +482,22 @@ def test_block_order_does_not_depend_on_the_random_elements():
     gradings = {split_qsystem(q, rng=np.random.default_rng(s)).pair.X.grading
                 for s in range(10)}
     assert gradings == {((1, 1), (1, 2), (1, 2), (2, 1))}
+
+
+def test_split_hands_on_central_blocks_as_eigenvectors(monkeypatch):
+    # each central block enters as the eigenvectors of its cluster, so the
+    # only projections diagonalized are the d x d row projections of a
+    # block, never an N x N one
+    shapes = []
+
+    def isometry(p, tol=Tolerance()):
+        shapes.append(np.shape(p))
+        return linalg.range_isometry(p, tol)
+
+    monkeypatch.setattr(splitting, "range_isometry", isometry)
+    x = one_cell(3, 2, [(1, 1), (1, 2), (1, 2), (2, 2), (2, 3), (2, 3), (2, 3)])
+    q = dress_qsystem(np.random.default_rng(4), qsystem_from_dual(standard_dual_pair(x)))
+    res = split_qsystem(q, rng=np.random.default_rng(0))
+    assert block_dims(res) == [1, 3, 3] and res.iso.passes(1e-8)
+    assert shapes and all(s[0] <= 3 for s in shapes)
+    assert (q.Q.dim, q.Q.dim) not in shapes
