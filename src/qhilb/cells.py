@@ -25,10 +25,13 @@ of one-cells rather than once per call:
   those, and none turns ``grading`` into arrays itself;
 - ``_hcomp_plan(y, x)`` matches ``y.cols`` with ``x.rows`` in one
   array comparison and caches the composite one-cell together with the
-  index arrays of its basis pairs.  It is the one code that orders the
-  basis of a composite: ``hcomp1`` reads it, ``_fold_plan`` chains it
-  over the cells of a longer composite, and ``unitor_left``,
-  ``standard_dual``, ``splitting.split_qsystem`` and
+  index arrays of its basis pairs.  The composite's ``rows`` and
+  ``cols`` are gathered from those of ``y`` and ``x``, so they are in
+  range by construction and are handed to the cell as they are; only
+  the grading tuple, the interning key, is built from them.  It is the
+  one code that orders the basis of a composite: ``hcomp1`` reads it,
+  ``_fold_plan`` chains it over the cells of a longer composite, and
+  ``unitor_left``, ``standard_dual``, ``splitting.split_qsystem`` and
   ``generate.interchanger`` place their entries with its index arrays.
   ``hcomp_pairs`` lists the same pairs as tuples; it is kept for the
   tests and the benchmark tracer;
@@ -100,6 +103,21 @@ _interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _intern_lock = threading.Lock()
 
 
+def _grading_arrays(src: ZeroCell, tgt: ZeroCell, grading):
+    """The rows and cols of ``grading`` as ``intp`` arrays, each pair
+    checked against ``tgt`` and ``src``."""
+    try:
+        g = np.array(grading, dtype=np.intp).reshape(len(grading), 2)
+    except OverflowError:
+        raise CellMismatch("grading index out of range") from None
+    bad = (g < 1).any(1) | (g[:, 0] > tgt.n) | (g[:, 1] > src.n)
+    if bad.any():
+        raise CellMismatch(f"grading pair {grading[bad.argmax()]} out of range")
+    g = g.T.copy()
+    g.flags.writeable = False
+    return g
+
+
 class GradedOneCell:
     """One-cell ``src -> tgt``: ordered basis graded by (row, col).
 
@@ -111,21 +129,22 @@ class GradedOneCell:
     __slots__ = ("src", "tgt", "grading", "rows", "cols", "__weakref__")
 
     def __new__(cls, src: ZeroCell, tgt: ZeroCell, grading: tuple[tuple[int, int], ...]):
+        return cls._intern(src, tgt, grading)
+
+    @classmethod
+    def _intern(cls, src, tgt, grading, rows=None, cols=None):
+        """The interned cell of ``(src, tgt, grading)``.  A caller that
+        built ``grading`` from index arrays in range passes them as
+        ``rows`` and ``cols``; they are made read-only and not checked."""
         key = (src, tgt, grading)
         with _intern_lock:   # one check-then-insert at a time
             cell = _interned.get(key)
             if cell is None:
-                try:
-                    g = np.array(grading, dtype=np.intp).reshape(len(grading), 2)
-                except OverflowError:
-                    raise CellMismatch("grading index out of range") from None
-                bad = (g < 1).any(1) | (g[:, 0] > tgt.n) | (g[:, 1] > src.n)
-                if bad.any():
-                    raise CellMismatch(f"grading pair {grading[bad.argmax()]} out of range")
-                g = g.T.copy()
-                g.flags.writeable = False
+                if rows is None:
+                    rows, cols = _grading_arrays(src, tgt, grading)
+                rows.flags.writeable = cols.flags.writeable = False
                 cell = _interned[key] = object.__new__(cls)
-                for name, value in zip(cls.__slots__, (*key, *g)):
+                for name, value in zip(cls.__slots__, (*key, rows, cols)):
                     object.__setattr__(cell, name, value)
         return cell
 
@@ -229,8 +248,9 @@ def _hcomp_plan(y: GradedOneCell, x: GradedOneCell):
     idx = np.array(np.nonzero(y.cols[:, None] == x.rows))
     idx.setflags(write=False)
     p_idx, q_idx = idx
-    grading = tuple(zip(y.rows[p_idx].tolist(), x.cols[q_idx].tolist()))
-    return GradedOneCell(x.src, y.tgt, grading), p_idx, q_idx
+    rows, cols = y.rows[p_idx], x.cols[q_idx]
+    grading = tuple(zip(rows.tolist(), cols.tolist()))
+    return GradedOneCell._intern(x.src, y.tgt, grading, rows, cols), p_idx, q_idx
 
 
 @lru_cache(maxsize=None)

@@ -532,6 +532,24 @@ def test_hcomp_plan_pairs_match_the_tuple_enumeration(n, data):
         for q, (row, _) in enumerate(x.grading) if col == row]
 
 
+def test_a_composite_takes_the_index_arrays_of_its_plan(monkeypatch):
+    # the pairs of a composite are in range by construction, so its
+    # grading is neither turned back into arrays nor range-checked
+    def refuse(*args):
+        raise AssertionError("composite grading parsed again")
+
+    x = GradedOneCell(ZeroCell(3), ZeroCell(2), ((1, 3), (2, 1), (2, 3), (1, 2)))
+    y = GradedOneCell(ZeroCell(2), ZeroCell(4), ((4, 2), (1, 1), (3, 2)))
+    monkeypatch.setattr(cells, "_grading_arrays", refuse)
+    cells._hcomp_plan.cache_clear()
+    out, p_idx, q_idx = cells._hcomp_plan(y, x)
+    assert out.grading == ((4, 1), (4, 3), (1, 3), (1, 2), (3, 1), (3, 3))
+    assert out.rows.tolist() == [4, 4, 1, 1, 3, 3] and out.cols.tolist() == [1, 3, 3, 2, 1, 3]
+    assert out.rows.dtype == out.cols.dtype == np.intp
+    assert not out.rows.flags.writeable and not out.cols.flags.writeable
+    assert out is GradedOneCell(ZeroCell(3), ZeroCell(4), out.grading)
+
+
 def test_threads_building_equal_cells_get_one_object():
     # four threads build the same fresh values at once; a lost insert
     # would hand two threads two objects for one value
