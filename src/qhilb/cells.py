@@ -232,6 +232,12 @@ def sector_mask(target: GradedOneCell, source: GradedOneCell) -> np.ndarray:
     return mask
 
 
+def off_sector_nonzero(f: BlockTwoCell) -> bool:
+    """True if ``f`` holds a nonzero (or NaN) entry off its grading
+    sectors; only boolean temporaries are made."""
+    return bool(((f.mat != 0) & ~sector_mask(f.target, f.source)).any())
+
+
 @lru_cache(maxsize=None)
 def id2(x: GradedOneCell) -> BlockTwoCell:
     """The identity two-cell on ``x``, shared between calls."""
@@ -384,9 +390,13 @@ def vcomp_many(*layers) -> BlockTwoCell:
 
 
 def dagger2(f: BlockTwoCell) -> BlockTwoCell:
+    """The adjoint two-cell.  Its matrix is one C-ordered copy of the
+    transpose, conjugated in place: no second copy, and no ufunc buffer
+    as a conjugate that writes a transposed layout would take."""
     if type(f) is _Identity2:
         return f
-    return BlockTwoCell(f.target, f.source, dagger(f.mat))
+    mat = f.mat.T.copy()
+    return BlockTwoCell(f.target, f.source, np.conjugate(mat, out=mat))
 
 
 @lru_cache(maxsize=None)

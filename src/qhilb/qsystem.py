@@ -33,8 +33,8 @@ from .cells import (
     id1,
     id2,
     is_unitary_residual,
+    off_sector_nonzero,
     residual,
-    sector_mask,
     standard_dual,
     unitor_left,
     unitor_right,
@@ -79,7 +79,7 @@ class QSystemData:
                 or self.i.target is not self.Q:
             raise CellMismatch("unit must map unit -> Q")
         for name, f in (("m", self.m), ("i", self.i)):
-            if f.mat[~sector_mask(f.target, f.source)].any():
+            if off_sector_nonzero(f):
                 raise CellMismatch(f"{name} has a nonzero entry off its grading sectors")
 
     @property

@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .cells import BlockTwoCell, GradedOneCell, ZeroCell, sector_mask
+from .cells import BlockTwoCell, GradedOneCell, ZeroCell, off_sector_nonzero, sector_mask
 from .errors import CellMismatch, ParseError
 from .funcat import EndFQSystem, FunctorData, ModificationData, TransformationData
 from .presentation import (
@@ -130,11 +130,10 @@ def _entries_from_json(values, mask: np.ndarray) -> np.ndarray:
 
 
 def two_cell_to_json(f: BlockTwoCell) -> dict:
-    mask = sector_mask(f.target, f.source)
-    if f.mat[~mask].any():
+    if off_sector_nonzero(f):
         raise CellMismatch("cannot write a two-cell with a nonzero entry "
                            "off its grading sectors")
-    raw = f.mat[mask].astype("<c16", copy=False).tobytes()
+    raw = f.mat[sector_mask(f.target, f.source)].astype("<c16", copy=False).tobytes()
     return {"source": cell_to_json(f.source), "target": cell_to_json(f.target),
             "entries": base64.b64encode(raw).decode("ascii")}
 

@@ -2,6 +2,7 @@ import gc
 import json
 import sys
 import threading
+import tracemalloc
 import weakref
 from functools import reduce
 
@@ -24,6 +25,7 @@ from qhilb.cells import (
     id1,
     id2,
     is_unitary_residual,
+    off_sector_nonzero,
     one_cell,
     residual,
     sector_mask,
@@ -123,6 +125,35 @@ def test_dagger2_involution_antihomomorphism():
     f, g = rand_endo(x), rand_endo(x)
     assert residual(dagger2(dagger2(f)), f) == 0
     assert residual(dagger2(vcomp(g, f)), vcomp(dagger2(f), dagger2(g))) < 1e-12
+
+
+def test_dagger2_copies_the_matrix_once():
+    # the adjoint is written C-ordered in one pass: no conjugate copy
+    # that BlockTwoCell would copy again into C order
+    rng = np.random.default_rng(7)
+    f = two_cell(one_cell(1, 1, [(1, 1)] * 300), one_cell(1, 1, [(1, 1)] * 200),
+                 rng.standard_normal((200, 300)) + 1j * rng.standard_normal((200, 300)))
+    tracemalloc.start()
+    try:
+        g = dagger2(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * f.mat.nbytes
+    assert g.mat.flags.c_contiguous and np.array_equal(g.mat, f.mat.conj().T)
+
+
+@pytest.mark.parametrize("value, off", [(-0.0, False), (0.0, False), (1e-300, True),
+                                        (complex(0.0, -1e-300), True), (np.nan, True)])
+def test_off_sector_nonzero_reads_each_entry_as_nonzero_does(value, off):
+    # -0.0 is zero and NaN is not, as for the gather ``mat[~mask].any()``
+    x = one_cell(1, 2, [(1, 1), (2, 1), (1, 1)])
+    mat = np.zeros((3, 3), dtype=complex)
+    mat[0, 2] = mat[2, 0] = 1.0   # on the sector (1, 1)
+    mat[1, 0] = value            # off the sectors
+    f = BlockTwoCell(x, x, mat)
+    assert off_sector_nonzero(f) is off
+    assert off_sector_nonzero(f) == bool(f.mat[~sector_mask(x, x)].any())
 
 
 def test_strict_associativity_exact():
