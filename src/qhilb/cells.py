@@ -389,14 +389,20 @@ def vcomp_many(*layers) -> BlockTwoCell:
     return cell if cell is not None else BlockTwoCell(bottom, below, out)
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """``a*`` as a new C-ordered array: one copy of the transpose,
+    conjugated in place, so no second copy and no ufunc buffer, which a
+    conjugate writing the transposed layout would take."""
+    out = a.T.copy()
+    return np.conjugate(out, out=out)
+
+
 def dagger2(f: BlockTwoCell) -> BlockTwoCell:
-    """The adjoint two-cell.  Its matrix is one C-ordered copy of the
-    transpose, conjugated in place: no second copy, and no ufunc buffer
-    as a conjugate that writes a transposed layout would take."""
+    """The adjoint two-cell; its matrix is the one copy ``_adjoint``
+    makes."""
     if type(f) is _Identity2:
         return f
-    mat = f.mat.T.copy()
-    return BlockTwoCell(f.target, f.source, np.conjugate(mat, out=mat))
+    return BlockTwoCell(f.target, f.source, _adjoint(f.mat))
 
 
 @lru_cache(maxsize=None)

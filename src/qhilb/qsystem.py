@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +25,11 @@ from .cells import (
     BlockTwoCell,
     GradedOneCell,
     ZeroCell,
+    _adjoint,
+    _fold_plan,
     _hcomp_plan,
     dagger2,
     hcomp1,
-    hcomp2_many,
     id1,
     id2,
     is_unitary_residual,
@@ -132,24 +132,51 @@ class BimoduleData:
             raise CellMismatch("right action must map X.P -> X")
 
 
-class _Block(NamedTuple):
-    """A contiguous sector block and its two matrix views: rows over the
-    first axis (``head``) and over the first two (``tail``)."""
-    cube: np.ndarray
-    head: np.ndarray
-    tail: np.ndarray
+# The working memory of one slab.  A contraction whose result would be
+# larger runs over slabs of its leading index, with at most two slabs
+# alive; one that fits runs once, as the single product it always was.
+# 1 MiB keeps every block of ``gen``'s Q-systems (N <= 24, sectors of at
+# most 12: an s^4 block of 324 KiB) and most of the qsys-large benchmark
+# in one slab, and it cuts the largest blocks there (a 27-dimensional
+# sector: 8.1 MiB per s^4 block) to about 1 MiB each.
+_SLAB_BYTES = 1 << 20
+
+
+def _slabs(n: int, row: int) -> list[slice]:
+    """Slices of ``range(n)`` for a complex result with ``row`` entries
+    per leading index: at most ``_SLAB_BYTES`` each, but at least one
+    index, and at least one slice (empty if ``n`` is 0)."""
+    step = max(1, _SLAB_BYTES // (16 * max(row, 1)))
+    return [slice(k, k + step) for k in range(0, max(n, 1), step)]
+
+
+def _slab_sum(part, n: int, row: int):
+    """``part(s)`` summed over ``_slabs(n, row)``, starting from the
+    first term, so one slab returns ``part(slice(0, n))`` itself."""
+    first, *rest = _slabs(n, row)
+    total = part(first)
+    for s in rest:
+        total = total + part(s)
+    return total
+
+
+def _sectors(Q: GradedOneCell) -> list[list[np.ndarray]]:
+    """``S[x][y]``: the basis indices of ``Q`` over ``(x + 1, y + 1)``."""
+    n = Q.src.n
+    return [[np.flatnonzero((Q.rows == x) & (Q.cols == y)) for y in range(1, n + 1)]
+            for x in range(1, n + 1)]
 
 
 class _SectorBlocks(dict):
     """``B[x, y, z]``: the block ``T(x, y, z)`` of the multiplication
     tensor ``t`` (``conj``: its conjugate, stored as ``[a, i, b]``),
-    copied out of ``t`` on first use and kept as a ``_Block``."""
+    copied out of ``t`` on first use and kept."""
 
     def __init__(self, t: np.ndarray, index, conj: bool):
         super().__init__()
         self.t, self.index, self.conj = t, index, conj
 
-    def __missing__(self, key) -> _Block:
+    def __missing__(self, key) -> np.ndarray:
         x, y, z = key
         i, a, b = self.index[x][z], self.index[x][y], self.index[y][z]
         if self.conj:
@@ -157,10 +184,20 @@ class _SectorBlocks(dict):
             np.conjugate(cube, out=cube)
         else:
             cube = self.t[i[:, None, None], a[:, None], b]
-        s0, s1, s2 = cube.shape
-        block = self[key] = _Block(cube, cube.reshape(s0, s1 * s2),
-                                   cube.reshape(s0 * s1, s2))
-        return block
+        self[key] = cube
+        return cube
+
+
+def _head(cube: np.ndarray) -> np.ndarray:
+    """A three-index block as a matrix with rows over its first index."""
+    s0, s1, s2 = cube.shape
+    return cube.reshape(s0, s1 * s2)
+
+
+def _tail(cube: np.ndarray) -> np.ndarray:
+    """A three-index block as a matrix with rows over its first two."""
+    s0, s1, s2 = cube.shape
+    return cube.reshape(s0 * s1, s2)
 
 
 def _sq(x: np.ndarray) -> float:
@@ -170,21 +207,53 @@ def _sq(x: np.ndarray) -> float:
 def _q1_sq(T, r1, r2, r3, r4) -> float:
     """Squared norm of the associativity residual block of the quadruple:
     ``(ab)c - a(bc)`` for ``a, b, c`` over ``(r1, r2), (r2, r3), (r3, r4)``,
-    both products as ``[i, a, b, c]``."""
-    # (ab)c batched over i; a(bc) as one product
-    left = np.matmul(T[r1, r2, r3].head.T, T[r1, r3, r4].cube)
-    right = T[r1, r2, r4].tail @ T[r2, r3, r4].head
-    return _sq(np.subtract(left, right.reshape(left.shape), out=left))
+    both products as ``[i, a, b, c]``.
+
+    The block holds ``s^4`` entries for sectors of dimension ``s``; it is
+    formed in slabs of ``i`` of at most ``_SLAB_BYTES``, one slab of each
+    product at a time, so at most two slabs are alive."""
+    ab_u = _head(T[r1, r2, r3]).T   # t[u, a, b] as [ab, u]
+    i_uc = T[r1, r3, r4]            # t[i, u, c]
+    i_av = T[r1, r2, r4]            # t[i, a, v]
+    v_bc = _head(T[r2, r3, r4])     # t[v, b, c] as [v, bc]
+
+    def part(s):
+        left = np.matmul(ab_u, i_uc[s])   # (ab)c, batched over i
+        right = _tail(i_av[s]) @ v_bc   # a(bc), one product
+        return _sq(np.subtract(left, right.reshape(left.shape), out=left))
+
+    return _slab_sum(part, len(i_uc), len(ab_u) * i_uc.shape[2])
 
 
 def _q3_sq(T, C, r1, r2, r3, r4) -> float:
     """Squared norm of the Frobenius residual block ``(m . 1)(1 . m*) -
     m* m`` of the quadruple, for ``p, v`` over ``(r1, r2), (r2, r3)``
-    and ``u, q`` over ``(r1, r4), (r4, r3)``, both as ``[p, u, q, v]``."""
-    # m* m batched over p; the composite sums over b in (r4, r2)
-    mid = np.matmul(T[r1, r4, r3].head.T, C[r1, r2, r3].cube)
-    comp = T[r1, r4, r2].tail @ C[r4, r2, r3].head
-    return _sq(np.subtract(mid, comp.reshape(mid.shape), out=mid))
+    and ``u, q`` over ``(r1, r4), (r4, r3)``, both as ``[p, u, q, v]``.
+
+    Formed in slabs of ``p`` of at most ``_SLAB_BYTES``, as in
+    ``_q1_sq``, so at most two slabs are alive."""
+    uq_i = _head(T[r1, r4, r3]).T   # t[i, u, q] as [uq, i]
+    p_iv = C[r1, r2, r3]            # conj t[i, p, v] as [p, i, v]
+    p_ub = T[r1, r4, r2]            # t[p, u, b]
+    b_qv = _head(C[r4, r2, r3])     # conj t[q, b, v] as [b, qv]
+
+    def part(s):
+        mid = np.matmul(uq_i, p_iv[s])   # m* m, batched over p
+        # the composite sums over b in (r4, r2)
+        comp = _tail(p_ub[s]) @ b_qv
+        return _sq(np.subtract(mid, comp.reshape(mid.shape), out=mid))
+
+    return _slab_sum(part, len(p_iv), len(uq_i) * p_iv.shape[2])
+
+
+def _mm_adjoint(m: np.ndarray) -> np.ndarray:
+    """``m m*``, summed over slabs of the columns of ``m`` (rows of
+    ``m*``), so at most one slab of ``m*`` is copied at a time."""
+    def part(s):
+        cols = m[:, s]
+        return cols @ _adjoint(cols)
+
+    return _slab_sum(part, m.shape[1], m.shape[0])
 
 
 def check_qsystem(q: QSystemData) -> ResidualReport:
@@ -216,10 +285,11 @@ def check_qsystem(q: QSystemData) -> ResidualReport:
     norm of the dense residual because ``m`` vanishes off its sectors,
     which ``QSystemData`` enforces.
 
-    Each quadruple's two four-index blocks live inside ``_q1_sq`` or
-    ``_q3_sq``, the difference overwrites one of them, and both are
-    freed when it returns, so at most two such blocks are alive at a
-    time.
+    Working memory is bounded by the slab budget ``_SLAB_BYTES`` (1 MiB).
+    A four-index residual block larger than that is formed in slabs of
+    its leading index, and Q4's ``m m*`` is summed over slabs of ``m*``;
+    at most two slabs are alive at a time.  Below the budget each is the
+    one product it always was, with the same bytes.
 
     Q2 reads both unit composites off ``t``: column ``q`` of ``m (i . 1)``
     is ``sum_a i[a, row q] t[:, a, q]`` and that of ``m (1 . i)`` is
@@ -229,8 +299,7 @@ def check_qsystem(q: QSystemData) -> ResidualReport:
     rep = ResidualReport()
     n = Q.src.n
     t = q.tensor
-    S = [[np.flatnonzero((Q.rows == x) & (Q.cols == y)) for y in range(1, n + 1)]
-         for x in range(1, n + 1)]
+    S = _sectors(Q)
     full = [[s.size > 0 for s in row] for row in S]
     T, C = _SectorBlocks(t, S, conj=False), _SectorBlocks(t, S, conj=True)
 
@@ -241,12 +310,13 @@ def check_qsystem(q: QSystemData) -> ResidualReport:
                 q1 += _q1_sq(T, r1, r2, r3, r4)
             if full[r4][r3]:
                 q3 += _q3_sq(T, C, r1, r2, r3, r4)
+    del T, C   # the sector copies are not held through Q2 and Q4
     rep.add("Q1", np.sqrt(q1))
     eye = np.eye(Q.dim)
     rep.add("Q2", max(frob(np.einsum("iaq,aq->iq", t, i.mat[:, Q.rows - 1]) - eye),
                       frob(np.einsum("iqb,bq->iq", t, i.mat[:, Q.cols - 1]) - eye)))
     rep.add("Q3", np.sqrt(q3))
-    rep.add("Q4", residual(vcomp(m, dagger2(m)), id2(Q)))
+    rep.add("Q4", frob(_mm_adjoint(m.mat) - eye))
     rep.add_info("unit_norm", frob(i.mat))
     return rep
 
@@ -258,10 +328,30 @@ def trivial_qsystem(n: ZeroCell | int) -> QSystemData:
 
 
 def qsystem_from_dual(d: DualPair) -> QSystemData:
-    """Q-system ``x . xbar`` with ``m = id . ev . id`` and ``i = coev``."""
-    Q = hcomp1(d.X, d.Xbar)
-    m = vcomp_many((d.X, unitor_left(d.Xbar)), (d.X, hcomp2_many(d.ev, d.Xbar)))
-    return QSystemData(Q, m, d.coev)
+    """Q-system ``x . xbar`` with ``m = (x . l) (x . ev . xbar)``, ``l``
+    the left unitor of ``xbar``, and ``i = coev``.
+
+    Each basis vector ``(p1, q1, p2, q2)`` of ``Q . Q`` (indices into
+    ``x, xbar, x, xbar``) meets ``ev`` in the pair ``(q1, p2)`` and lands
+    on the basis vector ``(p1, q2)`` of ``Q``, which exists when the
+    column ``c`` of ``p1`` is the row of ``q2``.  So ``m`` holds one
+    entry per such column, ``ev[c, (q1, p2)]`` (``ev`` read on its
+    sectors), and places it through the fold-plan index arrays; no
+    layer of the string diagram is gathered into a dense matrix.  For
+    ``ev`` of ``standard_dual`` the bytes are those of the diagram."""
+    X, Xbar = d.X, d.Xbar
+    Q, qx, qxbar = _hcomp_plan(X, Xbar)
+    src, (p1, q1, p2, q2) = _fold_plan([X, Xbar, X, Xbar])
+    pair_ev, ex, ey = _hcomp_plan(Xbar, X)
+    at_q = np.zeros((X.dim, Xbar.dim), dtype=np.intp)
+    at_q[qx, qxbar] = np.arange(Q.dim)
+    at_ev = np.zeros((Xbar.dim, X.dim), dtype=np.intp)
+    at_ev[ex, ey] = np.arange(pair_ev.dim)
+    c = X.cols[p1]
+    hit = np.flatnonzero(c == Xbar.rows[q2])
+    m = np.zeros((Q.dim, src.dim), dtype=complex)
+    m[at_q[p1[hit], q2[hit]], hit] = d.ev.mat[c[hit] - 1, at_ev[q1[hit], p2[hit]]]
+    return QSystemData(Q, BlockTwoCell(src, Q, m), d.coev)
 
 
 def canonical_pairing(q: QSystemData) -> tuple[BlockTwoCell, BlockTwoCell]:
@@ -374,21 +464,64 @@ def relative_tensor(xb: BimoduleData, yb: BimoduleData,
     return z, dagger2(u)
 
 
+def _pair_columns(Q: GradedOneCell):
+    """``(start, rank)``: the basis pair ``(p, q)`` of ``Q . Q`` is
+    column ``start[p] + rank[q]`` of the multiplication, as
+    ``_hcomp_plan(Q, Q)`` lists the pairs: ``p`` major, then ``q``."""
+    _, p_idx, q_idx = _hcomp_plan(Q, Q)
+    start = np.searchsorted(p_idx, np.arange(Q.dim))
+    rank = np.zeros(Q.dim, dtype=np.intp)
+    rank[q_idx] = np.arange(len(q_idx)) - start[p_idx]
+    return start, rank
+
+
 def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData) -> ResidualReport:
     """Residuals for ``g : a -> b`` being a unitary Q-system map:
     ``g`` unitary, ``g m_a = m_b (g . g)``, ``g i_a = i_b``.
 
-    ``m_b (g . g)`` is never formed through the ``N_pairs^2`` two-cell
-    ``g . g``: ``g`` is contracted into the multiplication tensor of
-    ``b`` one leg at a time (``2 N^4`` operations, three ``N^3``
-    arrays), and the result is read at the composable pairs of ``a``.
+    ``g``, ``m_a`` and ``m_b`` vanish off their grading sectors, so the
+    multiplication residual splits into one block per sector triple
+    ``(x, y, z)``: rows over ``(x, z)``, columns the pairs over ``(x,
+    y), (y, z)``.  Both multiplications are read at those columns
+    (``_hcomp_plan`` positions, ``_pair_columns``) straight from ``m``,
+    so no tensor is built, and ``g`` enters through its three sector
+    blocks: ``g_xz m_a`` against ``m_b (g_xy . g_yz)``.  Neither the
+    ``N_pairs^2`` two-cell ``g . g``, nor an ``N^3`` array, nor the
+    dense ``g m_a`` is formed.  The rows of a block run in slabs of at
+    most ``_SLAB_BYTES`` (1 MiB), with at most two slabs alive; the one
+    block of ``m_a`` they multiply is read whole.
+
+    An off-sector entry of ``g`` would not be seen block by block, so
+    such a ``g`` raises ``CellMismatch``.
     """
     if g.source is not a.Q or g.target is not b.Q:
         raise CellMismatch("iso candidate does not match the Q-system cells")
+    if off_sector_nonzero(g):
+        raise CellMismatch("iso candidate has a nonzero entry off its grading sectors")
     rep = ResidualReport()
     rep.add("unitary", is_unitary_residual(g))
-    y = np.tensordot(np.tensordot(b.tensor, g.mat, (1, 0)), g.mat, (1, 0))
-    _, p_idx, q_idx = _hcomp_plan(a.Q, a.Q)
-    rep.add("multiplication", frob(vcomp(g, a.m).mat - y[:, p_idx, q_idx]))
+    Sa, Sb = _sectors(a.Q), _sectors(b.Q)
+    (sa, ra), (sb, rb) = _pair_columns(a.Q), _pair_columns(b.Q)
+    total = 0.0
+    for x, y, z in itertools.product(range(a.Q.src.n), repeat=3):
+        rows, pa, qa = Sb[x][z], Sa[x][y], Sa[y][z]
+        if not (rows.size and pa.size and qa.size):
+            continue
+        pb, qb = Sb[x][y], Sb[y][z]
+        ma = a.m.mat[np.ix_(Sa[x][z], (sa[pa][:, None] + ra[qa]).ravel())]
+        cols_b = (sb[pb][:, None] + rb[qb]).ravel()
+        g_xz = g.mat[np.ix_(rows, Sa[x][z])]
+        g_xy, g_yz = g.mat[np.ix_(pb, pa)], g.mat[np.ix_(qb, qa)]
+
+        def part(s):
+            i = rows[s]
+            # m_b (g . g): the q leg, then the p leg batched over i
+            w = b.m.mat[np.ix_(i, cols_b)].reshape(i.size * pb.size, qb.size) @ g_yz
+            w = np.matmul(g_xy.T, w.reshape(i.size, pb.size, qa.size))
+            out = g_xz[s] @ ma
+            return _sq(np.subtract(out, w.reshape(out.shape), out=out))
+
+        total += _slab_sum(part, rows.size, pa.size * qa.size)
+    rep.add("multiplication", np.sqrt(total))
     rep.add("unit", residual(vcomp(g, a.i), b.i))
     return rep

@@ -58,6 +58,8 @@ from .linalg import (Tolerance, _check_projection, _eigen_clusters, dagger, frob
 from .qsystem import (
     DualPair,
     QSystemData,
+    _slab_sum,
+    _slabs,
     check_qsystem_iso,
     qsystem_from_dual,
     standard_dual_pair,
@@ -140,10 +142,19 @@ def center_basis(t: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
     ``N x N`` Gram ``C* C`` with eigenvalue at most
     ``(gap_tol * max(1, sigma_max))^2``, that is, the singular vectors of
     ``C`` with singular value at most ``gap_tol * max(1, sigma_max)``.
+
+    ``C`` has ``N^3`` entries.  The Gram is summed over slabs of its rows
+    ``(i, a)`` with ``i`` in a slab of at most ``qsystem._SLAB_BYTES``
+    (1 MiB), each slab next to its conjugate, so at most two slabs are
+    alive; below the budget it is the one product it always was.
     """
     n = t.shape[0]
-    comm = (t.transpose(0, 2, 1) - t).reshape(n * n, n)
-    lam, e = np.linalg.eigh(dagger(comm) @ comm)
+
+    def gram(s):
+        comm = (t[s].transpose(0, 2, 1) - t[s]).reshape(-1, n)
+        return dagger(comm) @ comm
+
+    lam, e = np.linalg.eigh(_slab_sum(gram, n, n * n))
     return e[:, lam <= tol.gap_tol ** 2 * lam.max(initial=1.0)]
 
 
@@ -161,9 +172,16 @@ def _central_projections(t: np.ndarray, tol: Tolerance, rng: np.random.Generator
     fresh randomness if an element fails to separate the blocks."""
     # L_z for each basis vector z of the center; these span the joint
     # commutant of left and right multiplication, which is closed under
-    # adjoints, so the hermitian part of a random combination stays in it
-    center = np.tensordot(center_basis(t, tol), t.transpose(1, 0, 2), axes=(0, 0))
-    k = len(center)
+    # adjoints, so the hermitian part of a random combination stays in it.
+    # L_z[i, b] = sum_a z[a] t[i, a, b] is one product with t laid out
+    # [a, (i, b)], copied slab by slab of i rather than as a whole
+    z = center_basis(t, tol)
+    n, k = z.shape
+    center = np.empty((k, n, n), dtype=complex)
+    for s in _slabs(n, n * n):
+        ts = t[s].transpose(1, 0, 2)
+        rows = ts.shape[1]
+        center[:, s] = np.dot(z.T, ts.reshape(n, rows * n)).reshape(k, rows, n)
     for _ in range(_MAX_RANDOM_ATTEMPTS):
         coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         h = herm_part(sum(c * z for c, z in zip(coeff, center)))
@@ -269,7 +287,10 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     # beta) of its column space in row-major order
     gdag = np.zeros((src.dim, N), dtype=complex)
     for t, (d, _, v) in enumerate(blocks, start=1):
-        mmat = dagger(v) @ tensor.transpose(1, 0, 2) @ v
+        # v* L_a v for each basis vector a, in slabs of a: the product
+        # v* L_a holds d N entries per a
+        mmat = np.concatenate([dagger(v) @ tensor[:, s].transpose(1, 0, 2) @ v
+                               for s in _slabs(N, d * N)])
         mmat = mmat.transpose(1, 2, 0).reshape(d * d, N)
         gram = mmat @ dagger(mmat)
         s2 = float(np.real(np.trace(gram))) / (d * d)

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhilb import qsystem
 from qhilb.cells import (
+    _hcomp_plan,
     dagger2,
     hcomp1,
     hcomp2,
+    hcomp2_many,
     hcomp_pairs,
     id1,
     id2,
@@ -311,6 +314,16 @@ def dense_iso_multiplication(g, a, b):
     return residual(vcomp(g, a.m), vcomp(b.m, hcomp2(g, g)))
 
 
+def dense_check_qsystem_iso(g, a, b):
+    """The multiplication residual as ``check_qsystem_iso`` formed it
+    before it went by sector triples: ``g`` contracted into the dense
+    tensor of ``b`` one leg at a time (two ``N^4`` tensordots, ``N^3``
+    arrays), read at the composable pairs of ``a``."""
+    y = np.tensordot(np.tensordot(b.tensor, g.mat, (1, 0)), g.mat, (1, 0))
+    _, p_idx, q_idx = _hcomp_plan(a.Q, a.Q)
+    return frob(vcomp(g, a.m).mat - y[:, p_idx, q_idx])
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_iso_contraction_matches_dense(seed):
     rng = np.random.default_rng(seed)
@@ -322,9 +335,37 @@ def test_iso_contraction_matches_dense(seed):
                    g.mat + 1e-3 * random_sector_matrix(rng, g.source, g.target).mat)
     for h, ok in ((g, True), (off, False)):
         got = check_qsystem_iso(h, a, q)["multiplication"]
-        dense = dense_iso_multiplication(h, a, q)
-        assert abs(got - dense) <= 1e-13 * max(dense, frob(vcomp(h, a.m).mat))
+        for dense in (dense_iso_multiplication(h, a, q), dense_check_qsystem_iso(h, a, q)):
+            assert abs(got - dense) <= 1e-13 * max(dense, frob(vcomp(h, a.m).mat))
         assert (got < 1e-9) == ok
+
+
+def test_iso_check_refuses_an_off_sector_entry_of_gamma():
+    # block by block, an entry of gamma between two different sectors
+    # meets no block, so it must not reach the check at all
+    x = one_cell(2, 2, [(1, 1), (2, 1), (1, 2), (2, 2)])
+    q = dress_qsystem(np.random.default_rng(3), qsystem_from_dual(standard_dual_pair(x)))
+    res = split_qsystem(q, rng=np.random.default_rng(3))
+    g = res.gamma
+    r, c = next((r, c) for r in range(g.target.dim) for c in range(g.source.dim)
+                if g.target.grading[r] != g.source.grading[c])
+    mat = g.mat.copy()
+    mat[r, c] = 1e-3
+    with pytest.raises(CellMismatch, match="iso candidate has a nonzero entry off"):
+        check_qsystem_iso(two_cell(g.source, g.target, mat), res.dual, q)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_qsystem_from_dual_places_the_string_diagram_bytes(rows, cols, seed):
+    # the entries of ev placed through index arrays are the bytes of the
+    # dense string diagram (x . l)(x . ev . xbar), zeros and their signs too
+    x = random_cell(np.random.default_rng(seed), cols, rows, 2, full_cols=True)
+    d = standard_dual_pair(x)
+    diagram = vcomp_many((d.X, unitor_left(d.Xbar)), (d.X, hcomp2_many(d.ev, d.Xbar)))
+    m = qsystem_from_dual(d).m
+    assert m.source is diagram.source and m.target is diagram.target
+    assert m.mat.tobytes() == diagram.mat.tobytes()
 
 
 def one_sector_qsystem(d):
@@ -359,3 +400,37 @@ def test_check_qsystem_iso_does_not_form_g_tensor_g():
     g = random_block_unitary(rng, q.Q)
     n_pairs = hcomp1(q.Q, q.Q).dim
     assert traced_peak(lambda: check_qsystem_iso(g, q, q)) < n_pairs ** 2 * 16 / 4
+
+
+def traced(fn):
+    """``(fn(), peak bytes traced by tracemalloc during the call)``."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_and_split_at_n144_keep_to_half_the_whole_block_peaks(monkeypatch):
+    # an undressed two-row dual-pair Q-system: x has 12 basis vectors, 6
+    # over each row, so Q has N = 144 and four sectors of s = 36.  One
+    # s^4 residual block is 25.6 MiB and the dense tensor 45.6 MiB; with
+    # whole blocks and N^3 temporaries the check peaked at 62.7 MiB and
+    # the split at 161.9 MiB
+    q = qsystem_from_dual(standard_dual_pair(one_cell(1, 2, [(1, 1)] * 6 + [(2, 1)] * 6)))
+    assert q.Q.dim == 144
+    q.tensor
+    rep, peak = traced(lambda: q.residuals)
+    assert peak < 31 * 2 ** 20
+    # a budget that no block reaches gives each block as one product
+    with monkeypatch.context() as mp:
+        mp.setattr(qsystem, "_SLAB_BYTES", 2 ** 40)
+        whole = check_qsystem(q)
+    for name, value in whole.residuals.items():
+        assert abs(rep[name] - value) <= 1e-13
+    res, peak = traced(lambda: split_qsystem(q, rng=np.random.default_rng(0)))
+    assert peak < 81 * 2 ** 20
+    assert res.iso.passes(1e-13)
+    dense = dense_check_qsystem_iso(res.gamma, res.dual, q)
+    assert abs(res.iso["multiplication"] - dense) <= 1e-13

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qhilb import linalg, splitting
+from qhilb import linalg, qsystem, splitting
 from qhilb.cells import (
     BlockTwoCell,
     GradedOneCell,
@@ -27,6 +27,7 @@ from qhilb.generate import (
     dsum_qsystems,
     random_cell,
     random_qsystem,
+    random_sector_matrix,
 )
 from qhilb.linalg import Tolerance, commutant_basis, dagger, frob, herm_part
 from qhilb.qsystem import (
@@ -428,6 +429,40 @@ def test_center_basis_spans_the_svd_null_space(structure, dressed, seed):
     assert z.shape == oracle.shape == (q.Q.dim, len(structure[1]))
     assert frob(dagger(z) @ z - np.eye(z.shape[1])) < 1e-10
     assert frob(z @ dagger(z) - oracle @ dagger(oracle)) < 1e-10
+
+
+@given(block_structures(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_slabs_of_a_few_hundred_bytes_change_no_result(structure, dressed, seed):
+    # with a 256-byte budget every block and product runs row by row;
+    # each result must agree with the one-slab run.  A perturbed m and a
+    # perturbed gamma give residuals that are not only rounding
+    rng = np.random.default_rng(seed)
+    q = dual_pair_qsystem(structure, rng, dressed)
+    bad = QSystemData(q.Q, two_cell(q.m.source, q.m.target, q.m.mat + 1e-3 * random_sector_matrix(
+        rng, q.m.source, q.m.target).mat), q.i)
+    res = split_qsystem(q, rng=np.random.default_rng(seed))
+    g = res.gamma
+    off = two_cell(g.source, g.target, g.mat + 1e-3 * random_sector_matrix(
+        rng, g.source, g.target).mat)
+
+    def run():
+        z = center_basis(q.tensor, Tolerance())
+        reports = [check_qsystem(a) for a in (q, bad)]
+        reports += [check_qsystem_iso(h, res.dual, q) for h in (g, off)]
+        split = split_qsystem(q, rng=np.random.default_rng(seed))
+        return z @ dagger(z), reports, split.pair.X
+
+    center, reports, x = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qsystem, "_SLAB_BYTES", 256)
+        slab_center, slab_reports, slab_x = run()
+    scale = frob(q.m.mat) ** 2
+    assert frob(slab_center - center) <= 1e-12 * frob(center)
+    for rep, slab_rep in zip(reports, slab_reports):
+        for name, value in rep.residuals.items():
+            assert abs(slab_rep[name] - value) <= 1e-12 * max(value, scale)
+    assert slab_x is x
 
 
 def test_split_calls_no_svd(monkeypatch, capsys):
