@@ -60,3 +60,14 @@ def test_compare_names_no_run_when_nothing_moved(tmp_path, tool, capsys):
     report = _report(1e-16, 2e-15)
     tool.compare(_outdir(tmp_path / "old", report), _outdir(tmp_path / "new", report))
     assert "gen: largest residual change 0.000e+00\n" in capsys.readouterr().out
+
+
+def test_compare_counts_a_residual_moved_past_the_bound(tmp_path, tool, capsys):
+    # 1e-12 is ten times the 1e-13 that a residual may move
+    old = _outdir(tmp_path / "old", _report(1e-15, 2e-15))
+    new = _outdir(tmp_path / "new", _report(1e-15, 2e-15 + 1e-12))
+    assert tool.compare(old, new) == 1
+    out = capsys.readouterr().out
+    assert "gen: largest residual change 1.000e-12 (gen-x, row Q3)\n" in out
+    assert "MISMATCH gen-x.stdout (row Q3 moved 1.000e-12)\n" in out
+    assert "1 mismatches" in out

@@ -25,9 +25,10 @@ else.  It requires the same runs, exit codes and stderr, and stdout
 that is the same once each residual is masked (verdicts, row names,
 thresholds, ``k``, ``block_dims``, ``G_zero_cells``); written files
 must be the same bytes, except a ``split_result``'s ``gamma`` entries.
-A run file missing from either OUTDIR is a mismatch.  It prints the
-largest residual change per command, with the run and the report row
-where it occurred, and every mismatch, and exits 1 if there is one.
+A run file missing from either OUTDIR is a mismatch, and so is a
+residual that moved by more than ``RESIDUAL_BOUND`` (1e-13).  It prints
+the largest residual change per command, with the run and the report
+row where it occurred, and every mismatch, and exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import shutil
 import sys
 
 SEEDS = range(40)
+RESIDUAL_BOUND = 1e-13   # the most a residual may move under --compare
 FIXTURES = {
     "qsystem-schema1.json": ("check-qsystem", "split-qsystem"),
     "qsystem-schema2.json": ("check-qsystem", "split-qsystem"),
@@ -126,9 +128,10 @@ def without_gamma_entries(path: str):
 
 
 def compare(old: str, new: str) -> int:
-    """Check that OUTDIR ``new`` differs from ``old`` only in residuals
-    and in ``gamma`` entries; print the largest residual change per
-    command, with its run and row, and every mismatch."""
+    """Check that OUTDIR ``new`` differs from ``old`` only in residuals,
+    each by at most ``RESIDUAL_BOUND``, and in ``gamma`` entries; print
+    the largest residual change per command, with its run and row, and
+    every mismatch."""
     mismatches, change, gauged = [], {}, 0
     for name, argv in runs():
         command = argv[0]
@@ -150,6 +153,8 @@ def compare(old: str, new: str) -> int:
         for (row, x), (_, y) in zip(res_a, res_b):
             if abs(x - y) > change[command][0]:
                 change[command] = (abs(x - y), name, row)
+            if abs(x - y) > RESIDUAL_BOUND:
+                mismatches.append(f"{name}.stdout (row {row} moved {abs(x - y):.3e})")
     files = [sorted(os.listdir(os.path.join(d, "files"))) for d in (old, new)]
     if files[0] != files[1]:
         mismatches.append("files/ (the written files differ in name)")
