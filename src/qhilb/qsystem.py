@@ -11,11 +11,16 @@ one grading sector at a time, on ``QSystemData.tensor``: the read-only
 ``N x N x N`` multiplication array that each Q-system builds once.
 That equals the dense contraction only because ``m`` and ``i`` vanish
 off their grading sectors, which ``QSystemData`` enforces.
+``check_qsystem_iso`` goes by sector triples too, reading ``m`` at the
+composable pairs, so it builds no tensor.  Both keep their working
+memory to slabs of at most ``_SLAB_BYTES``, as does
+``splitting.split_qsystem``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -135,11 +140,12 @@ class BimoduleData:
 # The working memory of one slab.  A contraction whose result would be
 # larger runs over slabs of its leading index, with at most two slabs
 # alive; one that fits runs once, as the single product it always was.
-# 1 MiB keeps every block of ``gen``'s Q-systems (N <= 24, sectors of at
-# most 12: an s^4 block of 324 KiB) and most of the qsys-large benchmark
-# in one slab, and it cuts the largest blocks there (a 27-dimensional
-# sector: 8.1 MiB per s^4 block) to about 1 MiB each.
-_SLAB_BYTES = 1 << 20
+# 512 KiB is the smallest power of two above every block of ``gen``'s
+# Q-systems (sectors of at most 12: an s^4 block of 324 KiB), so those
+# keep their bytes; two slabs fit well inside a 2 MiB L2 cache.  On the
+# qsys-large benchmark (2-vCPU Xeon, OpenBLAS) it gave a lower peak RSS
+# than 1 MiB or 2 MiB, with no measured loss in files per second.
+_SLAB_BYTES = 1 << 19
 
 
 def _slabs(n: int, row: int) -> list[slice]:
@@ -188,16 +194,9 @@ class _SectorBlocks(dict):
         return cube
 
 
-def _head(cube: np.ndarray) -> np.ndarray:
-    """A three-index block as a matrix with rows over its first index."""
-    s0, s1, s2 = cube.shape
-    return cube.reshape(s0, s1 * s2)
-
-
-def _tail(cube: np.ndarray) -> np.ndarray:
-    """A three-index block as a matrix with rows over its first two."""
-    s0, s1, s2 = cube.shape
-    return cube.reshape(s0 * s1, s2)
+def _rows(cube: np.ndarray, k: int) -> np.ndarray:
+    """A block as a matrix with rows over its first ``k`` indices."""
+    return cube.reshape(math.prod(cube.shape[:k]), math.prod(cube.shape[k:]))
 
 
 def _sq(x: np.ndarray) -> float:
@@ -212,14 +211,14 @@ def _q1_sq(T, r1, r2, r3, r4) -> float:
     The block holds ``s^4`` entries for sectors of dimension ``s``; it is
     formed in slabs of ``i`` of at most ``_SLAB_BYTES``, one slab of each
     product at a time, so at most two slabs are alive."""
-    ab_u = _head(T[r1, r2, r3]).T   # t[u, a, b] as [ab, u]
-    i_uc = T[r1, r3, r4]            # t[i, u, c]
-    i_av = T[r1, r2, r4]            # t[i, a, v]
-    v_bc = _head(T[r2, r3, r4])     # t[v, b, c] as [v, bc]
+    ab_u = _rows(T[r1, r2, r3], 1).T   # t[u, a, b] as [ab, u]
+    i_uc = T[r1, r3, r4]               # t[i, u, c]
+    i_av = T[r1, r2, r4]               # t[i, a, v]
+    v_bc = _rows(T[r2, r3, r4], 1)     # t[v, b, c] as [v, bc]
 
     def part(s):
-        left = np.matmul(ab_u, i_uc[s])   # (ab)c, batched over i
-        right = _tail(i_av[s]) @ v_bc   # a(bc), one product
+        left = np.matmul(ab_u, i_uc[s])    # (ab)c, batched over i
+        right = _rows(i_av[s], 2) @ v_bc   # a(bc), one product
         return _sq(np.subtract(left, right.reshape(left.shape), out=left))
 
     return _slab_sum(part, len(i_uc), len(ab_u) * i_uc.shape[2])
@@ -232,15 +231,15 @@ def _q3_sq(T, C, r1, r2, r3, r4) -> float:
 
     Formed in slabs of ``p`` of at most ``_SLAB_BYTES``, as in
     ``_q1_sq``, so at most two slabs are alive."""
-    uq_i = _head(T[r1, r4, r3]).T   # t[i, u, q] as [uq, i]
-    p_iv = C[r1, r2, r3]            # conj t[i, p, v] as [p, i, v]
-    p_ub = T[r1, r4, r2]            # t[p, u, b]
-    b_qv = _head(C[r4, r2, r3])     # conj t[q, b, v] as [b, qv]
+    uq_i = _rows(T[r1, r4, r3], 1).T   # t[i, u, q] as [uq, i]
+    p_iv = C[r1, r2, r3]               # conj t[i, p, v] as [p, i, v]
+    p_ub = T[r1, r4, r2]               # t[p, u, b]
+    b_qv = _rows(C[r4, r2, r3], 1)     # conj t[q, b, v] as [b, qv]
 
     def part(s):
         mid = np.matmul(uq_i, p_iv[s])   # m* m, batched over p
         # the composite sums over b in (r4, r2)
-        comp = _tail(p_ub[s]) @ b_qv
+        comp = _rows(p_ub[s], 2) @ b_qv
         return _sq(np.subtract(mid, comp.reshape(mid.shape), out=mid))
 
     return _slab_sum(part, len(p_iv), len(uq_i) * p_iv.shape[2])
@@ -285,7 +284,7 @@ def check_qsystem(q: QSystemData) -> ResidualReport:
     norm of the dense residual because ``m`` vanishes off its sectors,
     which ``QSystemData`` enforces.
 
-    Working memory is bounded by the slab budget ``_SLAB_BYTES`` (1 MiB).
+    Working memory is bounded by the slab budget ``_SLAB_BYTES`` (512 KiB).
     A four-index residual block larger than that is formed in slabs of
     its leading index, and Q4's ``m m*`` is summed over slabs of ``m*``;
     at most two slabs are alive at a time.  Below the budget each is the
@@ -335,10 +334,14 @@ def qsystem_from_dual(d: DualPair) -> QSystemData:
     ``x, xbar, x, xbar``) meets ``ev`` in the pair ``(q1, p2)`` and lands
     on the basis vector ``(p1, q2)`` of ``Q``, which exists when the
     column ``c`` of ``p1`` is the row of ``q2``.  So ``m`` holds one
-    entry per such column, ``ev[c, (q1, p2)]`` (``ev`` read on its
-    sectors), and places it through the fold-plan index arrays; no
-    layer of the string diagram is gathered into a dense matrix.  For
-    ``ev`` of ``standard_dual`` the bytes are those of the diagram."""
+    entry per such column, ``ev[c, (q1, p2)]``, placed through the
+    fold-plan index arrays; no layer of the string diagram is gathered
+    into a dense matrix.  Those entries are all of ``ev`` on its grading
+    sectors, so an ``ev`` with an entry off them raises
+    ``CellMismatch``.  For ``ev`` of ``standard_dual`` the bytes are
+    those of the diagram."""
+    if off_sector_nonzero(d.ev):
+        raise CellMismatch("ev has a nonzero entry off its grading sectors")
     X, Xbar = d.X, d.Xbar
     Q, qx, qxbar = _hcomp_plan(X, Xbar)
     src, (p1, q1, p2, q2) = _fold_plan([X, Xbar, X, Xbar])
@@ -488,7 +491,7 @@ def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData) -> Residu
     blocks: ``g_xz m_a`` against ``m_b (g_xy . g_yz)``.  Neither the
     ``N_pairs^2`` two-cell ``g . g``, nor an ``N^3`` array, nor the
     dense ``g m_a`` is formed.  The rows of a block run in slabs of at
-    most ``_SLAB_BYTES`` (1 MiB), with at most two slabs alive; the one
+    most ``_SLAB_BYTES`` (512 KiB), with at most two slabs alive; the one
     block of ``m_a`` they multiply is read whole.
 
     An off-sector entry of ``g`` would not be seen block by block, so

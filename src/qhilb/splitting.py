@@ -145,13 +145,14 @@ def center_basis(t: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
 
     ``C`` has ``N^3`` entries.  The Gram is summed over slabs of its rows
     ``(i, a)`` with ``i`` in a slab of at most ``qsystem._SLAB_BYTES``
-    (1 MiB), each slab next to its conjugate, so at most two slabs are
+    (512 KiB), each slab next to its conjugate, so at most two slabs are
     alive; below the budget it is the one product it always was.
     """
     n = t.shape[0]
 
     def gram(s):
-        comm = (t[s].transpose(0, 2, 1) - t[s]).reshape(-1, n)
+        slab = t[s]
+        comm = (slab.transpose(0, 2, 1) - slab).reshape(len(slab) * n, n)
         return dagger(comm) @ comm
 
     lam, e = np.linalg.eigh(_slab_sum(gram, n, n * n))
@@ -175,13 +176,13 @@ def _central_projections(t: np.ndarray, tol: Tolerance, rng: np.random.Generator
     # adjoints, so the hermitian part of a random combination stays in it.
     # L_z[i, b] = sum_a z[a] t[i, a, b] is one product with t laid out
     # [a, (i, b)], copied slab by slab of i rather than as a whole
-    z = center_basis(t, tol)
-    n, k = z.shape
+    basis = center_basis(t, tol)
+    n, k = basis.shape
     center = np.empty((k, n, n), dtype=complex)
     for s in _slabs(n, n * n):
-        ts = t[s].transpose(1, 0, 2)
-        rows = ts.shape[1]
-        center[:, s] = np.dot(z.T, ts.reshape(n, rows * n)).reshape(k, rows, n)
+        slab = t[s].transpose(1, 0, 2)
+        rows = slab.shape[1]
+        center[:, s] = np.dot(basis.T, slab.reshape(n, rows * n)).reshape(k, rows, n)
     for _ in range(_MAX_RANDOM_ATTEMPTS):
         coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         h = herm_part(sum(c * z for c, z in zip(coeff, center)))

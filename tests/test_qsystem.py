@@ -34,6 +34,7 @@ from qhilb.generate import (
 from qhilb.linalg import frob
 from qhilb.qsystem import (
     BimoduleData,
+    DualPair,
     QSystemData,
     canonical_pairing,
     check_bimodule,
@@ -353,6 +354,18 @@ def test_iso_check_refuses_an_off_sector_entry_of_gamma():
     mat[r, c] = 1e-3
     with pytest.raises(CellMismatch, match="iso candidate has a nonzero entry off"):
         check_qsystem_iso(two_cell(g.source, g.target, mat), res.dual, q)
+
+
+def test_qsystem_from_dual_refuses_an_off_sector_entry_of_ev():
+    # m reads ev on its sectors only, so an entry elsewhere must raise
+    d = standard_dual_pair(one_cell(2, 1, [(1, 1), (1, 2)]))
+    mat = d.ev.mat.copy()
+    r, c = next((r, c) for r in range(mat.shape[0]) for c in range(mat.shape[1])
+                if d.ev.target.grading[r] != d.ev.source.grading[c])
+    mat[r, c] = 0.5
+    bad = DualPair(d.X, d.Xbar, two_cell(d.ev.source, d.ev.target, mat), d.coev)
+    with pytest.raises(CellMismatch, match="ev has a nonzero entry off"):
+        qsystem_from_dual(bad)
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
