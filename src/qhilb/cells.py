@@ -31,8 +31,9 @@ of one-cells rather than once per call:
   the grading tuple, the interning key, is built from them.  It is the
   one code that orders the basis of a composite: ``hcomp1`` reads it,
   ``_fold_plan`` chains it over the cells of a longer composite, and
-  ``unitor_left``, ``standard_dual``, ``splitting.split_qsystem`` and
-  ``generate.interchanger`` place their entries with its index arrays.
+  ``unitor_left``, ``standard_dual``, ``qsystem.qsystem_from_dual``,
+  ``qsystem.check_qsystem_iso``, ``splitting.split_qsystem`` and
+  ``generate.interchanger`` place or read entries with its index arrays.
   ``hcomp_pairs`` lists the same pairs as tuples; it is kept for the
   tests and the benchmark tracer;
 - ``id2(x)`` hands out one shared identity two-cell per one-cell, an

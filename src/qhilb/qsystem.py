@@ -20,9 +20,9 @@ memory to slabs of at most ``_SLAB_BYTES``, as does
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,11 +148,16 @@ class BimoduleData:
 _SLAB_BYTES = 1 << 19
 
 
+def _step(row: int) -> int:
+    """Leading indices per slab of a complex result with ``row`` entries
+    per index: at most ``_SLAB_BYTES``, but at least one index."""
+    return max(1, _SLAB_BYTES // (16 * max(row, 1)))
+
+
 def _slabs(n: int, row: int) -> list[slice]:
-    """Slices of ``range(n)`` for a complex result with ``row`` entries
-    per leading index: at most ``_SLAB_BYTES`` each, but at least one
-    index, and at least one slice (empty if ``n`` is 0)."""
-    step = max(1, _SLAB_BYTES // (16 * max(row, 1)))
+    """The slabs of ``range(n)`` for such a result; at least one slice
+    (empty if ``n`` is 0)."""
+    step = _step(row)
     return [slice(k, k + step) for k in range(0, max(n, 1), step)]
 
 
@@ -166,23 +171,32 @@ def _slab_sum(part, n: int, row: int):
     return total
 
 
-def _sectors(Q: GradedOneCell) -> list[list[np.ndarray]]:
+@lru_cache(maxsize=None)
+def _sectors(Q: GradedOneCell) -> tuple[tuple[np.ndarray, ...], ...]:
     """``S[x][y]``: the basis indices of ``Q`` over ``(x + 1, y + 1)``."""
     n = Q.src.n
-    return [[np.flatnonzero((Q.rows == x) & (Q.cols == y)) for y in range(1, n + 1)]
-            for x in range(1, n + 1)]
+    return tuple(tuple(np.flatnonzero((Q.rows == x) & (Q.cols == y))
+                       for y in range(1, n + 1)) for x in range(1, n + 1))
+
+
+class _Block(NamedTuple):
+    """A contiguous sector block and its two matrix views: rows over the
+    first axis (``head``) and over the first two (``tail``)."""
+    cube: np.ndarray
+    head: np.ndarray
+    tail: np.ndarray
 
 
 class _SectorBlocks(dict):
     """``B[x, y, z]``: the block ``T(x, y, z)`` of the multiplication
     tensor ``t`` (``conj``: its conjugate, stored as ``[a, i, b]``),
-    copied out of ``t`` on first use and kept."""
+    copied out of ``t`` on first use and kept as a ``_Block``."""
 
     def __init__(self, t: np.ndarray, index, conj: bool):
         super().__init__()
         self.t, self.index, self.conj = t, index, conj
 
-    def __missing__(self, key) -> np.ndarray:
+    def __missing__(self, key) -> _Block:
         x, y, z = key
         i, a, b = self.index[x][z], self.index[x][y], self.index[y][z]
         if self.conj:
@@ -190,13 +204,10 @@ class _SectorBlocks(dict):
             np.conjugate(cube, out=cube)
         else:
             cube = self.t[i[:, None, None], a[:, None], b]
-        self[key] = cube
-        return cube
-
-
-def _rows(cube: np.ndarray, k: int) -> np.ndarray:
-    """A block as a matrix with rows over its first ``k`` indices."""
-    return cube.reshape(math.prod(cube.shape[:k]), math.prod(cube.shape[k:]))
+        s0, s1, s2 = cube.shape
+        block = self[key] = _Block(cube, cube.reshape(s0, s1 * s2),
+                                   cube.reshape(s0 * s1, s2))
+        return block
 
 
 def _sq(x: np.ndarray) -> float:
@@ -211,17 +222,18 @@ def _q1_sq(T, r1, r2, r3, r4) -> float:
     The block holds ``s^4`` entries for sectors of dimension ``s``; it is
     formed in slabs of ``i`` of at most ``_SLAB_BYTES``, one slab of each
     product at a time, so at most two slabs are alive."""
-    ab_u = _rows(T[r1, r2, r3], 1).T   # t[u, a, b] as [ab, u]
-    i_uc = T[r1, r3, r4]               # t[i, u, c]
-    i_av = T[r1, r2, r4]               # t[i, a, v]
-    v_bc = _rows(T[r2, r3, r4], 1)     # t[v, b, c] as [v, bc]
-
-    def part(s):
-        left = np.matmul(ab_u, i_uc[s])    # (ab)c, batched over i
-        right = _rows(i_av[s], 2) @ v_bc   # a(bc), one product
-        return _sq(np.subtract(left, right.reshape(left.shape), out=left))
-
-    return _slab_sum(part, len(i_uc), len(ab_u) * i_uc.shape[2])
+    ab_u = T[r1, r2, r3].head.T      # t[u, a, b] as [ab, u]
+    i_uc = T[r1, r3, r4].cube        # t[i, u, c]
+    ia_v = T[r1, r2, r4].tail        # t[i, a, v] as [ia, v]
+    v_bc = T[r2, r3, r4].head        # t[v, b, c] as [v, bc]
+    n, s_a = len(i_uc), T[r1, r2, r4].cube.shape[1]
+    step = _step(len(ab_u) * i_uc.shape[2])
+    total = 0.0
+    for k in range(0, n, step):
+        left = np.matmul(ab_u, i_uc[k:k + step])         # (ab)c, batched over i
+        right = ia_v[k * s_a:(k + step) * s_a] @ v_bc    # a(bc), one product
+        total += _sq(np.subtract(left, right.reshape(left.shape), out=left))
+    return total
 
 
 def _q3_sq(T, C, r1, r2, r3, r4) -> float:
@@ -231,18 +243,19 @@ def _q3_sq(T, C, r1, r2, r3, r4) -> float:
 
     Formed in slabs of ``p`` of at most ``_SLAB_BYTES``, as in
     ``_q1_sq``, so at most two slabs are alive."""
-    uq_i = _rows(T[r1, r4, r3], 1).T   # t[i, u, q] as [uq, i]
-    p_iv = C[r1, r2, r3]               # conj t[i, p, v] as [p, i, v]
-    p_ub = T[r1, r4, r2]               # t[p, u, b]
-    b_qv = _rows(C[r4, r2, r3], 1)     # conj t[q, b, v] as [b, qv]
-
-    def part(s):
-        mid = np.matmul(uq_i, p_iv[s])   # m* m, batched over p
+    uq_i = T[r1, r4, r3].head.T      # t[i, u, q] as [uq, i]
+    p_iv = C[r1, r2, r3].cube        # conj t[i, p, v] as [p, i, v]
+    pu_b = T[r1, r4, r2].tail        # t[p, u, b] as [pu, b]
+    b_qv = C[r4, r2, r3].head        # conj t[q, b, v] as [b, qv]
+    n, s_u = len(p_iv), T[r1, r4, r2].cube.shape[1]
+    step = _step(len(uq_i) * p_iv.shape[2])
+    total = 0.0
+    for k in range(0, n, step):
+        mid = np.matmul(uq_i, p_iv[k:k + step])          # m* m, batched over p
         # the composite sums over b in (r4, r2)
-        comp = _rows(p_ub[s], 2) @ b_qv
-        return _sq(np.subtract(mid, comp.reshape(mid.shape), out=mid))
-
-    return _slab_sum(part, len(p_iv), len(uq_i) * p_iv.shape[2])
+        comp = pu_b[k * s_u:(k + step) * s_u] @ b_qv
+        total += _sq(np.subtract(mid, comp.reshape(mid.shape), out=mid))
+    return total
 
 
 def _mm_adjoint(m: np.ndarray) -> np.ndarray:
@@ -467,15 +480,16 @@ def relative_tensor(xb: BimoduleData, yb: BimoduleData,
     return z, dagger2(u)
 
 
-def _pair_columns(Q: GradedOneCell):
-    """``(start, rank)``: the basis pair ``(p, q)`` of ``Q . Q`` is
-    column ``start[p] + rank[q]`` of the multiplication, as
-    ``_hcomp_plan(Q, Q)`` lists the pairs: ``p`` major, then ``q``."""
+def _pair_columns(Q: GradedOneCell, S):
+    """``(P, R)``: the pair of the ``j``-th basis vector over ``(x, y)``
+    and the ``l``-th over ``(y, z)`` is column ``P[x][y][j] +
+    R[y][z][l]`` of the multiplication, as ``_hcomp_plan(Q, Q)`` lists
+    the pairs (``S = _sectors(Q)``)."""
     _, p_idx, q_idx = _hcomp_plan(Q, Q)
-    start = np.searchsorted(p_idx, np.arange(Q.dim))
-    rank = np.zeros(Q.dim, dtype=np.intp)
+    start = np.searchsorted(p_idx, np.arange(Q.dim))   # p's first pair
+    rank = np.zeros(Q.dim, dtype=np.intp)               # q's place among p's partners
     rank[q_idx] = np.arange(len(q_idx)) - start[p_idx]
-    return start, rank
+    return [[start[s] for s in row] for row in S], [[rank[s] for s in row] for row in S]
 
 
 def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData) -> ResidualReport:
@@ -487,12 +501,12 @@ def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData) -> Residu
     ``(x, y, z)``: rows over ``(x, z)``, columns the pairs over ``(x,
     y), (y, z)``.  Both multiplications are read at those columns
     (``_hcomp_plan`` positions, ``_pair_columns``) straight from ``m``,
-    so no tensor is built, and ``g`` enters through its three sector
-    blocks: ``g_xz m_a`` against ``m_b (g_xy . g_yz)``.  Neither the
+    so no tensor is built, and ``g`` enters through its sector blocks:
+    ``g_xz m_a`` against ``m_b (g_xy . g_yz)``.  Neither the
     ``N_pairs^2`` two-cell ``g . g``, nor an ``N^3`` array, nor the
     dense ``g m_a`` is formed.  The rows of a block run in slabs of at
-    most ``_SLAB_BYTES`` (512 KiB), with at most two slabs alive; the one
-    block of ``m_a`` they multiply is read whole.
+    most ``_SLAB_BYTES`` (512 KiB), with at most two slabs alive; the
+    one block of ``m_a`` they multiply is read whole.
 
     An off-sector entry of ``g`` would not be seen block by block, so
     such a ``g`` raises ``CellMismatch``.
@@ -503,28 +517,26 @@ def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData) -> Residu
         raise CellMismatch("iso candidate has a nonzero entry off its grading sectors")
     rep = ResidualReport()
     rep.add("unitary", is_unitary_residual(g))
+    n = a.Q.src.n
     Sa, Sb = _sectors(a.Q), _sectors(b.Q)
-    (sa, ra), (sb, rb) = _pair_columns(a.Q), _pair_columns(b.Q)
+    (Pa, Ra), (Pb, Rb) = _pair_columns(a.Q, Sa), _pair_columns(b.Q, Sb)
+    G = [[g.mat[Sb[x][y][:, None], Sa[x][y]] for y in range(n)] for x in range(n)]
     total = 0.0
-    for x, y, z in itertools.product(range(a.Q.src.n), repeat=3):
-        rows, pa, qa = Sb[x][z], Sa[x][y], Sa[y][z]
-        if not (rows.size and pa.size and qa.size):
+    for x, y, z in itertools.product(range(n), repeat=3):
+        rows, pb, qb = Sb[x][z], Sb[x][y], Sb[y][z]
+        pa, qa = len(Sa[x][y]), len(Sa[y][z])
+        if not (len(rows) and pa and qa):
             continue
-        pb, qb = Sb[x][y], Sb[y][z]
-        ma = a.m.mat[np.ix_(Sa[x][z], (sa[pa][:, None] + ra[qa]).ravel())]
-        cols_b = (sb[pb][:, None] + rb[qb]).ravel()
-        g_xz = g.mat[np.ix_(rows, Sa[x][z])]
-        g_xy, g_yz = g.mat[np.ix_(pb, pa)], g.mat[np.ix_(qb, qa)]
-
-        def part(s):
-            i = rows[s]
+        ma = a.m.mat[Sa[x][z][:, None], (Pa[x][y][:, None] + Ra[y][z]).ravel()]
+        cols_b = (Pb[x][y][:, None] + Rb[y][z]).ravel()
+        step = _step(pa * qa)
+        for k in range(0, len(rows), step):
+            i = rows[k:k + step]
             # m_b (g . g): the q leg, then the p leg batched over i
-            w = b.m.mat[np.ix_(i, cols_b)].reshape(i.size * pb.size, qb.size) @ g_yz
-            w = np.matmul(g_xy.T, w.reshape(i.size, pb.size, qa.size))
-            out = g_xz[s] @ ma
-            return _sq(np.subtract(out, w.reshape(out.shape), out=out))
-
-        total += _slab_sum(part, rows.size, pa.size * qa.size)
+            w = b.m.mat[i[:, None], cols_b].reshape(len(i) * len(pb), len(qb)) @ G[y][z]
+            w = np.matmul(G[x][y].T, w.reshape(len(i), len(pb), qa))
+            out = G[x][z][k:k + step] @ ma
+            total += _sq(np.subtract(out, w.reshape(out.shape), out=out))
     rep.add("multiplication", np.sqrt(total))
     rep.add("unit", residual(vcomp(g, a.i), b.i))
     return rep

@@ -30,6 +30,9 @@ construction, which is what makes ``gamma`` multiplicative.  The
 blocks are ordered by dimension and row profile, so ``X`` does not
 depend on the random draws; ``gamma`` is fixed up to a unitary gauge
 that the draws choose, so a seed fixes every byte of the result.
+Every product whose result would exceed the slab budget
+``qsystem._SLAB_BYTES`` runs in slabs of its leading index, with at
+most two slabs alive.
 """
 
 from __future__ import annotations
