@@ -503,10 +503,10 @@ def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData) -> Residu
     (``_hcomp_plan`` positions, ``_pair_columns``) straight from ``m``,
     so no tensor is built, and ``g`` enters through its sector blocks:
     ``g_xz m_a`` against ``m_b (g_xy . g_yz)``.  Neither the
-    ``N_pairs^2`` two-cell ``g . g``, nor an ``N^3`` array, nor the
-    dense ``g m_a`` is formed.  The rows of a block run in slabs of at
-    most ``_SLAB_BYTES`` (512 KiB), with at most two slabs alive; the
-    one block of ``m_a`` they multiply is read whole.
+    ``N_pairs^2`` two-cell ``g . g``, nor an ``N^3`` contraction of the
+    tensor, nor the dense ``g m_a`` is formed.  The rows of a block run
+    in slabs of at most ``_SLAB_BYTES`` (512 KiB), with at most two
+    slabs alive; the one block of ``m_a`` they multiply is read whole.
 
     An off-sector entry of ``g`` would not be seen block by block, so
     such a ``g`` raises ``CellMismatch``.
