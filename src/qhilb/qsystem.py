@@ -301,7 +301,9 @@ def check_qsystem(q: QSystemData) -> ResidualReport:
     A four-index residual block larger than that is formed in slabs of
     its leading index, and Q4's ``m m*`` is summed over slabs of ``m*``;
     at most two slabs are alive at a time.  Below the budget each is the
-    one product it always was, with the same bytes.
+    one product it always was, with the same bytes; 512 KiB is the
+    smallest power of two above every block of a ``gen`` Q-system, so
+    their reports keep their bytes.
 
     Q2 reads both unit composites off ``t``: column ``q`` of ``m (i . 1)``
     is ``sum_a i[a, row q] t[:, a, q]`` and that of ``m (1 . i)`` is
