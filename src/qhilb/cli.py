@@ -9,6 +9,9 @@ Subcommands::
 
 Exit codes: 0 pass, 1 residual failure, 2 parse error, 3 shape error.
 Reports are deterministic given the same inputs and ``--seed``.
+
+``main`` builds the argument parser of the one command it runs; only
+help and a missing or unknown command build the parsers of all four.
 """
 
 from __future__ import annotations
@@ -155,13 +158,31 @@ def cmd_gen(args) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)   # one parser serves every call of main
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("check-qsystem", "split-qsystem", "verify-fun", "gen")
+
+
+@lru_cache(maxsize=None)   # one parser per command serves every call of main
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for ``command``, with only that command's subparser
+    built; for ``None`` or a name that is not a command (help, or a
+    missing or unknown command) the parser of all four commands.
+
+    A one-command parser names all four commands in its usage line, so
+    it prints what the all-commands parser prints.  The all-commands
+    parser keeps argparse's default metavar: with it, its errors for a
+    missing or unknown command call the argument ``command``.
+    """
     parser = argparse.ArgumentParser(
         prog="qhilb",
         description="Q-system axiom checks, splitting and functor-category "
                     "verification over graded complex matrices.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command in COMMANDS:
+        names = (command,)
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(COMMANDS) + "}")
+    else:
+        names = COMMANDS
+        sub = parser.add_subparsers(dest="command", required=True)
 
     def seed(p):
         p.add_argument("--seed", type=int, default=0,
@@ -180,26 +201,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    checker("check-qsystem", "check the multiplicative axioms", cmd_check_qsystem)
-    p = checker("split-qsystem", "split a Q-system over a new zero-cell", cmd_split_qsystem)
-    seed(p)
-    p.add_argument("--out", default=None, help="output file")
-    seed(checker("verify-fun", "run and verify the full construction", cmd_verify_fun))
-
-    p = sub.add_parser("gen", help="emit a random instance file")
-    p.add_argument("--kind", choices=("qsystem", "scenario", "constant"),
-                   required=True)
-    p.add_argument("--size", type=int, default=8,
-                   help="1-64, --kind qsystem: max(1, min(3, size//3)) blocks over "
-                        "max(1, min(3, size//4)) zero-cells, N <= 24 (default 8)")
-    seed(p)
-    p.add_argument("--out", default=None, help="output file")
-    p.set_defaults(func=cmd_gen)
+    if "check-qsystem" in names:
+        checker("check-qsystem", "check the multiplicative axioms", cmd_check_qsystem)
+    if "split-qsystem" in names:
+        p = checker("split-qsystem", "split a Q-system over a new zero-cell",
+                    cmd_split_qsystem)
+        seed(p)
+        p.add_argument("--out", default=None, help="output file")
+    if "verify-fun" in names:
+        seed(checker("verify-fun", "run and verify the full construction", cmd_verify_fun))
+    if "gen" in names:
+        p = sub.add_parser("gen", help="emit a random instance file")
+        p.add_argument("--kind", choices=("qsystem", "scenario", "constant"),
+                       required=True)
+        p.add_argument("--size", type=int, default=8,
+                       help="1-64, --kind qsystem: max(1, min(3, size//3)) blocks over "
+                            "max(1, min(3, size//4)) zero-cells, N <= 24 (default 8)")
+        seed(p)
+        p.add_argument("--out", default=None, help="output file")
+        p.set_defaults(func=cmd_gen)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    words = sys.argv[1:] if argv is None else argv
+    parser = build_parser(words[0] if words and words[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if getattr(args, "seed", 0) < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")

@@ -67,9 +67,17 @@ def _int(v) -> int:
     return v
 
 
+def _list(v, what: str) -> list:
+    """A JSON array; a string or an object would be split into its
+    characters or keys, so it is refused."""
+    if not isinstance(v, list):
+        raise TypeError(f"{what} must be a list, got {type(v).__name__}")
+    return v
+
+
 def cell_from_json(d: dict) -> GradedOneCell:
     try:
-        grading = tuple(map(tuple, d["grading"]))
+        grading = tuple(map(tuple, _list(d["grading"], "grading")))
         # one type scan for the whole grading; _int only names a bad value
         if not {int}.issuperset(map(type, chain.from_iterable(grading))):
             for v in chain.from_iterable(grading):
@@ -171,7 +179,7 @@ def _path_to_json(p: Path) -> dict:
 
 
 def _path_from_json(cat: PresentedTwoCat, d: dict) -> Path:
-    return cat.path(tuple(d["labels"]), src=d.get("src"))
+    return cat.path(tuple(_list(d["labels"], "labels")), src=d.get("src"))
 
 
 def _expr_to_json(e) -> dict:
@@ -217,7 +225,7 @@ def presentation_to_json(cat: PresentedTwoCat) -> dict:
 
 def presentation_from_json(d: dict) -> PresentedTwoCat:
     try:
-        zero = tuple(d["zero_cells"])
+        zero = tuple(_list(d["zero_cells"], "zero_cells"))
         labels = [g["label"] for key in ("gen_one_cells", "gen_two_cells")
                   for g in d.get(key, ())]
         for label in (*zero, *labels):

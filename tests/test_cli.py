@@ -1,3 +1,4 @@
+import argparse
 import base64
 import json
 import os
@@ -317,6 +318,16 @@ def test_reports_deterministic_bytes(tmp_path, capsys):
     assert s1 == s2
 
 
+def _outputs(argv, capsys):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
 def test_one_parser_serves_every_command(tmp_path, capsys):
     # each command prints what it prints with a parser of its own, also
     # after commands with other flags
@@ -326,23 +337,43 @@ def test_one_parser_serves_every_command(tmp_path, capsys):
              ["split-qsystem", qfile, "--seed", "2", "--tol", "1e-12"],
              ["split-qsystem", qfile], ["check-qsystem", qfile, "--tol", "1e-30"],
              ["check-qsystem", qfile], ["check-qsystem", qfile, "--tol", "-1"]]
-
-    def outputs(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        out = capsys.readouterr()
-        return code, out.out, out.err
-
     fresh = []
     for argv in argvs:
         cli.build_parser.cache_clear()
-        fresh.append(outputs(argv))
+        fresh.append(_outputs(argv, capsys))
     cli.build_parser.cache_clear()
-    assert [outputs(argv) for argv in argvs] == fresh
-    assert cli.build_parser.cache_info().misses == 1
+    assert [_outputs(argv, capsys) for argv in argvs] == fresh
+    assert cli.build_parser.cache_info().misses == 2   # check-qsystem, split-qsystem
     assert [code for code, *_ in fresh] == [0, 0, 0, 0, 1, 0, 2]
+
+
+PARSER_ARGVS = [[], ["-h"], ["--help"], ["bogus"],
+                *([c, "--help"] for c in cli.COMMANDS), *([c] for c in cli.COMMANDS),
+                *([c, "q.json", "--bogus"] for c in cli.COMMANDS),
+                ["gen", "--kind", "nope"], ["check-qsystem", "q.json", "--tol", "-1"],
+                ["split-qsystem", "q.json", "--seed", "-1"]]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_parser_paths_print_the_same_bytes(capsys, monkeypatch, argv):
+    # main builds only the named command's subparser; help and every
+    # usage error must read as they do with all four commands built
+    monkeypatch.setenv("COLUMNS", "80")
+    adds = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        adds.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    cli.build_parser.cache_clear()
+    got = _outputs(argv, capsys)
+    assert len(adds) == (1 if argv and argv[0] in cli.COMMANDS else 4)
+    every = cli.build_parser(None)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: every)
+    assert got == _outputs(argv, capsys)
+    assert got[0] == (0 if {"-h", "--help"} & set(argv) else 2)
 
 
 def _check_sees_small_perturbation(tmp_path, capsys, perturb):
@@ -449,6 +480,21 @@ def test_exit_code_incomplete_scenario(tmp_path, capsys, mutate):
     assert code == 2
     assert err.startswith("error: bad scenario") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_python_m_qhilb_reads_the_command_from_sys_argv(tmp_path, capsys, monkeypatch):
+    # the console script and python -m call main() without argv, so the
+    # parser is chosen from sys.argv
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    qfile = str(tmp_path / "q.json")
+    run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
+    for argv in (["--help"], ["check-qsystem", qfile, "--json"],
+                 ["split-qsystem", qfile, "--bogus"]):
+        proc = subprocess.run([sys.executable, "-m", "qhilb", *argv], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == _outputs(argv, capsys)
 
 
 def test_python_m_qhilb(tmp_path):
@@ -652,6 +698,36 @@ def test_exit_code_non_string_label(tmp_path, capsys, cells, label):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: bad presentation: label {label!r} is not a string\n"
+
+
+@pytest.mark.parametrize("kind, command, mutate, error", [
+    ("scenario", "verify-fun", lambda d: d["presentation"].update(zero_cells="ab"),
+     "bad presentation: zero_cells must be a list, got str"),
+    ("constant", "verify-fun", lambda d: d["presentation"].update(zero_cells="ab"),
+     "bad presentation: zero_cells must be a list, got str"),
+    ("scenario", "verify-fun",
+     lambda d: d["presentation"]["gen_two_cells"][0]["source"].update(labels="X1"),
+     "bad presentation: labels must be a list, got str"),
+    ("qsystem", "check-qsystem", lambda d: d["cell"].update(grading={"a": 1}),
+     "bad one-cell: grading must be a list, got dict"),
+    ("qsystem", "check-qsystem", lambda d: d["cell"].update(grading="ab"),
+     "bad one-cell: grading must be a list, got str"),
+    ("scenario", "verify-fun",
+     lambda d: _first(d["functor"]["on1"].values()).update(grading={"a": 1}),
+     "bad one-cell: grading must be a list, got dict"),
+], ids=["scenario_zero_cells", "constant_zero_cells", "path_labels",
+        "grading_object", "grading_string", "functor_grading_object"])
+def test_exit_code_field_not_a_list(tmp_path, capsys, kind, command, mutate, error):
+    # a string was split into its characters: zero_cells "ab" passed
+    # verify-fun as ["a", "b"], labels "X1" ended in exit 3 with unknown
+    # generator X, and a grading object was read as its keys
+    path = str(tmp_path / f"{kind}.json")
+    run(capsys, "gen", "--kind", kind, "--seed", "1", "--out", path)
+    doc = load_document(path)
+    mutate(doc)
+    dump_document(doc, path)
+    code = main([command, path, "--json"])
+    assert (code, capsys.readouterr().err) == (2, f"error: {error}\n")
 
 
 @pytest.mark.parametrize("kind, seed, mutate", [

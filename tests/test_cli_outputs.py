@@ -71,3 +71,11 @@ def test_compare_counts_a_residual_moved_past_the_bound(tmp_path, tool, capsys):
     assert "gen: largest residual change 1.000e-12 (gen-x, row Q3)\n" in out
     assert "MISMATCH gen-x.stdout (row Q3 moved 1.000e-12)\n" in out
     assert "1 mismatches" in out
+
+
+def test_compare_counts_runs_without_a_command_as_qhilb(tmp_path, tool, monkeypatch, capsys):
+    # a run with no arguments has no argv[0] to name its command
+    monkeypatch.setattr(tool, "runs", lambda: iter([("gen-x", [])]))
+    assert tool.compare(_outdir(tmp_path / "old"), _outdir(tmp_path / "new")) == 0
+    assert "qhilb: largest residual change 0.000e+00\n" in capsys.readouterr().out
+

@@ -12,7 +12,13 @@ that reports print are the same for every tree.  For each seed ``s`` in
 constant file, then ``check-qsystem`` and ``split-qsystem --seed s
 --out`` on the qsystem file and ``verify-fun --seed s`` on the other
 two, each as text and as ``--json``.  It also runs the checkers on a
-copy of each of the six committed fixtures in ``TREE/tests/data``.
+copy of each of the six committed fixtures in ``TREE/tests/data``, and
+runs that end in argparse's help or a usage error: no arguments,
+``-h``, ``--help`` and an unknown command; each command with
+``--help``, with no arguments and with an unknown flag; ``gen --kind
+nope``, ``check-qsystem --tol -1`` and ``split-qsystem --seed -1``.
+``COLUMNS`` is set to 80, so argparse wraps its text the same way on
+every terminal.
 
 Each run leaves ``runs/<name>.code``, ``.stdout`` and ``.stderr``
 (an uncaught exception is recorded as its type and message); files that
@@ -27,8 +33,9 @@ thresholds, ``k``, ``block_dims``, ``G_zero_cells``); written files
 must be the same bytes, except a ``split_result``'s ``gamma`` entries.
 A run file missing from either OUTDIR is a mismatch, and so is a
 residual that moved by more than ``RESIDUAL_BOUND`` (1e-13).  It prints
-the largest residual change per command, with the run and the report
-row where it occurred, and every mismatch, and exits 1 if there is one.
+the largest residual change per command (runs that name no command are
+counted as ``qhilb``), with the run and the report row where it
+occurred, and every mismatch, and exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import shutil
 import sys
 
 SEEDS = range(40)
+COMMANDS = ("check-qsystem", "split-qsystem", "verify-fun", "gen")
 RESIDUAL_BOUND = 1e-13   # the most a residual may move under --compare
 FIXTURES = {
     "qsystem-schema1.json": ("check-qsystem", "split-qsystem"),
@@ -73,6 +81,18 @@ def runs():
             for fmt, flags in (("text", []), ("json", ["--json"])):
                 yield (f"{command}-{name[:-5]}-{fmt}",
                        [command, f"fixtures/{name}", *flags])
+    q = "fixtures/qsystem-schema2.json"
+    yield "parser-no-arguments", []
+    yield "parser-h", ["-h"]
+    yield "parser-help", ["--help"]
+    yield "parser-unknown-command", ["bogus"]
+    for command in COMMANDS:
+        yield f"parser-{command}-help", [command, "--help"]
+        yield f"parser-{command}-no-arguments", [command]
+        yield f"parser-{command}-unknown-flag", [command, q, "--bogus"]
+    yield "parser-gen-bad-kind", ["gen", "--kind", "nope"]
+    yield "parser-check-qsystem-bad-tol", ["check-qsystem", q, "--tol", "-1"]
+    yield "parser-split-qsystem-bad-seed", ["split-qsystem", q, "--seed", "-1"]
 
 
 def run(main, argv) -> tuple[str, str, str]:
@@ -134,7 +154,7 @@ def compare(old: str, new: str) -> int:
     every mismatch."""
     mismatches, change, gauged = [], {}, 0
     for name, argv in runs():
-        command = argv[0]
+        command = argv[0] if argv and argv[0] in COMMANDS else "qhilb"
         change.setdefault(command, (0.0, None, None))   # (change, run, row)
         a, b = (os.path.join(d, "runs", name) for d in (old, new))
         lost = [f"{name}.{ext} (missing in {path})" for path in (old, new)
@@ -196,6 +216,7 @@ def main(argv=None) -> int:
         shutil.copyfile(os.path.join(tree, "tests", "data", name),
                         os.path.join(outdir, "fixtures", name))
     os.chdir(outdir)
+    os.environ["COLUMNS"] = "80"   # argparse wraps help and usage to the terminal
     count, failed = 0, []
     for name, args in runs():
         code, out, err = run(qhilb_main, args)
