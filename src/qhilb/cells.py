@@ -31,11 +31,13 @@ of one-cells rather than once per call:
   the grading tuple, the interning key, is built from them.  It is the
   one code that orders the basis of a composite: ``hcomp1`` reads it,
   ``_fold_plan`` chains it over the cells of a longer composite, and
-  ``unitor_left``, ``standard_dual``, ``qsystem.qsystem_from_dual``,
-  ``qsystem.check_qsystem_iso``, ``splitting.split_qsystem`` and
-  ``generate.interchanger`` place or read entries with its index arrays.
-  ``hcomp_pairs`` lists the same pairs as tuples; it is kept for the
-  tests and the benchmark tracer;
+  ``unitor_left`` and ``splitting.split_qsystem`` place entries with
+  its index arrays.  Its one inverse, ``_pair_index(y, x)``, is the
+  cached matrix of the place of each pair ``(p, q)`` in ``y . x``;
+  ``standard_dual``, ``qsystem.qsystem_from_dual``, the sector blocks
+  of ``qsystem.check_qsystem`` and ``qsystem.check_qsystem_iso``, and
+  ``generate.interchanger`` read it.  ``hcomp_pairs`` lists the same
+  pairs as tuples; it is kept for the tests and the benchmark tracer;
 - ``id2(x)`` hands out one shared identity two-cell per one-cell, an
   ``_Identity2``, which only ``id2`` makes.  Its matrix is read-only,
   like every ``BlockTwoCell.mat``, so sharing it is safe.  Because the
@@ -261,6 +263,18 @@ def _hcomp_plan(y: GradedOneCell, x: GradedOneCell):
 
 
 @lru_cache(maxsize=None)
+def _pair_index(y: GradedOneCell, x: GradedOneCell) -> np.ndarray:
+    """Read-only ``y.dim x x.dim`` ``intp`` matrix: the place of the pair
+    ``(p, q)`` in the basis of ``y . x``, ``-1`` where ``p`` and ``q``
+    do not compose."""
+    _, p_idx, q_idx = _hcomp_plan(y, x)
+    at = np.full((y.dim, x.dim), -1, dtype=np.intp)
+    at[p_idx, q_idx] = np.arange(len(p_idx))
+    at.setflags(write=False)
+    return at
+
+
+@lru_cache(maxsize=None)
 def hcomp_pairs(y: GradedOneCell, x: GradedOneCell) -> tuple[tuple[int, int], ...]:
     """Index pairs (p in y, q in x) of the basis of ``y . x``, in order."""
     _, p_idx, q_idx = _hcomp_plan(y, x)
@@ -441,20 +455,16 @@ def standard_dual(x: GradedOneCell):
     root = np.sqrt(counts)
     xbar = GradedOneCell(x.tgt, x.src, tuple((c, r) for r, c in x.grading))
 
-    # basis vector q meets its conjugate in the pair (q, q); ``at`` lists
-    # where those pairs sit in the composite
-    ev_src, p_idx, q_idx = _hcomp_plan(xbar, x)
-    at = np.flatnonzero(p_idx == q_idx)
-    q = q_idx[at]
+    # basis vector q meets its conjugate in the pair (q, q), which always
+    # composes; the diagonal of the pair index lists where it sits
+    ev_src = hcomp1(xbar, x)
     ev_mat = np.zeros((x.src.n, ev_src.dim), dtype=complex)
-    ev_mat[cols[q], at] = 1.0 / root[cols[q]]
+    ev_mat[cols, _pair_index(xbar, x).diagonal()] = 1.0 / root[cols]
     ev = BlockTwoCell(ev_src, id1(x.src), ev_mat)
 
-    coev_tgt, q_idx, p_idx = _hcomp_plan(x, xbar)
-    at = np.flatnonzero(q_idx == p_idx)
-    q = q_idx[at]
+    coev_tgt = hcomp1(x, xbar)
     coev_mat = np.zeros((coev_tgt.dim, x.tgt.n), dtype=complex)
-    coev_mat[at, rows[q]] = root[cols[q]]
+    coev_mat[_pair_index(x, xbar).diagonal(), rows] = root[cols]
     coev = BlockTwoCell(id1(x.tgt), coev_tgt, coev_mat)
     return xbar, ev, coev
 

@@ -17,6 +17,7 @@ from .cells import (
     GradedOneCell,
     ZeroCell,
     _hcomp_plan,
+    _pair_index,
     dagger2,
     hcomp1,
     hcomp1_many,
@@ -200,15 +201,8 @@ def interchanger(a: GradedOneCell, b: GradedOneCell,
         raise CellMismatch("interchanger factors are not composable")
     src, i, j = _hcomp_plan(outer_cell(a, b), outer_cell(c, d))
     tgt = outer_cell(hcomp1(a, c), hcomp1(b, d))
-
-    def position(y, x):   # position[p, q]: where the pair (p, q) sits in y . x
-        _, p_idx, q_idx = _hcomp_plan(y, x)
-        out = np.zeros((y.dim, x.dim), dtype=np.intp)
-        out[p_idx, q_idx] = np.arange(len(p_idx))
-        return out
-
     (p, q), (p2, q2) = divmod(i, b.dim), divmod(j, d.dim)
-    rows = position(a, c)[p, p2] * hcomp1(b, d).dim + position(b, d)[q, q2]
+    rows = _pair_index(a, c)[p, p2] * hcomp1(b, d).dim + _pair_index(b, d)[q, q2]
     mat = np.zeros((tgt.dim, src.dim), dtype=complex)
     mat[rows, np.arange(src.dim)] = 1.0
     return BlockTwoCell(src, tgt, mat)

@@ -6,15 +6,14 @@ unitality, the Frobenius condition and separability ``m m* = id``.
 Checkers report Frobenius-norm residuals per axiom and never raise on
 failure: verification is the product.
 
-``check_qsystem`` contracts associativity and the Frobenius condition
-one grading sector at a time, on ``QSystemData.tensor``: the read-only
-``N x N x N`` multiplication array that each Q-system builds once.
-That equals the dense contraction only because ``m`` and ``i`` vanish
-off their grading sectors, which ``QSystemData`` enforces.
-``check_qsystem_iso`` goes by sector triples too, reading ``m`` at the
-composable pairs, so it builds no tensor.  Both keep their working
-memory to slabs of at most ``_SLAB_BYTES``, as does
-``splitting.split_qsystem``.
+``check_qsystem`` and ``check_qsystem_iso`` contract one grading
+sector at a time.  Both read each sector block ``T(x, y, z)`` of the
+multiplication through ``_block``, straight from ``m`` at the columns
+that ``cells._pair_index`` gives its basis pairs, so neither builds the
+``N x N x N`` ``QSystemData.tensor``.  That equals the dense contraction
+only because ``m`` and ``i`` vanish off their grading sectors, which
+``QSystemData`` enforces.  Both keep their working memory to slabs of
+at most ``_SLAB_BYTES``, as does ``splitting.split_qsystem``.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .cells import (
     _adjoint,
     _fold_plan,
     _hcomp_plan,
+    _pair_index,
     dagger2,
     hcomp1,
     id1,
@@ -96,7 +96,9 @@ class QSystemData:
         """The multiplication as a read-only N x N x N array: ``t[i, a, b]``
         is the coefficient of basis vector i in the product of a and b
         (zero for non-composable pairs).  ``t[:, a, :]`` is left and
-        ``t[:, :, b]`` right multiplication by a basis vector."""
+        ``t[:, :, b]`` right multiplication by a basis vector.  Only the
+        split reads it (``splitting.regular_reps``); the checks read the
+        sector blocks of ``m``."""
         n = self.Q.dim
         _, p_idx, q_idx = _hcomp_plan(self.Q, self.Q)
         t = np.zeros((n, n, n), dtype=complex)
@@ -179,6 +181,15 @@ def _sectors(Q: GradedOneCell) -> tuple[tuple[np.ndarray, ...], ...]:
                        for y in range(1, n + 1)) for x in range(1, n + 1))
 
 
+def _block(m: np.ndarray, S, P, x: int, y: int, z: int, rows=slice(None)) -> np.ndarray:
+    """``T(x, y, z)`` as ``[i, a, b]``: the coefficient of basis vector
+    ``i`` over ``(x, z)`` in the product of ``a`` over ``(x, y)`` and
+    ``b`` over ``(y, z)``, read from the multiplication matrix ``m`` at
+    the columns ``P[a, b]`` (``S = _sectors(Q)``, ``P = _pair_index(Q,
+    Q)``); ``rows`` selects the ``i``."""
+    return m[S[x][z][rows, None, None], P[S[x][y][:, None], S[y][z]]]
+
+
 class _Block(NamedTuple):
     """A contiguous sector block and its two matrix views: rows over the
     first axis (``head``) and over the first two (``tail``)."""
@@ -189,21 +200,18 @@ class _Block(NamedTuple):
 
 class _SectorBlocks(dict):
     """``B[x, y, z]``: the block ``T(x, y, z)`` of the multiplication
-    tensor ``t`` (``conj``: its conjugate, stored as ``[a, i, b]``),
-    copied out of ``t`` on first use and kept as a ``_Block``."""
+    (``conj``: its conjugate, stored as ``[a, i, b]``), read by
+    ``_block`` on first use and kept as a ``_Block``."""
 
-    def __init__(self, t: np.ndarray, index, conj: bool):
+    def __init__(self, m: np.ndarray, S, P, conj: bool):
         super().__init__()
-        self.t, self.index, self.conj = t, index, conj
+        self.m, self.S, self.P, self.conj = m, S, P, conj
 
     def __missing__(self, key) -> _Block:
-        x, y, z = key
-        i, a, b = self.index[x][z], self.index[x][y], self.index[y][z]
+        cube = _block(self.m, self.S, self.P, *key)
         if self.conj:
-            cube = self.t[i[:, None], a[:, None, None], b]
+            cube = np.ascontiguousarray(cube.transpose(1, 0, 2))
             np.conjugate(cube, out=cube)
-        else:
-            cube = self.t[i[:, None, None], a[:, None], b]
         s0, s1, s2 = cube.shape
         block = self[key] = _Block(cube, cube.reshape(s0, s1 * s2),
                                    cube.reshape(s0 * s1, s2))
@@ -214,47 +222,19 @@ def _sq(x: np.ndarray) -> float:
     return float(np.vdot(x, x).real)
 
 
-def _q1_sq(T, r1, r2, r3, r4) -> float:
-    """Squared norm of the associativity residual block of the quadruple:
-    ``(ab)c - a(bc)`` for ``a, b, c`` over ``(r1, r2), (r2, r3), (r3, r4)``,
-    both products as ``[i, a, b, c]``.
-
-    The block holds ``s^4`` entries for sectors of dimension ``s``; it is
-    formed in slabs of ``i`` of at most ``_SLAB_BYTES``, one slab of each
-    product at a time, so at most two slabs are alive."""
-    ab_u = T[r1, r2, r3].head.T      # t[u, a, b] as [ab, u]
-    i_uc = T[r1, r3, r4].cube        # t[i, u, c]
-    ia_v = T[r1, r2, r4].tail        # t[i, a, v] as [ia, v]
-    v_bc = T[r2, r3, r4].head        # t[v, b, c] as [v, bc]
-    n, s_a = len(i_uc), T[r1, r2, r4].cube.shape[1]
-    step = _step(len(ab_u) * i_uc.shape[2])
+def _slab_sq(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray) -> float:
+    """``|matmul(A, B) - C @ D|^2``, the second product reshaped to the
+    first, for a batch ``B`` and a ``C`` with ``s`` rows per index of
+    ``B``: summed over slabs ``B[k:k+step]`` and ``C[k s:(k+step) s]``
+    of at most ``_SLAB_BYTES``, one slab of each product at a time, so
+    at most two slabs are alive."""
+    n, s = len(B), len(C) // len(B)
+    step = _step(len(A) * B.shape[2])
     total = 0.0
     for k in range(0, n, step):
-        left = np.matmul(ab_u, i_uc[k:k + step])         # (ab)c, batched over i
-        right = ia_v[k * s_a:(k + step) * s_a] @ v_bc    # a(bc), one product
+        left = np.matmul(A, B[k:k + step])      # batched over B's leading index
+        right = C[k * s:(k + step) * s] @ D     # one product
         total += _sq(np.subtract(left, right.reshape(left.shape), out=left))
-    return total
-
-
-def _q3_sq(T, C, r1, r2, r3, r4) -> float:
-    """Squared norm of the Frobenius residual block ``(m . 1)(1 . m*) -
-    m* m`` of the quadruple, for ``p, v`` over ``(r1, r2), (r2, r3)``
-    and ``u, q`` over ``(r1, r4), (r4, r3)``, both as ``[p, u, q, v]``.
-
-    Formed in slabs of ``p`` of at most ``_SLAB_BYTES``, as in
-    ``_q1_sq``, so at most two slabs are alive."""
-    uq_i = T[r1, r4, r3].head.T      # t[i, u, q] as [uq, i]
-    p_iv = C[r1, r2, r3].cube        # conj t[i, p, v] as [p, i, v]
-    pu_b = T[r1, r4, r2].tail        # t[p, u, b] as [pu, b]
-    b_qv = C[r4, r2, r3].head        # conj t[q, b, v] as [b, qv]
-    n, s_u = len(p_iv), T[r1, r4, r2].cube.shape[1]
-    step = _step(len(uq_i) * p_iv.shape[2])
-    total = 0.0
-    for k in range(0, n, step):
-        mid = np.matmul(uq_i, p_iv[k:k + step])          # m* m, batched over p
-        # the composite sums over b in (r4, r2)
-        comp = pu_b[k * s_u:(k + step) * s_u] @ b_qv
-        total += _sq(np.subtract(mid, comp.reshape(mid.shape), out=mid))
     return total
 
 
@@ -280,22 +260,23 @@ def check_qsystem(q: QSystemData) -> ResidualReport:
     ``m* m`` is hermitian, so the two residuals are adjoint to each
     other and have the same norm for any ``m``.
 
-    Q1 and Q3 are contracted on the multiplication tensor ``t`` one
-    grading sector at a time.  With ``S[x][y]`` the basis indices over
-    ``(x, y)``, the block ``T(x, y, z) = t[S[x][z], S[x][y], S[y][z]]``
-    holds every product of a vector over ``(x, y)`` with one over
-    ``(y, z)``; it is copied out of ``t`` once per sector triple, as is
-    its conjugate ``C(x, y, z)``, stored as ``[a, i, b]``.  For each
-    quadruple ``(r1, r2, r3, r4)`` of grading indices, Q1 compares
-    ``(ab)c`` with ``a(bc)`` for ``a, b, c`` over ``(r1, r2), (r2, r3),
-    (r3, r4)``, and Q3 compares the composite with ``m* m`` on ``p, v``
-    over ``(r1, r2), (r2, r3)`` against ``u, q`` over ``(r1, r4), (r4,
-    r3)``.  In those layouts one product of each pair is a single matrix
-    product and the other a matrix product batched over its free leading
-    index, and both land in the same index order, so no four-index block
-    is copied or transposed.  Squared block norms add up to the squared
-    norm of the dense residual because ``m`` vanishes off its sectors,
-    which ``QSystemData`` enforces.
+    Q1, Q2 and Q3 are contracted one grading sector at a time, never on
+    the ``N x N x N`` multiplication tensor ``t``.  With ``S[x][y]`` the
+    basis indices over ``(x, y)``, the block ``T(x, y, z) = t[S[x][z],
+    S[x][y], S[y][z]]`` holds every product of a vector over ``(x, y)``
+    with one over ``(y, z)``; ``_block`` reads it from ``m`` once per
+    sector triple, as is its conjugate ``C(x, y, z)``, stored as ``[a,
+    i, b]``.  For each quadruple ``(r1, r2, r3, r4)`` of grading
+    indices, Q1 compares ``(ab)c`` with ``a(bc)`` for ``a, b, c`` over
+    ``(r1, r2), (r2, r3), (r3, r4)``, and Q3 compares the composite with
+    ``m* m`` on ``p, v`` over ``(r1, r2), (r2, r3)`` against ``u, q``
+    over ``(r1, r4), (r4, r3)``.  In those layouts one product of each
+    pair is a single matrix product and the other a matrix product
+    batched over its free leading index, and both land in the same index
+    order, so no four-index block is copied or transposed; one slab
+    loop, ``_slab_sq``, forms both residuals.  Squared block norms add
+    up to the squared norm of the dense residual because ``m`` vanishes
+    off its sectors, which ``QSystemData`` enforces.
 
     Working memory is bounded by the slab budget ``_SLAB_BYTES`` (512 KiB).
     A four-index residual block larger than that is formed in slabs of
@@ -305,32 +286,42 @@ def check_qsystem(q: QSystemData) -> ResidualReport:
     smallest power of two above every block of a ``gen`` Q-system, so
     their reports keep their bytes.
 
-    Q2 reads both unit composites off ``t``: column ``q`` of ``m (i . 1)``
-    is ``sum_a i[a, row q] t[:, a, q]`` and that of ``m (1 . i)`` is
-    ``sum_b t[:, q, b] i[b, col q]``; each is compared with the identity.
+    Q2 reads both unit composites off the same blocks, sector by sector:
+    ``i`` lives on the sectors ``(y, y)``, so over ``(y, z)`` ``m (i . 1)``
+    is ``T(y, y, z)`` contracted with ``i[S[y][y], y]`` and ``m (1 . i)``
+    is ``T(y, z, z)`` with ``i[S[z][z], z]``; each block is compared with
+    the identity, and the composites vanish off those blocks.
     """
     Q, m, i = q.Q, q.m, q.i
     rep = ResidualReport()
     n = Q.src.n
-    t = q.tensor
-    S = _sectors(Q)
+    S, P = _sectors(Q), _pair_index(Q, Q)
     full = [[s.size > 0 for s in row] for row in S]
-    T, C = _SectorBlocks(t, S, conj=False), _SectorBlocks(t, S, conj=True)
+    T, C = _SectorBlocks(m.mat, S, P, conj=False), _SectorBlocks(m.mat, S, P, conj=True)
 
     q1 = q3 = 0.0
     for r1, r2, r3, r4 in itertools.product(range(n), repeat=4):
         if full[r1][r2] and full[r2][r3] and full[r1][r4]:
             if full[r3][r4]:
-                q1 += _q1_sq(T, r1, r2, r3, r4)
+                # (ab)c, batched over i, against a(bc), as [i, a, b, c]
+                q1 += _slab_sq(T[r1, r2, r3].head.T, T[r1, r3, r4].cube,
+                               T[r1, r2, r4].tail, T[r2, r3, r4].head)
             if full[r4][r3]:
-                q3 += _q3_sq(T, C, r1, r2, r3, r4)
-    del T, C   # the sector copies are not held through Q2 and Q4
+                # m* m, batched over p, against the composite, which sums
+                # over b in (r4, r2), as [p, u, q, v]
+                q3 += _slab_sq(T[r1, r4, r3].head.T, C[r1, r2, r3].cube,
+                               T[r1, r4, r2].tail, C[r4, r2, r3].head)
+    unit = [0.0, 0.0]
+    for y, z in itertools.product(range(n), repeat=2):
+        if full[y][z]:
+            eye = np.eye(len(S[y][z]))
+            unit[0] += _sq(np.einsum("iaq,a->iq", T[y, y, z].cube, i.mat[S[y][y], y]) - eye)
+            unit[1] += _sq(np.einsum("iqb,b->iq", T[y, z, z].cube, i.mat[S[z][z], z]) - eye)
+    del T, C   # the sector copies are not held through Q4
     rep.add("Q1", np.sqrt(q1))
-    eye = np.eye(Q.dim)
-    rep.add("Q2", max(frob(np.einsum("iaq,aq->iq", t, i.mat[:, Q.rows - 1]) - eye),
-                      frob(np.einsum("iqb,bq->iq", t, i.mat[:, Q.cols - 1]) - eye)))
+    rep.add("Q2", np.sqrt(max(unit)))
     rep.add("Q3", np.sqrt(q3))
-    rep.add("Q4", frob(_mm_adjoint(m.mat) - eye))
+    rep.add("Q4", frob(_mm_adjoint(m.mat) - np.eye(Q.dim)))
     rep.add_info("unit_norm", frob(i.mat))
     return rep
 
@@ -350,25 +341,21 @@ def qsystem_from_dual(d: DualPair) -> QSystemData:
     on the basis vector ``(p1, q2)`` of ``Q``, which exists when the
     column ``c`` of ``p1`` is the row of ``q2``.  So ``m`` holds one
     entry per such column, ``ev[c, (q1, p2)]``, placed through the
-    fold-plan index arrays; no layer of the string diagram is gathered
-    into a dense matrix.  Those entries are all of ``ev`` on its grading
-    sectors, so an ``ev`` with an entry off them raises
-    ``CellMismatch``.  For ``ev`` of ``standard_dual`` the bytes are
-    those of the diagram."""
+    fold-plan index arrays and ``_pair_index``; no layer of the string
+    diagram is gathered into a dense matrix.  Those entries are all of
+    ``ev`` on its grading sectors, so an ``ev`` with an entry off them
+    raises ``CellMismatch``.  For ``ev`` of ``standard_dual`` the bytes
+    are those of the diagram."""
     if off_sector_nonzero(d.ev):
         raise CellMismatch("ev has a nonzero entry off its grading sectors")
     X, Xbar = d.X, d.Xbar
-    Q, qx, qxbar = _hcomp_plan(X, Xbar)
+    Q = hcomp1(X, Xbar)
     src, (p1, q1, p2, q2) = _fold_plan([X, Xbar, X, Xbar])
-    pair_ev, ex, ey = _hcomp_plan(Xbar, X)
-    at_q = np.zeros((X.dim, Xbar.dim), dtype=np.intp)
-    at_q[qx, qxbar] = np.arange(Q.dim)
-    at_ev = np.zeros((Xbar.dim, X.dim), dtype=np.intp)
-    at_ev[ex, ey] = np.arange(pair_ev.dim)
     c = X.cols[p1]
     hit = np.flatnonzero(c == Xbar.rows[q2])
     m = np.zeros((Q.dim, src.dim), dtype=complex)
-    m[at_q[p1[hit], q2[hit]], hit] = d.ev.mat[c[hit] - 1, at_ev[q1[hit], p2[hit]]]
+    m[_pair_index(X, Xbar)[p1[hit], q2[hit]], hit] = \
+        d.ev.mat[c[hit] - 1, _pair_index(Xbar, X)[q1[hit], p2[hit]]]
     return QSystemData(Q, BlockTwoCell(src, Q, m), d.coev)
 
 
@@ -482,18 +469,6 @@ def relative_tensor(xb: BimoduleData, yb: BimoduleData,
     return z, dagger2(u)
 
 
-def _pair_columns(Q: GradedOneCell, S):
-    """``(P, R)``: the pair of the ``j``-th basis vector over ``(x, y)``
-    and the ``l``-th over ``(y, z)`` is column ``P[x][y][j] +
-    R[y][z][l]`` of the multiplication, as ``_hcomp_plan(Q, Q)`` lists
-    the pairs (``S = _sectors(Q)``)."""
-    _, p_idx, q_idx = _hcomp_plan(Q, Q)
-    start = np.searchsorted(p_idx, np.arange(Q.dim))   # p's first pair
-    rank = np.zeros(Q.dim, dtype=np.intp)               # q's place among p's partners
-    rank[q_idx] = np.arange(len(q_idx)) - start[p_idx]
-    return [[start[s] for s in row] for row in S], [[rank[s] for s in row] for row in S]
-
-
 def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData) -> ResidualReport:
     """Residuals for ``g : a -> b`` being a unitary Q-system map:
     ``g`` unitary, ``g m_a = m_b (g . g)``, ``g i_a = i_b``.
@@ -501,9 +476,9 @@ def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData) -> Residu
     ``g``, ``m_a`` and ``m_b`` vanish off their grading sectors, so the
     multiplication residual splits into one block per sector triple
     ``(x, y, z)``: rows over ``(x, z)``, columns the pairs over ``(x,
-    y), (y, z)``.  Both multiplications are read at those columns
-    (``_hcomp_plan`` positions, ``_pair_columns``) straight from ``m``,
-    so no tensor is built, and ``g`` enters through its sector blocks:
+    y), (y, z)``.  Both multiplications are read at those columns by
+    ``_block``, straight from ``m``, so no tensor is built, and ``g``
+    enters through its sector blocks:
     ``g_xz m_a`` against ``m_b (g_xy . g_yz)``.  Neither the
     ``N_pairs^2`` two-cell ``g . g``, nor an ``N^3`` contraction of the
     tensor, nor the dense ``g m_a`` is formed.  The rows of a block run
@@ -520,24 +495,24 @@ def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData) -> Residu
     rep = ResidualReport()
     rep.add("unitary", is_unitary_residual(g))
     n = a.Q.src.n
-    Sa, Sb = _sectors(a.Q), _sectors(b.Q)
-    (Pa, Ra), (Pb, Rb) = _pair_columns(a.Q, Sa), _pair_columns(b.Q, Sb)
+    ma, Sa, Pa = a.m.mat, _sectors(a.Q), _pair_index(a.Q, a.Q)
+    mb, Sb, Pb = b.m.mat, _sectors(b.Q), _pair_index(b.Q, b.Q)
     G = [[g.mat[Sb[x][y][:, None], Sa[x][y]] for y in range(n)] for x in range(n)]
     total = 0.0
     for x, y, z in itertools.product(range(n), repeat=3):
-        rows, pb, qb = Sb[x][z], Sb[x][y], Sb[y][z]
+        rows, pb, qb = len(Sb[x][z]), len(Sb[x][y]), len(Sb[y][z])
         pa, qa = len(Sa[x][y]), len(Sa[y][z])
-        if not (len(rows) and pa and qa):
+        if not (rows and pa and qa):
             continue
-        ma = a.m.mat[Sa[x][z][:, None], (Pa[x][y][:, None] + Ra[y][z]).ravel()]
-        cols_b = (Pb[x][y][:, None] + Rb[y][z]).ravel()
+        block_a = _block(ma, Sa, Pa, x, y, z).reshape(len(Sa[x][z]), pa * qa)
         step = _step(pa * qa)
-        for k in range(0, len(rows), step):
-            i = rows[k:k + step]
-            # m_b (g . g): the q leg, then the p leg batched over i
-            w = b.m.mat[i[:, None], cols_b].reshape(len(i) * len(pb), len(qb)) @ G[y][z]
-            w = np.matmul(G[x][y].T, w.reshape(len(i), len(pb), qa))
-            out = G[x][z][k:k + step] @ ma
+        for k in range(0, rows, step):
+            # m_b (g . g): the q leg, then the p leg batched over the rows
+            w = _block(mb, Sb, Pb, x, y, z, slice(k, k + step))
+            r = len(w)
+            w = w.reshape(r * pb, qb) @ G[y][z]
+            w = np.matmul(G[x][y].T, w.reshape(r, pb, qa))
+            out = G[x][z][k:k + step] @ block_a
             total += _sq(np.subtract(out, w.reshape(out.shape), out=out))
     rep.add("multiplication", np.sqrt(total))
     rep.add("unit", residual(vcomp(g, a.i), b.i))

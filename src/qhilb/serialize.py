@@ -77,8 +77,12 @@ def _list(v, what: str) -> list:
 
 def cell_from_json(d: dict) -> GradedOneCell:
     try:
-        grading = tuple(map(tuple, _list(d["grading"], "grading")))
-        # one type scan for the whole grading; _int only names a bad value
+        entries = _list(d["grading"], "grading")
+        # one type scan per level; _list and _int only name a bad value
+        if not {list}.issuperset(map(type, entries)):
+            for g in entries:
+                _list(g, "grading entry")
+        grading = tuple(map(tuple, entries))
         if not {int}.issuperset(map(type, chain.from_iterable(grading))):
             for v in chain.from_iterable(grading):
                 _int(v)

@@ -11,6 +11,10 @@ intertwining multiplication and unit.  Its gate reads the cached
 The algorithm works on the total space of ``Q`` viewed as an
 associative algebra via left/right multiplication operators, the
 slices ``t[:, a, :]`` and ``t[:, :, b]`` of ``QSystemData.tensor``.
+The split is that tensor's one reader (``regular_reps``): the gate's
+``check_qsystem`` and the closing ``check_qsystem_iso`` read the sector
+blocks of ``m`` instead, so the tensor is built only once a Q-system
+has passed its check.
 The center is the null space of the ``N^2 x N`` commutator map
 ``z -> z a - a z``, from ``eigh`` of its ``N x N`` Gram matrix.  The
 hermitian part of left multiplication by a random central element

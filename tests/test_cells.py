@@ -561,6 +561,15 @@ def test_hcomp_plan_pairs_match_the_tuple_enumeration(n, data):
     assert list(zip(p_idx.tolist(), q_idx.tolist())) == [
         (p, q) for p, (_, col) in enumerate(y.grading)
         for q, (row, _) in enumerate(x.grading) if col == row]
+    # its inverse: the k-th pair sits at k, every other entry is -1
+    at = cells._pair_index(y, x)
+    want = np.full((y.dim, x.dim), -1)
+    for k, pair in enumerate(hcomp_pairs(y, x)):
+        want[pair] = k
+    assert at.dtype == np.intp and at.tolist() == want.tolist()
+    assert not at.flags.writeable
+    with pytest.raises(ValueError):
+        at[...] = 0
 
 
 def test_a_composite_takes_the_index_arrays_of_its_plan(monkeypatch):

@@ -715,12 +715,22 @@ def test_exit_code_non_string_label(tmp_path, capsys, cells, label):
     ("scenario", "verify-fun",
      lambda d: _first(d["functor"]["on1"].values()).update(grading={"a": 1}),
      "bad one-cell: grading must be a list, got dict"),
+    ("qsystem", "check-qsystem", lambda d: d["cell"]["grading"].__setitem__(0, "12"),
+     "bad one-cell: grading entry must be a list, got str"),
+    ("qsystem", "check-qsystem", lambda d: d["cell"]["grading"].__setitem__(0, "11"),
+     "bad one-cell: grading entry must be a list, got str"),
+    ("qsystem", "check-qsystem",
+     lambda d: d["cell"]["grading"].__setitem__(0, {"1": 0, "2": 0}),
+     "bad one-cell: grading entry must be a list, got dict"),
 ], ids=["scenario_zero_cells", "constant_zero_cells", "path_labels",
-        "grading_object", "grading_string", "functor_grading_object"])
+        "grading_object", "grading_string", "functor_grading_object",
+        "grading_entry_string", "grading_entry_diagonal_string", "grading_entry_object"])
 def test_exit_code_field_not_a_list(tmp_path, capsys, kind, command, mutate, error):
     # a string was split into its characters: zero_cells "ab" passed
     # verify-fun as ["a", "b"], labels "X1" ended in exit 3 with unknown
-    # generator X, and a grading object was read as its keys
+    # generator X, and a grading object was read as its keys; a grading
+    # entry "12" or {"1": 0, "2": 0} was read the same way and refused
+    # for holding '1', a value the file does not hold
     path = str(tmp_path / f"{kind}.json")
     run(capsys, "gen", "--kind", kind, "--seed", "1", "--out", path)
     doc = load_document(path)

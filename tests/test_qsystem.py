@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhilb import qsystem
@@ -50,6 +50,7 @@ from qhilb.qsystem import (
     zigzag_residuals,
 )
 from qhilb.splitting import split_qsystem
+from test_splitting import block_structures, dual_pair_qsystem
 
 RNG = np.random.default_rng(512)
 
@@ -297,6 +298,27 @@ def test_blocked_axioms_match_dense(q):
         assert abs(rep[name] - dense) <= 1e-12 * max(dense, scale)
 
 
+def refuse_tensor(q):
+    raise AssertionError("QSystemData.tensor was read")
+
+
+@given(block_structures(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example((3, [[1, 0, 1], [0, 2, 0]]), False, 0)
+@example((3, [[1, 0, 1], [0, 2, 0]]), True, 0)
+@settings(max_examples=30, deadline=None)
+def test_check_qsystem_reads_the_blocks_of_m_not_the_tensor(structure, dressed, seed):
+    # the examples have empty middle sectors: nothing over (1, 2) or
+    # (2, 1), though (1, 3) is not empty
+    q = dual_pair_qsystem(structure, np.random.default_rng(seed), dressed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QSystemData, "tensor", property(refuse_tensor))
+        rep = check_qsystem(q)
+    scale = frob(q.m.mat) ** 2
+    q1, q2, q3, q4 = dense_residuals(q)
+    for name, dense in (("Q1", q1), ("Q2", q2), ("Q3", max(q3)), ("Q4", q4)):
+        assert abs(rep[name] - dense) <= 1e-12 * max(dense, scale)
+
+
 @given(sector_supported_structures())
 @settings(max_examples=100, deadline=None)
 def test_the_two_frobenius_residuals_are_equal(q):
@@ -447,3 +469,14 @@ def test_check_and_split_at_n144_keep_to_half_the_whole_block_peaks(monkeypatch)
     assert res.iso.passes(1e-13)
     dense = dense_check_qsystem_iso(res.gamma, res.dual, q)
     assert abs(res.iso["multiplication"] - dense) <= 1e-13
+
+
+def test_check_at_n144_builds_no_tensor():
+    # the Q-system above, fresh, with q.tensor never built: the check
+    # reads its sector blocks from m.  The bound lies below the 45.6 MiB
+    # tensor, so a check that builds it fails here
+    q = qsystem_from_dual(standard_dual_pair(one_cell(1, 2, [(1, 1)] * 6 + [(2, 1)] * 6)))
+    rep, peak = traced(lambda: check_qsystem(q))
+    assert peak < 31 * 2 ** 20
+    assert "tensor" not in vars(q)
+    assert rep.passes(1e-13)

@@ -326,8 +326,8 @@ def test_split_seed_deterministic():
 
 
 def test_split_builds_the_multiplication_tensor_once(monkeypatch):
-    # the check, the centre, the blocks and the isomorphism check of one
-    # split all read the same read-only q.tensor
+    # the centre and the blocks of one split read the same read-only
+    # q.tensor; the check and the isomorphism check read m, not the tensor
     built = []
     build = QSystemData.tensor.func
 
