@@ -6,14 +6,15 @@ unitality, the Frobenius condition and separability ``m m* = id``.
 Checkers report Frobenius-norm residuals per axiom and never raise on
 failure: verification is the product.
 
-``check_qsystem`` and ``check_qsystem_iso`` contract one grading
-sector at a time.  Both read each sector block ``T(x, y, z)`` of the
-multiplication through ``_block``, straight from ``m`` at the columns
-that ``cells._pair_index`` gives its basis pairs, so neither builds the
-``N x N x N`` ``QSystemData.tensor``.  That equals the dense contraction
-only because ``m`` and ``i`` vanish off their grading sectors, which
-``QSystemData`` enforces.  Both keep their working memory to slabs of
-at most ``_SLAB_BYTES``, as does ``splitting.split_qsystem``.
+``m`` is the only stored form of the multiplication.
+``check_qsystem`` and ``check_qsystem_iso`` contract one grading sector
+at a time: both read each sector block ``T(x, y, z)`` through
+``_block``, straight from ``m`` at the columns that
+``cells._pair_index`` gives its basis pairs.  That equals the dense
+contraction only because ``m`` and ``i`` vanish off their grading
+sectors, which ``QSystemData`` enforces.  Every contraction whose
+result could exceed the slab budget ``_SLAB_BYTES`` runs through
+``_slab_sum``, here and in ``splitting``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .cells import (
     ZeroCell,
     _adjoint,
     _fold_plan,
-    _hcomp_plan,
     _pair_index,
     dagger2,
     hcomp1,
@@ -92,21 +91,6 @@ class QSystemData:
         return self.Q.src
 
     @cached_property
-    def tensor(self) -> np.ndarray:
-        """The multiplication as a read-only N x N x N array: ``t[i, a, b]``
-        is the coefficient of basis vector i in the product of a and b
-        (zero for non-composable pairs).  ``t[:, a, :]`` is left and
-        ``t[:, :, b]`` right multiplication by a basis vector.  Only the
-        split reads it (``splitting.regular_reps``); the checks read the
-        sector blocks of ``m``."""
-        n = self.Q.dim
-        _, p_idx, q_idx = _hcomp_plan(self.Q, self.Q)
-        t = np.zeros((n, n, n), dtype=complex)
-        t[:, p_idx, q_idx] = self.m.mat
-        t.flags.writeable = False
-        return t
-
-    @cached_property
     def residuals(self) -> ResidualReport:
         """``check_qsystem(self)``, computed once and shared by every reader."""
         return check_qsystem(self)
@@ -150,16 +134,11 @@ class BimoduleData:
 _SLAB_BYTES = 1 << 19
 
 
-def _step(row: int) -> int:
-    """Leading indices per slab of a complex result with ``row`` entries
-    per index: at most ``_SLAB_BYTES``, but at least one index."""
-    return max(1, _SLAB_BYTES // (16 * max(row, 1)))
-
-
 def _slabs(n: int, row: int) -> list[slice]:
-    """The slabs of ``range(n)`` for such a result; at least one slice
-    (empty if ``n`` is 0)."""
-    step = _step(row)
+    """The slabs of ``range(n)`` for a complex result with ``row``
+    entries per index: at most ``_SLAB_BYTES`` each, but at least one
+    index; at least one slice (empty if ``n`` is 0)."""
+    step = max(1, _SLAB_BYTES // (16 * max(row, 1)))
     return [slice(k, k + step) for k in range(0, max(n, 1), step)]
 
 
@@ -190,32 +169,12 @@ def _block(m: np.ndarray, S, P, x: int, y: int, z: int, rows=slice(None)) -> np.
     return m[S[x][z][rows, None, None], P[S[x][y][:, None], S[y][z]]]
 
 
-class _Block(NamedTuple):
-    """A contiguous sector block and its two matrix views: rows over the
-    first axis (``head``) and over the first two (``tail``)."""
-    cube: np.ndarray
-    head: np.ndarray
-    tail: np.ndarray
-
-
-class _SectorBlocks(dict):
-    """``B[x, y, z]``: the block ``T(x, y, z)`` of the multiplication
-    (``conj``: its conjugate, stored as ``[a, i, b]``), read by
-    ``_block`` on first use and kept as a ``_Block``."""
-
-    def __init__(self, m: np.ndarray, S, P, conj: bool):
-        super().__init__()
-        self.m, self.S, self.P, self.conj = m, S, P, conj
-
-    def __missing__(self, key) -> _Block:
-        cube = _block(self.m, self.S, self.P, *key)
-        if self.conj:
-            cube = np.ascontiguousarray(cube.transpose(1, 0, 2))
-            np.conjugate(cube, out=cube)
-        s0, s1, s2 = cube.shape
-        block = self[key] = _Block(cube, cube.reshape(s0, s1 * s2),
-                                   cube.reshape(s0 * s1, s2))
-        return block
+def _matrix(block: np.ndarray, k: int) -> np.ndarray:
+    """A contiguous three-index block as a matrix view, its first ``k``
+    axes (1 or 2) the rows; the shape is explicit, since a block can be
+    empty."""
+    s0, s1, s2 = block.shape
+    return block.reshape(s0, s1 * s2) if k == 1 else block.reshape(s0 * s1, s2)
 
 
 def _sq(x: np.ndarray) -> float:
@@ -225,27 +184,16 @@ def _sq(x: np.ndarray) -> float:
 def _slab_sq(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray) -> float:
     """``|matmul(A, B) - C @ D|^2``, the second product reshaped to the
     first, for a batch ``B`` and a ``C`` with ``s`` rows per index of
-    ``B``: summed over slabs ``B[k:k+step]`` and ``C[k s:(k+step) s]``
-    of at most ``_SLAB_BYTES``, one slab of each product at a time, so
-    at most two slabs are alive."""
-    n, s = len(B), len(C) // len(B)
-    step = _step(len(A) * B.shape[2])
-    total = 0.0
-    for k in range(0, n, step):
-        left = np.matmul(A, B[k:k + step])      # batched over B's leading index
-        right = C[k * s:(k + step) * s] @ D     # one product
-        total += _sq(np.subtract(left, right.reshape(left.shape), out=left))
-    return total
+    ``B``: summed over slabs ``B[k]`` and ``C[k s]`` of the leading
+    index, one slab of each product at a time."""
+    s = len(C) // len(B)
 
+    def part(k):
+        left = np.matmul(A, B[k])                   # batched over B's leading index
+        right = C[k.start * s:k.stop * s] @ D       # one product
+        return _sq(np.subtract(left, right.reshape(left.shape), out=left))
 
-def _mm_adjoint(m: np.ndarray) -> np.ndarray:
-    """``m m*``, summed over slabs of the columns of ``m`` (rows of
-    ``m*``), so at most one slab of ``m*`` is copied at a time."""
-    def part(s):
-        cols = m[:, s]
-        return cols @ _adjoint(cols)
-
-    return _slab_sum(part, m.shape[1], m.shape[0])
+    return _slab_sum(part, len(B), len(A) * B.shape[2])
 
 
 def check_qsystem(q: QSystemData) -> ResidualReport:
@@ -260,13 +208,13 @@ def check_qsystem(q: QSystemData) -> ResidualReport:
     ``m* m`` is hermitian, so the two residuals are adjoint to each
     other and have the same norm for any ``m``.
 
-    Q1, Q2 and Q3 are contracted one grading sector at a time, never on
-    the ``N x N x N`` multiplication tensor ``t``.  With ``S[x][y]`` the
-    basis indices over ``(x, y)``, the block ``T(x, y, z) = t[S[x][z],
-    S[x][y], S[y][z]]`` holds every product of a vector over ``(x, y)``
-    with one over ``(y, z)``; ``_block`` reads it from ``m`` once per
-    sector triple, as is its conjugate ``C(x, y, z)``, stored as ``[a,
-    i, b]``.  For each quadruple ``(r1, r2, r3, r4)`` of grading
+    Q1, Q2 and Q3 are contracted one grading sector at a time.  With
+    ``S[x][y]`` the basis indices over ``(x, y)``, the block ``T(x, y,
+    z)``, as ``[i, a, b]``, holds every product of a vector over ``(x,
+    y)`` with one over ``(y, z)``.  ``_block`` reads it from ``m`` once
+    per sector triple into the table ``T``, and the table ``C`` holds its
+    conjugate, stored as ``[a, i, b]``; each is one copy, and both are
+    dropped before Q4.  For each quadruple ``(r1, r2, r3, r4)`` of grading
     indices, Q1 compares ``(ab)c`` with ``a(bc)`` for ``a, b, c`` over
     ``(r1, r2), (r2, r3), (r3, r4)``, and Q3 compares the composite with
     ``m* m`` on ``p, v`` over ``(r1, r2), (r2, r3)`` against ``u, q``
@@ -280,11 +228,12 @@ def check_qsystem(q: QSystemData) -> ResidualReport:
 
     Working memory is bounded by the slab budget ``_SLAB_BYTES`` (512 KiB).
     A four-index residual block larger than that is formed in slabs of
-    its leading index, and Q4's ``m m*`` is summed over slabs of ``m*``;
-    at most two slabs are alive at a time.  Below the budget each is the
-    one product it always was, with the same bytes; 512 KiB is the
-    smallest power of two above every block of a ``gen`` Q-system, so
-    their reports keep their bytes.
+    its leading index, and Q4's ``m m*`` is summed over slabs of the
+    columns of ``m``, each next to its adjoint; both go through
+    ``_slab_sum``, so at most two slabs are alive at a time.  Below the
+    budget each is the one product it always was, with the same bytes;
+    512 KiB is the smallest power of two above every block of a ``gen``
+    Q-system, so their reports keep their bytes.
 
     Q2 reads both unit composites off the same blocks, sector by sector:
     ``i`` lives on the sectors ``(y, y)``, so over ``(y, z)`` ``m (i . 1)``
@@ -297,31 +246,33 @@ def check_qsystem(q: QSystemData) -> ResidualReport:
     n = Q.src.n
     S, P = _sectors(Q), _pair_index(Q, Q)
     full = [[s.size > 0 for s in row] for row in S]
-    T, C = _SectorBlocks(m.mat, S, P, conj=False), _SectorBlocks(m.mat, S, P, conj=True)
+    T = {key: _block(m.mat, S, P, *key) for key in itertools.product(range(n), repeat=3)}
+    C = {key: np.conjugate(b.transpose(1, 0, 2), order="C") for key, b in T.items()}
 
     q1 = q3 = 0.0
     for r1, r2, r3, r4 in itertools.product(range(n), repeat=4):
         if full[r1][r2] and full[r2][r3] and full[r1][r4]:
             if full[r3][r4]:
                 # (ab)c, batched over i, against a(bc), as [i, a, b, c]
-                q1 += _slab_sq(T[r1, r2, r3].head.T, T[r1, r3, r4].cube,
-                               T[r1, r2, r4].tail, T[r2, r3, r4].head)
+                q1 += _slab_sq(_matrix(T[r1, r2, r3], 1).T, T[r1, r3, r4],
+                               _matrix(T[r1, r2, r4], 2), _matrix(T[r2, r3, r4], 1))
             if full[r4][r3]:
                 # m* m, batched over p, against the composite, which sums
                 # over b in (r4, r2), as [p, u, q, v]
-                q3 += _slab_sq(T[r1, r4, r3].head.T, C[r1, r2, r3].cube,
-                               T[r1, r4, r2].tail, C[r4, r2, r3].head)
+                q3 += _slab_sq(_matrix(T[r1, r4, r3], 1).T, C[r1, r2, r3],
+                               _matrix(T[r1, r4, r2], 2), _matrix(C[r4, r2, r3], 1))
     unit = [0.0, 0.0]
     for y, z in itertools.product(range(n), repeat=2):
         if full[y][z]:
             eye = np.eye(len(S[y][z]))
-            unit[0] += _sq(np.einsum("iaq,a->iq", T[y, y, z].cube, i.mat[S[y][y], y]) - eye)
-            unit[1] += _sq(np.einsum("iqb,b->iq", T[y, z, z].cube, i.mat[S[z][z], z]) - eye)
+            unit[0] += _sq(np.einsum("iaq,a->iq", T[y, y, z], i.mat[S[y][y], y]) - eye)
+            unit[1] += _sq(np.einsum("iqb,b->iq", T[y, z, z], i.mat[S[z][z], z]) - eye)
     del T, C   # the sector copies are not held through Q4
+    mm = _slab_sum(lambda s: m.mat[:, s] @ _adjoint(m.mat[:, s]), m.source.dim, Q.dim)
     rep.add("Q1", np.sqrt(q1))
     rep.add("Q2", np.sqrt(max(unit)))
     rep.add("Q3", np.sqrt(q3))
-    rep.add("Q4", frob(_mm_adjoint(m.mat) - np.eye(Q.dim)))
+    rep.add("Q4", frob(mm - np.eye(Q.dim)))
     rep.add_info("unit_norm", frob(i.mat))
     return rep
 
@@ -477,13 +428,12 @@ def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData) -> Residu
     multiplication residual splits into one block per sector triple
     ``(x, y, z)``: rows over ``(x, z)``, columns the pairs over ``(x,
     y), (y, z)``.  Both multiplications are read at those columns by
-    ``_block``, straight from ``m``, so no tensor is built, and ``g``
-    enters through its sector blocks:
-    ``g_xz m_a`` against ``m_b (g_xy . g_yz)``.  Neither the
-    ``N_pairs^2`` two-cell ``g . g``, nor an ``N^3`` contraction of the
-    tensor, nor the dense ``g m_a`` is formed.  The rows of a block run
-    in slabs of at most ``_SLAB_BYTES`` (512 KiB), with at most two
-    slabs alive; the one block of ``m_a`` they multiply is read whole.
+    ``_block``, straight from ``m``, and ``g`` enters through its sector
+    blocks: ``g_xz m_a`` against ``m_b (g_xy . g_yz)``.  Neither the
+    ``N_pairs^2`` two-cell ``g . g``, nor an ``N^3`` array, nor the dense
+    ``g m_a`` is formed.  The rows of a block are summed by ``_slab_sum``
+    in slabs of at most ``_SLAB_BYTES`` (512 KiB); the one block of
+    ``m_a`` they multiply is read whole.
 
     An off-sector entry of ``g`` would not be seen block by block, so
     such a ``g`` raises ``CellMismatch``.
@@ -504,16 +454,18 @@ def check_qsystem_iso(g: BlockTwoCell, a: QSystemData, b: QSystemData) -> Residu
         pa, qa = len(Sa[x][y]), len(Sa[y][z])
         if not (rows and pa and qa):
             continue
-        block_a = _block(ma, Sa, Pa, x, y, z).reshape(len(Sa[x][z]), pa * qa)
-        step = _step(pa * qa)
-        for k in range(0, rows, step):
+        block_a = _matrix(_block(ma, Sa, Pa, x, y, z), 1)
+
+        def part(s):
             # m_b (g . g): the q leg, then the p leg batched over the rows
-            w = _block(mb, Sb, Pb, x, y, z, slice(k, k + step))
+            w = _block(mb, Sb, Pb, x, y, z, s)
             r = len(w)
             w = w.reshape(r * pb, qb) @ G[y][z]
             w = np.matmul(G[x][y].T, w.reshape(r, pb, qa))
-            out = G[x][z][k:k + step] @ block_a
-            total += _sq(np.subtract(out, w.reshape(out.shape), out=out))
+            out = G[x][z][s] @ block_a
+            return _sq(np.subtract(out, w.reshape(out.shape), out=out))
+
+        total += _slab_sum(part, rows, pa * qa)
     rep.add("multiplication", np.sqrt(total))
     rep.add("unit", residual(vcomp(g, a.i), b.i))
     return rep

@@ -10,18 +10,20 @@ intertwining multiplication and unit.  Its gate reads the cached
 
 The algorithm works on the total space of ``Q`` viewed as an
 associative algebra via left/right multiplication operators, the
-slices ``t[:, a, :]`` and ``t[:, :, b]`` of ``QSystemData.tensor``.
-The split is that tensor's one reader (``regular_reps``): the gate's
-``check_qsystem`` and the closing ``check_qsystem_iso`` read the sector
-blocks of ``m`` instead, so the tensor is built only once a Q-system
-has passed its check.
+slices ``t[:, a, :]`` and ``t[:, :, b]`` of the dense ``N x N x N``
+multiplication tensor ``t``.  This module is the one place that knows
+that layout: ``regular_reps`` builds ``t`` from ``m`` once per split,
+after the gate has passed, and ``split_qsystem`` drops it before it
+builds the dual's ``m`` and runs ``check_qsystem_iso``, which, like the
+gate's ``check_qsystem``, reads the sector blocks of ``m``.
 The center is the null space of the ``N^2 x N`` commutator map
 ``z -> z a - a z``, from ``eigh`` of its ``N x N`` Gram matrix.  The
-hermitian part of left multiplication by a random central element
-separates the simple blocks (the random-element method of Murota,
-Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27 (2010)); the
-eigenvectors of each of its eigenvalue clusters are the isometry onto
-a block, so no block projection is formed and diagonalized again.  In
+hermitian part of left multiplication ``L_z`` by one random central
+element ``z`` separates the simple blocks (the random-element method of
+Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27
+(2010)); the eigenvectors of each of its eigenvalue clusters are the
+isometry onto a block, so no block projection is formed and
+diagonalized again.  In
 each block a spectral projection of the hermitian part of compressed
 right multiplication by one random vector is a minimal projection that
 cuts the block down to a column space.  Central and right
@@ -130,13 +132,21 @@ def split_projection(x: GradedOneCell, p: BlockTwoCell,
 
 
 def regular_reps(q: QSystemData, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """``q.tensor`` of a valid Q-system, whose slices ``t[:, a, :]`` and
-    ``t[:, :, b]`` are its left and right multiplication operators;
-    ``InvalidQSystem`` if ``q.residuals`` exceeds ``10 atol``."""
+    """The multiplication of a valid Q-system as a new read-only
+    ``N x N x N`` array: ``t[i, a, b]`` is the coefficient of basis
+    vector ``i`` in the product of ``a`` and ``b`` (zero for pairs that
+    do not compose), so ``t[:, a, :]`` and ``t[:, :, b]`` are its left
+    and right multiplication operators.  ``InvalidQSystem`` if
+    ``q.residuals`` exceeds ``10 atol``; no array is built then."""
     if not q.residuals.passes(10 * tol.atol):
         name, value = q.residuals.worst()
         raise InvalidQSystem(f"axiom {name} fails with residual {value:.3e}")
-    return q.tensor
+    n = q.Q.dim
+    _, p_idx, q_idx = _hcomp_plan(q.Q, q.Q)
+    t = np.zeros((n, n, n), dtype=complex)
+    t[:, p_idx, q_idx] = q.m.mat
+    t.flags.writeable = False
+    return t
 
 
 def center_basis(t: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
@@ -145,10 +155,15 @@ def center_basis(t: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
 
     ``z`` is central iff ``z a - a z = 0`` for every basis vector ``a``,
     so the center is the null space of the ``N^2 x N`` map
-    ``C : z -> (t[:, z, a] - t[:, a, z])_a``: the eigenvectors of the
-    ``N x N`` Gram ``C* C`` with eigenvalue at most
-    ``(gap_tol * max(1, sigma_max))^2``, that is, the singular vectors of
-    ``C`` with singular value at most ``gap_tol * max(1, sigma_max)``.
+    ``C : z -> (t[:, z, a] - t[:, a, z])_a``.  Its basis is the
+    eigenvectors of the ``N x N`` Gram ``C* C`` with eigenvalue at most
+    ``max(gap_tol^2, N eps) * max(1, lambda_max)``, ``eps`` the float64
+    machine epsilon: the singular vectors of ``C`` with singular value at
+    most ``gap_tol * max(1, sigma_max)``, unless that cut lies below the
+    floor ``N eps``.  The floor is ``eigh``'s rounding of the Gram, which
+    null eigenvalues can reach; without it a ``gap_tol`` below about
+    1.5e-8 lost central vectors.  At the default ``gap_tol`` it acts only
+    from about N = 4,500.
 
     ``C`` has ``N^3`` entries.  The Gram is summed over slabs of its rows
     ``(i, a)`` with ``i`` in a slab of at most ``qsystem._SLAB_BYTES``
@@ -163,7 +178,8 @@ def center_basis(t: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
         return dagger(comm) @ comm
 
     lam, e = np.linalg.eigh(_slab_sum(gram, n, n * n))
-    return e[:, lam <= tol.gap_tol ** 2 * lam.max(initial=1.0)]
+    cut = max(tol.gap_tol ** 2, n * np.finfo(float).eps) * lam.max(initial=1.0)
+    return e[:, lam <= cut]
 
 
 def central_decomposition(q: QSystemData, tol: Tolerance = Tolerance(),
@@ -177,23 +193,20 @@ def central_decomposition(q: QSystemData, tol: Tolerance = Tolerance(),
 def _central_projections(t: np.ndarray, tol: Tolerance, rng: np.random.Generator):
     """Eigenvectors ``w`` of each minimal central projection ``w w*``,
     sorted by rank, then by first supported basis vector; retries with
-    fresh randomness if an element fails to separate the blocks."""
-    # L_z for each basis vector z of the center; these span the joint
-    # commutant of left and right multiplication, which is closed under
-    # adjoints, so the hermitian part of a random combination stays in it.
-    # L_z[i, b] = sum_a z[a] t[i, a, b] is one product with t laid out
-    # [a, (i, b)], copied slab by slab of i rather than as a whole
+    fresh randomness if an element fails to separate the blocks.
+
+    Each attempt draws one random central ``z = basis @ coeff`` and
+    forms ``L_z[i, b] = sum_a z[a] t[i, a, b]`` as ``z @ t``, a product
+    batched over ``i`` that copies nothing of ``t``.  The ``L_z`` of
+    central ``z`` span the joint commutant of left and right
+    multiplication, which is closed under adjoints, so the hermitian part
+    of ``L_z`` stays in it.  An empty center gives ``L_z = 0``, which
+    separates nothing, so it ends in ``DegenerateRandomElement``."""
     basis = center_basis(t, tol)
-    n, k = basis.shape
-    center = np.empty((k, n, n), dtype=complex)
-    for s in _slabs(n, n * n):
-        slab = t[s].transpose(1, 0, 2)
-        rows = slab.shape[1]
-        center[:, s] = np.dot(basis.T, slab.reshape(n, rows * n)).reshape(k, rows, n)
+    k = basis.shape[1]
     for _ in range(_MAX_RANDOM_ATTEMPTS):
         coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        h = herm_part(sum(c * z for c, z in zip(coeff, center)))
-        clusters = _eigen_clusters(h, tol)
+        clusters = _eigen_clusters(herm_part(basis @ coeff @ t), tol)
         if len(clusters) == k:
             return sorted((w for _, w in clusters), key=_support_key)
     raise DegenerateRandomElement(
@@ -248,7 +261,7 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     if q.Q.dim == 0:
         raise CellMismatch("cannot split a zero-dimensional Q-system: "
                            "it would need a zero-cell of size 0")
-    tensor = regular_reps(q, tol)
+    tensor = regular_reps(q, tol)   # dropped before the dual is built
     rng = np.random.default_rng(rng)
     ws = _central_projections(tensor, tol, rng)
     Q = q.Q
@@ -308,6 +321,7 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
         gdag[block_of == t] = (1.0 / np.sqrt(s2)) * mmat
     # zero the numerical dust on mismatched (row, col) sectors
     gamma = BlockTwoCell(src, Q, np.where(sector_mask(Q, src), dagger(gdag), 0))
+    del tensor
 
     dual = qsystem_from_dual(pair)
     iso = check_qsystem_iso(gamma, dual, q)

@@ -379,18 +379,16 @@ def test_verify_main_theorem_builds_each_qsystem_report_once(monkeypatch):
 
 
 def test_verify_main_theorem_builds_each_endf_tensor_once(monkeypatch):
-    # the input check and the split of a zero-cell read the one
-    # QSystemData that EndFQSystem.at hands out for it
+    # the split of each zero-cell builds the tensor of the one
+    # QSystemData that EndFQSystem.at hands out for it, once
     built = []
-    build = QSystemData.tensor.func
+    build = splitting.regular_reps
 
-    def counted(q):
+    def counted(q, tol=Tolerance()):
         built.append(q)
-        return build(q)
+        return build(q, tol)
 
-    tensor = functools.cached_property(counted)
-    tensor.__set_name__(QSystemData, "tensor")
-    monkeypatch.setattr(QSystemData, "tensor", tensor)
+    monkeypatch.setattr(splitting, "regular_reps", counted)
     cat, f, endf = product_scenario(np.random.default_rng(1))
     assert verify_main_theorem(cat, f, endf, rng=1).passes(1e-7)
     assert len(cat.zero_cells) == 2

@@ -49,7 +49,7 @@ from qhilb.qsystem import (
     unit_bimodule,
     zigzag_residuals,
 )
-from qhilb.splitting import split_qsystem
+from qhilb.splitting import regular_reps, split_qsystem
 from test_splitting import block_structures, dual_pair_qsystem
 
 RNG = np.random.default_rng(512)
@@ -298,10 +298,6 @@ def test_blocked_axioms_match_dense(q):
         assert abs(rep[name] - dense) <= 1e-12 * max(dense, scale)
 
 
-def refuse_tensor(q):
-    raise AssertionError("QSystemData.tensor was read")
-
-
 @given(block_structures(), st.booleans(), st.integers(0, 2 ** 32 - 1))
 @example((3, [[1, 0, 1], [0, 2, 0]]), False, 0)
 @example((3, [[1, 0, 1], [0, 2, 0]]), True, 0)
@@ -310,9 +306,7 @@ def test_check_qsystem_reads_the_blocks_of_m_not_the_tensor(structure, dressed, 
     # the examples have empty middle sectors: nothing over (1, 2) or
     # (2, 1), though (1, 3) is not empty
     q = dual_pair_qsystem(structure, np.random.default_rng(seed), dressed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(QSystemData, "tensor", property(refuse_tensor))
-        rep = check_qsystem(q)
+    rep = check_qsystem(q)
     scale = frob(q.m.mat) ** 2
     q1, q2, q3, q4 = dense_residuals(q)
     for name, dense in (("Q1", q1), ("Q2", q2), ("Q3", max(q3)), ("Q4", q4)):
@@ -342,7 +336,7 @@ def dense_check_qsystem_iso(g, a, b):
     before it went by sector triples: ``g`` contracted into the dense
     tensor of ``b`` one leg at a time (two ``N^4`` tensordots, ``N^3``
     arrays), read at the composable pairs of ``a``."""
-    y = np.tensordot(np.tensordot(b.tensor, g.mat, (1, 0)), g.mat, (1, 0))
+    y = np.tensordot(np.tensordot(regular_reps(b), g.mat, (1, 0)), g.mat, (1, 0))
     _, p_idx, q_idx = _hcomp_plan(a.Q, a.Q)
     return frob(vcomp(g, a.m).mat - y[:, p_idx, q_idx])
 
@@ -447,15 +441,21 @@ def traced(fn):
         tracemalloc.stop()
 
 
-def test_check_and_split_at_n144_keep_to_half_the_whole_block_peaks(monkeypatch):
-    # an undressed two-row dual-pair Q-system: x has 12 basis vectors, 6
-    # over each row, so Q has N = 144 and four sectors of s = 36.  One
-    # s^4 residual block is 25.6 MiB and the dense tensor 45.6 MiB; with
-    # whole blocks and N^3 temporaries the check peaked at 62.7 MiB and
-    # the split at 161.9 MiB
+def n144_qsystem():
+    """An undressed two-row dual-pair Q-system: x has 12 basis vectors, 6
+    over each row, so Q has N = 144 and four sectors of s = 36.  One s^4
+    residual block is 25.6 MiB, the split's dense tensor 45.6 MiB and the
+    dual's m 22.8 MiB."""
     q = qsystem_from_dual(standard_dual_pair(one_cell(1, 2, [(1, 1)] * 6 + [(2, 1)] * 6)))
     assert q.Q.dim == 144
-    q.tensor
+    return q
+
+
+def test_check_and_split_at_n144_keep_to_half_the_whole_block_peaks(monkeypatch):
+    # with whole blocks and N^3 temporaries the check peaked at 62.7 MiB
+    # and the split at 161.9 MiB; the split's peak here counts the tensor
+    # that it builds
+    q = n144_qsystem()
     rep, peak = traced(lambda: q.residuals)
     assert peak < 31 * 2 ** 20
     # a budget that no block reaches gives each block as one product
@@ -472,11 +472,21 @@ def test_check_and_split_at_n144_keep_to_half_the_whole_block_peaks(monkeypatch)
 
 
 def test_check_at_n144_builds_no_tensor():
-    # the Q-system above, fresh, with q.tensor never built: the check
-    # reads its sector blocks from m.  The bound lies below the 45.6 MiB
-    # tensor, so a check that builds it fails here
-    q = qsystem_from_dual(standard_dual_pair(one_cell(1, 2, [(1, 1)] * 6 + [(2, 1)] * 6)))
+    # a fresh Q-system: the check reads its sector blocks from m.  The
+    # bound lies below the 45.6 MiB tensor, so a check that builds it
+    # fails here
+    q = n144_qsystem()
     rep, peak = traced(lambda: check_qsystem(q))
     assert peak < 31 * 2 ** 20
-    assert "tensor" not in vars(q)
     assert rep.passes(1e-13)
+
+
+def test_split_at_n144_never_holds_the_tensor_and_the_dual():
+    # the split builds the 45.6 MiB tensor and later the dual's 22.8 MiB
+    # m; holding both would pass 60 MiB.  The check is done first, as
+    # the split's gate would do it
+    q = n144_qsystem()
+    assert q.residuals.passes(1e-13)
+    res, peak = traced(lambda: split_qsystem(q, rng=np.random.default_rng(0)))
+    assert peak < 60 * 2 ** 20
+    assert res.iso.passes(1e-13)

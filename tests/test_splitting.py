@@ -1,4 +1,3 @@
-import functools
 from pathlib import Path
 
 import numpy as np
@@ -310,7 +309,7 @@ def test_degenerate_randomness_raises():
     # the zero right multiplication has one cluster, of rank d^2, not d;
     # each attempt draws a real and an imaginary vector
     x = one_cell(1, 2, [(1, 1), (1, 1), (2, 1)])
-    t = qsystem_from_dual(standard_dual_pair(x)).tensor
+    t = regular_reps(qsystem_from_dual(standard_dual_pair(x)))
     rng = ZeroRng()
     with pytest.raises(DegenerateRandomElement):
         splitting._minimal_projection(t, np.eye(9), 3, Tolerance(), rng)
@@ -326,23 +325,20 @@ def test_split_seed_deterministic():
 
 
 def test_split_builds_the_multiplication_tensor_once(monkeypatch):
-    # the centre and the blocks of one split read the same read-only
-    # q.tensor; the check and the isomorphism check read m, not the tensor
+    # the centre and the blocks of one split read the one read-only array
+    # that regular_reps builds; the check and the isomorphism check read m
     built = []
-    build = QSystemData.tensor.func
+    build = splitting.regular_reps
 
-    def counted(q):
-        built.append(q)
-        return build(q)
+    def counted(q, tol=Tolerance()):
+        built.append(build(q, tol))
+        return built[-1]
 
-    tensor = functools.cached_property(counted)
-    tensor.__set_name__(QSystemData, "tensor")
-    monkeypatch.setattr(QSystemData, "tensor", tensor)
+    monkeypatch.setattr(splitting, "regular_reps", counted)
     q, _ = random_qsystem(np.random.default_rng(5), zero_cell=2, blocks=2)
     split_qsystem(q, rng=np.random.default_rng(42))
-    assert built == [q]
-    t = q.tensor
-    assert q.tensor is t and regular_reps(q) is t and len(built) == 1
+    assert len(built) == 1
+    t = built[0]
     assert t.shape == (q.Q.dim,) * 3 and not t.flags.writeable
     with pytest.raises(ValueError):
         t[0, 0, 0] = 1
@@ -401,6 +397,34 @@ def test_center_of_dual_pair_qsystems(structure, dressed, seed):
     assert block_dims(res) == sorted(sum(col) for col in sectors)
 
 
+def summed_central_projections(t, tol, rng):
+    """``_central_projections`` as it was with one ``L_z`` per center
+    basis vector: ``herm_part(sum_k c_k L_(z_k))`` for the same draws."""
+    basis = center_basis(t, tol)
+    k = basis.shape[1]
+    center = np.tensordot(basis, t, axes=(0, 1))   # [k, i, b]
+    for _ in range(splitting._MAX_RANDOM_ATTEMPTS):
+        coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        clusters = linalg._eigen_clusters(
+            herm_part(sum(c * z for c, z in zip(coeff, center))), tol)
+        if len(clusters) == k:
+            return sorted((w for _, w in clusters), key=splitting._support_key)
+    raise DegenerateRandomElement("no separating element")
+
+
+@given(block_structures(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_one_central_element_matches_the_summed_operators(structure, dressed, seed):
+    # L_z of z = basis @ coeff is the sum of the c_k L_(z_k), up to rounding
+    q = dual_pair_qsystem(structure, np.random.default_rng(seed), dressed)
+    t, tol = regular_reps(q), Tolerance()
+    ws = splitting._central_projections(t, tol, np.random.default_rng(seed))
+    oracle = summed_central_projections(t, tol, np.random.default_rng(seed))
+    assert [w.shape[1] for w in ws] == [w.shape[1] for w in oracle]
+    for w, o in zip(ws, oracle):
+        assert frob(w @ dagger(w) - o @ dagger(o)) <= 1e-12
+
+
 def test_center_basis_phase_does_not_matter(monkeypatch):
     # L_(i z) has a zero hermitian part when L_z is hermitian; the
     # random element must still separate the blocks
@@ -420,12 +444,16 @@ def svd_center_basis(t, tol):
     return vh[s <= cut].conj().T
 
 
-@given(block_structures(max_dim=36), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@given(block_structures(max_dim=36), st.booleans(), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1e-6, 1e-8, 1e-10]))
 @settings(max_examples=30, deadline=None)
-def test_center_basis_spans_the_svd_null_space(structure, dressed, seed):
+def test_center_basis_spans_the_svd_null_space(structure, dressed, seed, gap):
+    # below gap_tol of about 1.5e-8 the cut gap_tol^2 max(1, lambda_max)
+    # on the Gram lies under eigh's rounding, which the floor N eps covers
     q = dual_pair_qsystem(structure, np.random.default_rng(seed), dressed)
-    tol = Tolerance()
-    z, oracle = center_basis(q.tensor, tol), svd_center_basis(q.tensor, tol)
+    tol = Tolerance(min(1e-9, gap), gap)
+    t = regular_reps(q)
+    z, oracle = center_basis(t, tol), svd_center_basis(t, tol)
     assert z.shape == oracle.shape == (q.Q.dim, len(structure[1]))
     assert frob(dagger(z) @ z - np.eye(z.shape[1])) < 1e-10
     assert frob(z @ dagger(z) - oracle @ dagger(oracle)) < 1e-10
@@ -447,7 +475,7 @@ def test_slabs_of_a_few_hundred_bytes_change_no_result(structure, dressed, seed)
         rng, g.source, g.target).mat)
 
     def run():
-        z = center_basis(q.tensor, Tolerance())
+        z = center_basis(regular_reps(q), Tolerance())
         reports = [check_qsystem(a) for a in (q, bad)]
         reports += [check_qsystem_iso(h, res.dual, q) for h in (g, off)]
         split = split_qsystem(q, rng=np.random.default_rng(seed))

@@ -12,11 +12,13 @@ that reports print are the same for every tree.  For each seed ``s`` in
 constant file, then ``check-qsystem`` and ``split-qsystem --seed s
 --out`` on the qsystem file and ``verify-fun --seed s`` on the other
 two, each as text and as ``--json``.  It also runs the checkers on a
-copy of each of the six committed fixtures in ``TREE/tests/data``, and
-runs that end in argparse's help or a usage error: no arguments,
-``-h``, ``--help`` and an unknown command; each command with
-``--help``, with no arguments and with an unknown flag; ``gen --kind
-nope``, ``check-qsystem --tol -1`` and ``split-qsystem --seed -1``.
+copy of each of the six committed fixtures in ``TREE/tests/data``
+(``split-qsystem`` and ``verify-fun`` once more with ``--gap-tol 1e-8
+--json``, below the default tolerance), and runs that end in argparse's
+help or a usage error: no arguments, ``-h``, ``--help`` and an unknown
+command; each command with ``--help``, with no arguments and with an
+unknown flag; ``gen --kind nope``, ``check-qsystem --tol -1`` and
+``split-qsystem --seed -1``.
 ``COLUMNS`` is set to 80, so argparse wraps its text the same way on
 every terminal.
 
@@ -81,6 +83,9 @@ def runs():
             for fmt, flags in (("text", []), ("json", ["--json"])):
                 yield (f"{command}-{name[:-5]}-{fmt}",
                        [command, f"fixtures/{name}", *flags])
+            if command != "check-qsystem":
+                yield (f"{command}-{name[:-5]}-gap-tol",
+                       [command, f"fixtures/{name}", "--gap-tol", "1e-8", "--json"])
     q = "fixtures/qsystem-schema2.json"
     yield "parser-no-arguments", []
     yield "parser-h", ["-h"]
