@@ -64,7 +64,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def herm_part(a: np.ndarray) -> np.ndarray:
     a = as_matrix(a)
-    return (a + dagger(a)) / 2
+    return (a + a.conj().T) / 2
 
 
 def _check_projection(p: np.ndarray, tol: Tolerance) -> None:

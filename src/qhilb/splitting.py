@@ -5,17 +5,24 @@ of the graded matrix model; it checks the whole projection once.
 ``split_qsystem`` realizes Q-system completeness: every Q-system ``Q``
 is exhibited as ``X . Xbar`` for a balanced dual pair over a new
 zero-cell, together with the unitary ``gamma : X . Xbar -> Q``
-intertwining multiplication and unit.  Its gate reads the cached
-``QSystemData.residuals``, so no Q-system is checked twice.
+intertwining multiplication and unit.  Its gate, the axiom residuals of
+``Q`` within ``10 atol``, is decided after the split: ``axiom_bounds``
+bounds those residuals from the split's own isomorphism rows, and only
+when that bound does not certify the gate, or the split raised, does the
+full ``check_qsystem`` run (through the cached ``QSystemData.residuals``,
+so no Q-system is checked twice).  The bound is an upper bound on the
+computed residuals, so the decision is the one the check would make,
+for one pass over ``m`` and ``gamma`` where the check costs ``N^5`` at
+one row.
 
 The algorithm works on the total space of ``Q`` viewed as an
 associative algebra via left/right multiplication operators, the
 slices ``t[:, a, :]`` and ``t[:, :, b]`` of the dense ``N x N x N``
 multiplication tensor ``t``.  This module is the one place that knows
 that layout: ``regular_reps`` builds ``t`` from ``m`` once per split,
-after the gate has passed, and ``split_qsystem`` drops it before it
-builds the dual's ``m`` and runs ``check_qsystem_iso``, which, like the
-gate's ``check_qsystem``, reads the sector blocks of ``m``.
+and ``split_qsystem`` drops it before it builds the dual's ``m`` and
+runs ``check_qsystem_iso``, which, like ``check_qsystem``, reads the
+sector blocks of ``m``.
 The center is the null space of the ``N^2 x N`` commutator map
 ``z -> z a - a z``, from ``eigh`` of its ``N x N`` Gram matrix.  The
 hermitian part of left multiplication ``L_z`` by one random central
@@ -43,8 +50,10 @@ most two slabs alive.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from math import isqrt
+from fractions import Fraction
+from math import isqrt, sqrt
 
 import numpy as np
 
@@ -69,6 +78,7 @@ from .qsystem import (
     QSystemData,
     _slab_sum,
     _slabs,
+    _sq,
     check_qsystem_iso,
     qsystem_from_dual,
     standard_dual_pair,
@@ -82,6 +92,7 @@ __all__ = [
     "center_basis",
     "central_decomposition",
     "split_qsystem",
+    "axiom_bounds",
 ]
 
 _MAX_RANDOM_ATTEMPTS = 5
@@ -131,16 +142,20 @@ def split_projection(x: GradedOneCell, p: BlockTwoCell,
     return y, BlockTwoCell(y, x, np.hstack(cols))
 
 
-def regular_reps(q: QSystemData, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """The multiplication of a valid Q-system as a new read-only
-    ``N x N x N`` array: ``t[i, a, b]`` is the coefficient of basis
-    vector ``i`` in the product of ``a`` and ``b`` (zero for pairs that
-    do not compose), so ``t[:, a, :]`` and ``t[:, :, b]`` are its left
-    and right multiplication operators.  ``InvalidQSystem`` if
-    ``q.residuals`` exceeds ``10 atol``; no array is built then."""
+def _gate(q: QSystemData, tol: Tolerance) -> None:
+    """The full gate: ``InvalidQSystem`` if ``q.residuals`` (one
+    ``check_qsystem``, cached on ``q``) exceeds ``10 atol``."""
     if not q.residuals.passes(10 * tol.atol):
         name, value = q.residuals.worst()
         raise InvalidQSystem(f"axiom {name} fails with residual {value:.3e}")
+
+
+def regular_reps(q: QSystemData) -> np.ndarray:
+    """The multiplication of ``q`` as a new read-only ``N x N x N``
+    array: ``t[i, a, b]`` is the coefficient of basis vector ``i`` in
+    the product of ``a`` and ``b`` (zero for pairs that do not compose),
+    so ``t[:, a, :]`` and ``t[:, :, b]`` are its left and right
+    multiplication operators.  It checks nothing: its callers gate."""
     n = q.Q.dim
     _, p_idx, q_idx = _hcomp_plan(q.Q, q.Q)
     t = np.zeros((n, n, n), dtype=complex)
@@ -185,8 +200,11 @@ def center_basis(t: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
 def central_decomposition(q: QSystemData, tol: Tolerance = Tolerance(),
                           rng: np.random.Generator | int | None = None):
     """Minimal central projections ``w w*`` of the multiplication algebra
-    of Q, with ``w`` the eigenvector blocks of ``_central_projections``."""
-    ws = _central_projections(regular_reps(q, tol), tol, np.random.default_rng(rng))
+    of Q, with ``w`` the eigenvector blocks of ``_central_projections``;
+    ``InvalidQSystem`` first if the full check of ``q`` exceeds
+    ``10 atol``."""
+    _gate(q, tol)
+    ws = _central_projections(regular_reps(q), tol, np.random.default_rng(rng))
     return [w @ dagger(w) for w in ws]
 
 
@@ -257,12 +275,38 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     ``gamma (id . ev . id) = m (gamma . gamma)`` and
     ``gamma coev = i`` within ``10 atol``.  A zero-dimensional ``Q``
     raises ``CellMismatch``: its split would need a zero-cell of size 0.
+
+    The gate is the one it always was, ``InvalidQSystem`` when an axiom
+    residual of ``check_qsystem(q)`` exceeds ``10 atol``, but it is
+    decided after the split.  When ``axiom_bounds(q, result)``, a bound
+    on those residuals read off the split's own isomorphism rows, is
+    within ``10 atol``, the residuals are too and no check runs.  When
+    it is not, or the split raised, the full check decides: it raises
+    the gate's error, or the split's result or exception is handed on.
+    The draws, the result and any warning the split showed are those of
+    a split made after the check, so only the cost differs.
     """
     if q.Q.dim == 0:
         raise CellMismatch("cannot split a zero-dimensional Q-system: "
                            "it would need a zero-cell of size 0")
-    tensor = regular_reps(q, tol)   # dropped before the dual is built
-    rng = np.random.default_rng(rng)
+    with warnings.catch_warnings(record=True) as shown:
+        try:
+            out = _split(q, tol, np.random.default_rng(rng))
+            certified = axiom_bounds(q, out).passes(10 * tol.atol)
+        except Exception as exc:   # the gate decides what a failed split means
+            out, certified = exc, False
+    if not certified:
+        _gate(q, tol)
+    for w in shown:   # what a gated split would have shown
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _split(q: QSystemData, tol: Tolerance, rng: np.random.Generator) -> SplitResult:
+    """``split_qsystem`` without its gate."""
+    tensor = regular_reps(q)   # dropped before the dual is built
     ws = _central_projections(tensor, tol, rng)
     Q = q.Q
     n_rows = Q.tgt.n
@@ -330,3 +374,113 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
         raise NormalizationFailure(
             f"splitting produced gamma with {name} residual {value:.3e}")
     return SplitResult(ZeroCell(k), pair, gamma, iso, dual)
+
+
+# A float64 product whose entries sum at most n nonzero terms is within
+# _kappa(n) of the exact one, times the product of the absolute values
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+# section 3.6: sqrt(2) gamma_(n+2) for complex data, below (n + 2) eps);
+# exact zeros round nothing, in any order of summation.  _GROW covers
+# every relative rounding: of a norm of n entries (below n eps, so under
+# 1e-3 for n below 4e12), of a difference, and of evaluating a bound.
+_EPS = float(np.finfo(float).eps)
+_GROW = 1 + 1e-3
+
+
+def _kappa(n: int) -> float:
+    return (n + 2) * _EPS
+
+
+def _dual_residuals(X: GradedOneCell) -> ResidualReport:
+    """``check_qsystem`` of ``qsystem_from_dual(standard_dual_pair(X))``
+    in closed form: the exact residuals of its stored entries, rounded
+    once.
+
+    With ``d_c`` the basis vectors of ``X`` over column ``c``, its ``m``
+    holds only ``w_c = fl(1 / fl(sqrt(d_c)))`` and its unit only
+    ``s_c = fl(sqrt(d_c))``, on the ``d_c^2`` basis vectors of column
+    ``c``.  Every entry of either side of Q1 or of Q3 is the same
+    product of two ``w``, so both are exactly 0.  ``m (i . 1)``,
+    ``m (1 . i)`` and ``m m*`` are diagonal, ``s_c w_c`` and ``d_c w_c^2``
+    on column ``c``.  Info: ``unit_norm`` is ``|i|_F``, and ``m_norm``
+    the operator norm ``max_c sqrt(d_c) w_c`` of ``m``."""
+    d = np.bincount(X.cols - 1, minlength=X.src.n)
+    unit = sep = norm = top = 0
+    for n, s in zip(d.tolist(), np.sqrt(d).tolist()):
+        w = Fraction(1.0 / s)
+        unit += n * n * (Fraction(s) * w - 1) ** 2
+        sep += n * n * (n * w * w - 1) ** 2
+        norm += n * Fraction(s) ** 2
+        top = max(top, n * w * w)
+    rep = ResidualReport()
+    for name, value in (("Q1", 0), ("Q2", unit), ("Q3", 0), ("Q4", sep)):
+        rep.add(name, sqrt(value))
+    rep.add_info("unit_norm", sqrt(norm))
+    rep.add_info("m_norm", sqrt(top))
+    return rep
+
+
+def axiom_bounds(q: QSystemData, res: SplitResult) -> ResidualReport:
+    """Upper bounds on the four axiom residuals that ``check_qsystem(q)``
+    computes, read off a split ``res`` of ``q``, or ``inf`` where none
+    follows.  They need the isomorphism rows ``u`` (unitary), ``e``
+    (multiplication) and ``e_i`` (unit), the residuals ``q'`` of the
+    dual-pair Q-system ``Q'`` in closed form (``_dual_residuals``, with
+    ``mu = ||m'||`` and ``|i'|``), and, for rounding, ``|m|``, ``|i|``,
+    ``|gamma|`` and the largest row or column size ``r`` of ``Q``.
+    ``|.|`` is the Frobenius norm and ``||.||`` the operator norm.
+
+    In exact arithmetic: ``gamma* gamma = 1 + H`` with ``|H| = u``.  For
+    ``u < 1/2``, ``gamma = W P`` with ``W`` a sector unitary and ``P =
+    (1 + H)^(1/2)``, ``|P - 1| <= u`` and ``|P^-1 - 1| <= u / sqrt(1 -
+    u)``.  ``Q'`` carried over by ``W``, ``m_W = W m' (W* . W*)`` and
+    ``i_W = W i'``, has exactly the residuals ``q'``, and from ``m
+    (gamma . gamma) = gamma m' - E``, ``|E| = e``, ``m = m_W + F`` and
+    ``i = i_W + F_i`` with ``|F| <= f = (3 mu u + e) / (1 - u)`` and
+    ``|F_i| <= f_i = u |i'| + e_i``.  Each axiom, expanded in ``F`` and
+    ``F_i``, then differs from ``q'`` by at most
+
+        Q1, Q3:  4 mu f + 2 f^2        Q2:  mu f_i + |i'| f + f f_i
+        Q4:      2 mu f + f^2
+
+    using ``||F . 1|| = ||F|| <= |F|``, ``||i_W . 1|| <= |i'|`` and
+    ``|m_W (Y . 1)| <= mu |Y|`` with its mirror image, which holds for a
+    dual-pair ``m'``: over the basis ``b``, ``sum |m'(x . b)|^2 <= mu^2
+    |x|^2``.
+
+    Rounding: each product in the checks sums one sector, at most ``r``
+    nonzero terms (``m m*`` at most ``r^2``), so by ``_kappa`` and
+    Cauchy-Schwarz the exact ``u``, ``e`` and ``e_i`` exceed the
+    computed rows by at most ``kappa |gamma|^2``, ``kappa |gamma| (|m'|
+    + 2 ||gamma|| |m| + kappa |gamma| |m|)`` and ``kappa |gamma| |i'|``
+    (``kappa = _kappa(r)``, ``|m'| <= sqrt(N) mu``, ``||gamma|| <= sqrt(1
+    + u)``), and the computed residuals exceed the exact ones by at most
+    ``2 kappa |m|^2`` (Q1, Q3), ``kappa |m| |i|`` (Q2) and ``_kappa(r^2)
+    |m|^2`` (Q4).  Every input and the result are raised by ``_GROW``.
+    A bound of this kind certifies a computed result a posteriori (Rump,
+    "Verification methods", Acta Numerica 19, 2010).
+    """
+    Q = q.Q
+    r = int(max(np.bincount(Q.rows).max(), np.bincount(Q.cols).max()))
+    kappa = _kappa(r)
+    dual = _dual_residuals(res.pair.X)
+    mu, i1 = (_GROW * dual.info[key] for key in ("m_norm", "unit_norm"))
+    g, mq, iq = (_GROW * sqrt(_sq(a)) for a in (res.gamma.mat, q.m.mat, q.i.mat))
+    u = _GROW * res.iso["unitary"] + kappa * g * g
+    rep = ResidualReport()
+    if not u < 0.5:
+        for name in dual:
+            rep.add(name, np.inf)
+        return rep
+    e = _GROW * res.iso["multiplication"] \
+        + kappa * g * (sqrt(Q.dim) * mu + 2 * sqrt(1 + u) * mq + kappa * g * mq)
+    f = (3 * mu * u + e) / (1 - u)
+    fi = u * i1 + _GROW * res.iso["unit"] + kappa * g * i1
+    assoc = 4 * mu * f + 2 * f * f + 2 * kappa * mq * mq
+    terms = {"Q1": assoc,
+             "Q2": mu * fi + i1 * f + f * fi + kappa * mq * iq,
+             "Q3": assoc,
+             "Q4": 2 * mu * f + f * f + _kappa(r * r) * mq * mq}
+    for name, value in dual.items():
+        rep.add(name, _GROW * (value + terms[name]))
+    return rep

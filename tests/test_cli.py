@@ -1,5 +1,7 @@
 import argparse
 import base64
+import contextlib
+import io
 import json
 import os
 import struct
@@ -7,15 +9,20 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhilb import cli, funcat, qsystem, splitting
 from qhilb.cells import (dagger2, hcomp1, hcomp2, id1, id2, one_cell, residual,
                          sector_mask, two_cell, vcomp)
 from qhilb.cli import main
-from qhilb.generate import product_scenario, random_qsystem
+from qhilb.errors import InvalidQSystem
+from qhilb.generate import product_scenario, random_qsystem, random_sector_matrix
+from qhilb.linalg import Tolerance
 from qhilb.qsystem import QSystemData, check_qsystem
 from qhilb.serialize import (
     dump_document,
@@ -868,3 +875,103 @@ def test_verify_fun_is_invariant_under_relabelling(tmp_path, capsys, seed):
                      sorted(report["G_zero_cells"].values())))
     assert seen[0] == seen[1]
     assert seen[0][:2] == (0, True)
+
+
+def _split_after_the_check(q, tol=Tolerance(), rng=None):
+    """``split_qsystem`` in its former order: the full check of ``q`` as
+    the gate, then the split."""
+    rep = check_qsystem(q)
+    if not rep.passes(10 * tol.atol):
+        name, value = rep.worst()
+        raise InvalidQSystem(f"axiom {name} fails with residual {value:.3e}")
+    return splitting._split(q, tol, np.random.default_rng(rng))
+
+
+def _captured(argv):
+    """Exit code, or the exception that escaped ``main``, stdout and
+    stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception as exc:   # such as a warning raised as an error
+            code = f"{type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def _near_identity_unitary(rng, Q, delta):
+    """``exp(i delta h)`` for a random sector hermitian ``h``."""
+    h = random_sector_matrix(rng, Q, Q).mat
+    w, e = np.linalg.eigh(h + h.conj().T)
+    v = (e * np.exp(1j * delta * w)) @ e.conj().T
+    return two_cell(Q, Q, np.where(sector_mask(Q, Q), v, 0))
+
+
+def _perturbed(q, kind, delta, rng):
+    """``q`` with ``m`` or ``i`` scaled by ``1 + delta``, with ``m``
+    alone conjugated by a sector unitary ``delta`` from the identity, or
+    with one sector entry of ``m`` or ``i`` set to ``1e150``, finite but
+    past the square root of the largest float."""
+    m, i = q.m, q.i
+    if kind == "m":
+        m = two_cell(m.source, m.target, m.mat * (1 + delta))
+    elif kind == "i":
+        i = two_cell(i.source, i.target, i.mat * (1 + delta))
+    elif kind == "unitary":
+        v = _near_identity_unitary(rng, q.Q, delta)
+        m = vcomp(v, vcomp(m, hcomp2(dagger2(v), dagger2(v))))
+    else:
+        f = m if kind == "huge m" else i
+        mat = f.mat.copy()
+        places = np.argwhere(sector_mask(f.target, f.source))
+        mat[tuple(places[rng.integers(len(places))])] = 1e150
+        f = two_cell(f.source, f.target, mat)
+        m, i = (f, i) if kind == "huge m" else (m, f)
+    return QSystemData(q.Q, m, i)
+
+
+@given(st.integers(0, 39), st.sampled_from(["m", "i", "unitary", "huge m", "huge i"]),
+       st.integers(-14, -1), st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_split_decides_as_the_split_after_the_check(tmp_path_factory, seed, kind, exponent,
+                                                     as_json):
+    # split-qsystem now splits first and runs the full check only when the
+    # split's own bounds do not certify the gate; every exit code, report
+    # and error line must be those of the former order, and a warning the
+    # split makes on input that fails the gate must not escape
+    path = str(tmp_path_factory.mktemp("gate") / "q.json")
+    _captured(["gen", "--kind", "qsystem", "--size", str(seed + 20), "--seed", str(seed),
+               "--out", path])
+    q = qsystem_from_json(load_document(path))
+    q = _perturbed(q, kind, 10.0 ** exponent, np.random.default_rng(seed))
+    dump_document(qsystem_to_json(q), path)
+    argv = ["split-qsystem", path, "--seed", str(seed)] + ["--json"] * as_json
+    with mock.patch.object(cli, "split_qsystem", _split_after_the_check):
+        want = _captured(argv)
+    assert _captured(argv) == want
+
+
+def test_split_qsystem_checks_only_a_file_that_its_bounds_do_not_certify(tmp_path, capsys,
+                                                                          monkeypatch):
+    calls = []
+    check = qsystem.check_qsystem
+
+    def counted(q):
+        calls.append(q)
+        return check(q)
+
+    monkeypatch.setattr(qsystem, "check_qsystem", counted)
+    qfile = str(tmp_path / "q.json")
+    for seed in range(40):
+        run(capsys, "gen", "--kind", "qsystem", "--size", str(seed + 20), "--seed", str(seed),
+            "--out", qfile)
+        assert run(capsys, "split-qsystem", qfile, "--seed", str(seed))[0] == 0
+    assert calls == []
+    q = qsystem_from_json(load_document(qfile))
+    bad = _perturbed(q, "m", 1e-3, None)
+    dump_document(qsystem_to_json(bad), qfile)
+    name, value = check(bad).worst()
+    assert _one_error_line(["split-qsystem", qfile], capsys) == 1
+    assert len(calls) == 1
+    assert main(["split-qsystem", qfile]) == 1
+    assert capsys.readouterr().err == f"error: axiom {name} fails with residual {value:.3e}\n"

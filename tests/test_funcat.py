@@ -384,9 +384,9 @@ def test_verify_main_theorem_builds_each_endf_tensor_once(monkeypatch):
     built = []
     build = splitting.regular_reps
 
-    def counted(q, tol=Tolerance()):
+    def counted(q):
         built.append(q)
-        return build(q, tol)
+        return build(q)
 
     monkeypatch.setattr(splitting, "regular_reps", counted)
     cat, f, endf = product_scenario(np.random.default_rng(1))

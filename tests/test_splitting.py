@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from qhilb.cells import (
     vcomp,
 )
 from qhilb.cli import main
-from qhilb.errors import DegenerateRandomElement, NotAProjection
+from qhilb.errors import DegenerateRandomElement, InvalidQSystem, NotAProjection, QhilbError
 from qhilb.generate import (
     dress_qsystem,
     dsum_qsystems,
@@ -38,6 +39,7 @@ from qhilb.qsystem import (
     trivial_qsystem,
 )
 from qhilb.splitting import (
+    axiom_bounds,
     center_basis,
     central_decomposition,
     regular_reps,
@@ -330,8 +332,8 @@ def test_split_builds_the_multiplication_tensor_once(monkeypatch):
     built = []
     build = splitting.regular_reps
 
-    def counted(q, tol=Tolerance()):
-        built.append(build(q, tol))
+    def counted(q):
+        built.append(build(q))
         return built[-1]
 
     monkeypatch.setattr(splitting, "regular_reps", counted)
@@ -382,7 +384,7 @@ def test_center_of_dual_pair_qsystems(structure, dressed, seed):
     rng = np.random.default_rng(seed)
     q = dual_pair_qsystem(structure, rng, dressed)
     tol = Tolerance()
-    t = regular_reps(q, tol)
+    t = regular_reps(q)
 
     z = center_basis(t, tol)
     assert z.shape == (q.Q.dim, k)
@@ -564,3 +566,128 @@ def test_split_hands_on_central_blocks_as_eigenvectors(monkeypatch):
     assert block_dims(res) == [1, 3, 3] and res.iso.passes(1e-8)
     assert shapes and all(s[0] <= 3 for s in shapes)
     assert (q.Q.dim, q.Q.dim) not in shapes
+
+
+def counted_checks(monkeypatch):
+    """The Q-systems that ``check_qsystem`` is called on, from now on."""
+    calls = []
+    check = qsystem.check_qsystem
+
+    def counted(q):
+        calls.append(q)
+        return check(q)
+
+    monkeypatch.setattr(qsystem, "check_qsystem", counted)
+    return calls
+
+
+def test_split_is_gauge_invariant_and_certified_without_a_check(monkeypatch):
+    # a sector unitary dressing changes gamma's gauge, not X, and the
+    # split's own isomorphism rows certify every dressing
+    calls = counted_checks(monkeypatch)
+    rng = np.random.default_rng(26)
+    q, dims = random_qsystem(rng, zero_cell=3, blocks=3, dress=False)
+    tol = Tolerance()
+    base = split_qsystem(q, tol, 0)
+    assert block_dims(base) == dims
+    for _ in range(5):
+        dressed = dress_qsystem(rng, q)
+        res = split_qsystem(dressed, tol, 0)
+        assert res.k == base.k and block_dims(res) == dims and res.pair.X is base.pair.X
+        assert res.iso.passes(10 * tol.atol)
+        assert axiom_bounds(dressed, res).passes(10 * tol.atol)
+    assert calls == []
+
+
+def perturbed_qsystem(q, kind, delta, rng):
+    """``q`` with ``m`` or ``i`` scaled by ``1 + delta``, or (``off``)
+    ``m`` moved off the axioms by ``delta`` times a unit-norm random
+    sector matrix."""
+    m, i = q.m.mat, q.i.mat
+    if kind == "m":
+        m = m * (1 + delta)
+    elif kind == "i":
+        i = i * (1 + delta)
+    elif kind == "off":
+        noise = random_sector_matrix(rng, q.m.source, q.m.target).mat
+        m = m + delta / frob(noise) * noise
+    return QSystemData(q.Q, two_cell(q.m.source, q.m.target, m),
+                       two_cell(q.i.source, q.i.target, i))
+
+
+@given(block_structures(max_dim=36), st.booleans(), st.sampled_from(["m", "i", "off"]),
+       st.floats(-14, -2), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_axiom_bounds_hold_for_the_computed_residuals(structure, dressed, kind, exponent,
+                                                       seed):
+    # the bounds are at least the residuals check_qsystem computes, both
+    # for a split of the perturbed Q-system, where one succeeds, and for
+    # the gamma of the unperturbed one, whose isomorphism rows then carry
+    # the whole perturbation; a bound within the gate certifies the gate
+    rng = np.random.default_rng(seed)
+    exact = dual_pair_qsystem(structure, rng, dressed)
+    q = perturbed_qsystem(exact, kind, 10 ** exponent, rng)
+    tol = Tolerance()
+    base = split_qsystem(exact, tol, rng)
+    splits = [splitting.SplitResult(base.k, base.pair, base.gamma,
+                                    check_qsystem_iso(base.gamma, base.dual, q), base.dual)]
+    try:
+        splits.append(splitting._split(q, tol, rng))
+    except QhilbError:
+        pass
+    rep = check_qsystem(q)
+    for res in splits:
+        bound = axiom_bounds(q, res)
+        assert list(bound) == list(rep)
+        for name, value in rep.items():
+            assert value <= bound[name], (name, value, bound[name])
+        if bound.passes(10 * tol.atol):
+            assert rep.passes(10 * tol.atol)
+
+
+@given(block_structures(max_dim=36), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_dual_residuals_in_closed_form_match_the_check(structure, dressed, seed):
+    rng = np.random.default_rng(seed)
+    res = split_qsystem(dual_pair_qsystem(structure, rng, dressed), rng=rng)
+    closed, rep = splitting._dual_residuals(res.pair.X), check_qsystem(res.dual)
+    assert list(closed) == list(rep) and closed["Q1"] == closed["Q3"] == 0.0
+    for name, value in rep.items():
+        assert abs(closed[name] - value) <= 1e-15, name
+    assert abs(closed.info["unit_norm"] - frob(res.dual.i.mat)) <= 1e-13
+    assert abs(closed.info["m_norm"] - np.linalg.norm(res.dual.m.mat, 2)) <= 1e-13
+
+
+def test_split_shows_only_the_warnings_of_a_split_that_passes_the_gate(monkeypatch):
+    # the split runs before the gate: what it shows is shown as a split
+    # after the gate would show it, and not at all when the gate fails
+    split = splitting._split
+
+    def warned(q, tol, rng):
+        warnings.warn("shown by the split", RuntimeWarning)
+        return split(q, tol, rng)
+
+    monkeypatch.setattr(splitting, "_split", warned)
+    q, _ = random_qsystem(np.random.default_rng(5), zero_cell=2, blocks=2)
+    with pytest.warns(RuntimeWarning, match="shown by the split"):
+        split_qsystem(q, rng=0)
+    bad = perturbed_qsystem(q, "m", 1e-3, None)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidQSystem, match="fails with residual"):
+            split_qsystem(bad, rng=0)
+    assert shown == []
+
+
+def test_a_split_that_fails_its_bound_but_passes_the_check_is_kept(monkeypatch):
+    # m moved off the axioms by 2e-9: the bounds exceed 10 atol, the
+    # full check passes, and the split's result is handed on as it was
+    calls = counted_checks(monkeypatch)
+    q, _ = random_qsystem(np.random.default_rng(5), zero_cell=2, blocks=2)
+    near = perturbed_qsystem(q, "off", 2e-9, np.random.default_rng(1))
+    tol = Tolerance()
+    ungated = splitting._split(near, tol, np.random.default_rng(7))
+    assert not axiom_bounds(near, ungated).passes(10 * tol.atol)
+    res = split_qsystem(near, tol, 7)
+    assert calls == [near] and near.residuals.passes(10 * tol.atol)
+    assert np.array_equal(res.gamma.mat, ungated.gamma.mat)

@@ -11,14 +11,19 @@ that reports print are the same for every tree.  For each seed ``s`` in
 0-39 it runs ``gen`` for a qsystem (``--size s+20``), a scenario and a
 constant file, then ``check-qsystem`` and ``split-qsystem --seed s
 --out`` on the qsystem file and ``verify-fun --seed s`` on the other
-two, each as text and as ``--json``.  It also runs the checkers on a
-copy of each of the six committed fixtures in ``TREE/tests/data``
-(``split-qsystem`` and ``verify-fun`` once more with ``--gap-tol 1e-8
---json``, below the default tolerance), and runs that end in argparse's
-help or a usage error: no arguments, ``-h``, ``--help`` and an unknown
-command; each command with ``--help``, with no arguments and with an
-unknown flag; ``gen --kind nope``, ``check-qsystem --tol -1`` and
-``split-qsystem --seed -1``.
+two, each as text and as ``--json``.  For seeds 0-9 it also writes
+five inputs near ``split-qsystem``'s gate through the tree's own
+serializer, the seed's qsystem with ``m`` scaled by ``1 + delta`` for
+``delta`` in 1e-12, 1e-10, 1e-8 and 1e-3 and with ``i`` scaled by
+``1 + 1e-6``, and runs ``split-qsystem --seed s --out`` on each, as
+text and as ``--json``.  It also runs the checkers on a copy of each
+of the six committed fixtures in ``TREE/tests/data`` (``split-qsystem``
+and ``verify-fun`` once more with ``--gap-tol 1e-8 --json``, below the
+default tolerance), and runs that end in argparse's help or a usage
+error: no arguments, ``-h``, ``--help`` and an unknown command; each
+command with ``--help``, with no arguments and with an unknown flag;
+``gen --kind nope``, ``check-qsystem --tol -1`` and ``split-qsystem
+--seed -1``: 581 runs in all.
 ``COLUMNS`` is set to 80, so argparse wraps its text the same way on
 every terminal.
 
@@ -51,6 +56,9 @@ import shutil
 import sys
 
 SEEDS = range(40)
+GATE_SEEDS = range(10)
+GATE_INPUTS = (("m", 1e-12), ("m", 1e-10), ("m", 1e-8), ("m", 1e-3), ("i", 1e-6))
+GATE_SOURCES = {f"gen-qsystem-{s}": s for s in GATE_SEEDS}   # run -> seed it writes for
 COMMANDS = ("check-qsystem", "split-qsystem", "verify-fun", "gen")
 RESIDUAL_BOUND = 1e-13   # the most a residual may move under --compare
 FIXTURES = {
@@ -78,6 +86,11 @@ def runs():
                                                f"files/split-{s}-{fmt}.json", *flags]
             for kind, path in (("scenario", sc), ("constant", cc)):
                 yield f"verify-fun-{kind}-{s}-{fmt}", ["verify-fun", path, *seed, *flags]
+        for tag in gate_tags(s) if s in GATE_SEEDS else []:
+            for fmt, flags in (("text", []), ("json", ["--json"])):
+                yield f"split-qsystem-{tag}-{fmt}", [
+                    "split-qsystem", f"files/q-{tag}.json", *seed,
+                    "--out", f"files/split-{tag}-{fmt}.json", *flags]
     for name, commands in FIXTURES.items():
         for command in commands:
             for fmt, flags in (("text", []), ("json", ["--json"])):
@@ -98,6 +111,25 @@ def runs():
     yield "parser-gen-bad-kind", ["gen", "--kind", "nope"]
     yield "parser-check-qsystem-bad-tol", ["check-qsystem", q, "--tol", "-1"]
     yield "parser-split-qsystem-bad-seed", ["split-qsystem", q, "--seed", "-1"]
+
+
+def gate_tags(s: int) -> list[str]:
+    """The names ``<s>-<cell><delta>`` of seed ``s``'s gate inputs."""
+    return [f"{s}-{cell}{delta:g}" for cell, delta in GATE_INPUTS]
+
+
+def write_gate_inputs(s: int) -> None:
+    """Write seed ``s``'s gate inputs from its qsystem file with the
+    serializer of the tree on ``sys.path``."""
+    from qhilb.cells import BlockTwoCell
+    from qhilb.qsystem import QSystemData
+    from qhilb.serialize import dump_document, load_document, qsystem_from_json, qsystem_to_json
+
+    q = qsystem_from_json(load_document(f"files/q-{s}.json"))
+    for tag, (cell, delta) in zip(gate_tags(s), GATE_INPUTS):
+        f = getattr(q, cell)
+        cells = {"m": q.m, "i": q.i, cell: BlockTwoCell(f.source, f.target, f.mat * (1 + delta))}
+        dump_document(qsystem_to_json(QSystemData(q.Q, **cells)), f"files/q-{tag}.json")
 
 
 def run(main, argv) -> tuple[str, str, str]:
@@ -231,6 +263,8 @@ def main(argv=None) -> int:
         count += 1
         if code != "0":
             failed.append(f"{name}={code}")
+        elif name in GATE_SOURCES:
+            write_gate_inputs(GATE_SOURCES[name])
     print(f"{count} runs from {tree}, {len(failed)} with a nonzero exit"
           + (f": {' '.join(failed)}" if failed else ""))
     return 0
