@@ -8,7 +8,7 @@ Subcommands::
     qhilb gen --kind ... --out F    emit a random, checker-passing file
 
 Exit codes: 0 pass, 1 residual failure, 2 parse error, 3 shape error.
-Reports are deterministic given the same inputs and ``--seed``.
+Reports are deterministic given the same inputs; only ``gen`` reads ``--seed``.
 
 ``main`` builds the argument parser of the one command it runs; only
 help and a missing or unknown command build the parsers of all four.
@@ -105,7 +105,7 @@ def cmd_split_qsystem(args) -> int:
     tol = args.tolerance
     doc = _load(args.file, ("qsystem",))
     q = qsystem_from_json(doc)
-    res = split_qsystem(q, tol, np.random.default_rng(args.seed))
+    res = split_qsystem(q, tol)
     if args.out:
         dump_document(split_result_to_json(res), args.out)
     extra = {"k": res.k.n, "block_dims": sorted(np.bincount(res.pair.X.cols)[1:].tolist())}
@@ -122,7 +122,7 @@ def cmd_verify_fun(args) -> int:
     else:
         cat, f, endf = scenario_from_json(doc)
     limit = 100 * tol.atol
-    out = verify_main_theorem(cat, f, endf, tol, np.random.default_rng(args.seed))
+    out = verify_main_theorem(cat, f, endf, tol)
     gdims = {a: out.gconstruction.splits[a].k.n for a in cat.zero_cells}
     return _emit(out.rows(limit), {}, args.json,
                  f"construction verification ({args.file})",
@@ -184,10 +184,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         names = COMMANDS
         sub = parser.add_subparsers(dest="command", required=True)
 
-    def seed(p):
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized steps (default 0)")
-
     def checker(name, text, func):
         """A command that reads FILE and reports residuals against --tol."""
         p = sub.add_parser(name, help=text)
@@ -198,6 +194,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="eigenvalue clustering threshold (default 1e-6)")
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable report")
+        if name != "check-qsystem":   # so that older command lines still run
+            p.add_argument("--seed", type=int, default=0,
+                           help="ignored: the split draws no random numbers (default 0)")
         p.set_defaults(func=func)
         return p
 
@@ -206,10 +205,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if "split-qsystem" in names:
         p = checker("split-qsystem", "split a Q-system over a new zero-cell",
                     cmd_split_qsystem)
-        seed(p)
         p.add_argument("--out", default=None, help="output file")
     if "verify-fun" in names:
-        seed(checker("verify-fun", "run and verify the full construction", cmd_verify_fun))
+        checker("verify-fun", "run and verify the full construction", cmd_verify_fun)
     if "gen" in names:
         p = sub.add_parser("gen", help="emit a random instance file")
         p.add_argument("--kind", choices=("qsystem", "scenario", "constant"),
@@ -217,7 +215,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--size", type=int, default=8,
                        help="1-64, --kind qsystem: max(1, min(3, size//3)) blocks over "
                             "max(1, min(3, size//4)) zero-cells, N <= 24 (default 8)")
-        seed(p)
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for randomized steps (default 0)")
         p.add_argument("--out", default=None, help="output file")
         p.set_defaults(func=cmd_gen)
     return parser

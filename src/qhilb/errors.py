@@ -34,11 +34,6 @@ class InvalidQSystem(QhilbError):
     """Data fails the multiplicative-unit axioms beyond tolerance."""
 
 
-class DegenerateRandomElement(QhilbError):
-    """Randomized block extraction failed repeatedly; the sampled elements
-    never had well-separated simple spectrum."""
-
-
 class NormalizationFailure(QhilbError):
     """No positive scalar makes a block of the comparison unitary
     isometric; the input is not a valid multiplicative structure."""

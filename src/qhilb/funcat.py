@@ -453,7 +453,7 @@ class GConstruction:
     """
 
     def __init__(self, cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
-                 tol: Tolerance, rng: np.random.Generator):
+                 tol: Tolerance):
         self.input = check_endf_qsystem(cat, f, q)
         if not self.input.passes(100 * tol.atol):
             name, value = self.input.worst()
@@ -473,7 +473,7 @@ class GConstruction:
         self._capped: dict[tuple[Path, Path], BlockTwoCell] = {}
         self._tensorators: dict[tuple[Path, Path], BlockTwoCell] = {}
         for a in cat.zero_cells:
-            res = split_qsystem(q.at(a), tol, rng)
+            res = split_qsystem(q.at(a), tol)
             self.splits[a] = res
             self.xbar[a] = res.pair.X
             self.x[a] = res.pair.Xbar
@@ -599,16 +599,15 @@ class ConstructedFunctor(FunctorData):
 
 
 def construct_G(cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
-                tol: Tolerance = Tolerance(),
-                rng: np.random.Generator | int | None = None) -> GConstruction:
+                tol: Tolerance = Tolerance()) -> GConstruction:
     """Split a Q-system on End(F) into the data of a new functor.
 
     Checks the Q-system (``InvalidQSystem`` if it fails), splits each
-    ``psi_a`` (seeded), builds the path projections from the crossings
-    and comparison unitaries, their splitting isometries, the images of
+    ``psi_a``, builds the path projections from the crossings and
+    comparison unitaries, their splitting isometries, the images of
     two-cell generators, and the tensorators.
     """
-    return GConstruction(cat, f, q, tol, np.random.default_rng(rng))
+    return GConstruction(cat, f, q, tol)
 
 
 def construct_phi(gc: GConstruction) -> TransformationData:
@@ -649,8 +648,7 @@ class MainTheoremReport(ResidualReport):
 
 
 def verify_main_theorem(cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
-                        tol: Tolerance = Tolerance(),
-                        rng: np.random.Generator | int | None = None) -> MainTheoremReport:
+                        tol: Tolerance = Tolerance()) -> MainTheoremReport:
     """Run the whole construction and verify every intermediate claim.
 
     One row ``section.check`` per identity, each checked once (all
@@ -678,7 +676,7 @@ def verify_main_theorem(cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
       ``split_qsystem`` reported it.
     """
     out = MainTheoremReport()
-    gc = construct_G(cat, f, q, tol, rng)
+    gc = construct_G(cat, f, q, tol)
     out.extend("input.", gc.input)
     g = gc.functor()
     phi = construct_phi(gc)

@@ -53,8 +53,9 @@ def as_matrix(a) -> np.ndarray:
 
 
 def frob(a) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(a)))
+    """Frobenius norm; ``inf``, without a warning, if its square overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(np.asarray(a)))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

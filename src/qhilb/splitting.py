@@ -24,25 +24,23 @@ and ``split_qsystem`` drops it before it builds the dual's ``m`` and
 runs ``check_qsystem_iso``, which, like ``check_qsystem``, reads the
 sector blocks of ``m``.
 The center is the null space of the ``N^2 x N`` commutator map
-``z -> z a - a z``, from ``eigh`` of its ``N x N`` Gram matrix.  The
-hermitian part of left multiplication ``L_z`` by one random central
-element ``z`` separates the simple blocks (the random-element method of
-Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27
-(2010)); the eigenvectors of each of its eigenvalue clusters are the
-isometry onto a block, so no block projection is formed and
-diagonalized again.  In
-each block a spectral projection of the hermitian part of compressed
-right multiplication by one random vector is a minimal projection that
-cuts the block down to a column space.  Central and right
-multiplications preserve the row of a basis vector, so the column space
-splits by rows inside itself: with ``V`` its isometry and ``P_j`` the
-projection onto row ``j``, ``V* P_j V`` is a ``d x d`` projection whose
-range gives the row-``j`` columns.  Compressing *left*
-multiplication to those column spaces is an algebra map by
-construction, which is what makes ``gamma`` multiplicative.  The
-blocks are ordered by dimension and row profile, so ``X`` does not
-depend on the random draws; ``gamma`` is fixed up to a unitary gauge
-that the draws choose, so a seed fixes every byte of the result.
+``z -> z a - a z``, from ``eigh`` of its ``N x N`` Gram matrix.  A joint
+spectral refinement (after Maehara and Murota, SIAM J. Matrix Anal.
+Appl. 32 (2011)) separates the simple blocks: left multiplications
+``L_z`` by the center basis vectors cut the identity into pieces by the
+eigenvalue clusters of the hermitian parts of ``L_z`` and ``-i L_z``,
+one piece per block, whose eigenvectors are the isometry onto it, so no
+block projection is formed and diagonalized again.  Right
+multiplications by a block's own vectors cut it down the same way,
+keeping the smallest cluster, to the range of a minimal projection, a
+column space.  Central and right multiplications preserve the row of a
+basis vector, so the column space splits by rows inside itself: with
+``V`` its isometry and ``P_j`` the projection onto row ``j``, ``V* P_j
+V`` is a ``d x d`` projection whose range gives the row-``j`` columns.
+Compressing *left* multiplication to those column spaces is an algebra
+map by construction, which is what makes ``gamma`` multiplicative.  The
+blocks are ordered by dimension and row profile.  Nothing is random:
+the same ``Q`` gives the same bytes of the result.
 Every product whose result would exceed the slab budget
 ``qsystem._SLAB_BYTES`` runs in slabs of its leading index, with at
 most two slabs alive.
@@ -66,7 +64,6 @@ from .cells import (
 )
 from .errors import (
     CellMismatch,
-    DegenerateRandomElement,
     InvalidQSystem,
     NormalizationFailure,
     NotAProjection,
@@ -94,9 +91,6 @@ __all__ = [
     "split_qsystem",
     "axiom_bounds",
 ]
-
-_MAX_RANDOM_ATTEMPTS = 5
-
 
 @dataclass(frozen=True, eq=False)
 class SplitResult:
@@ -197,38 +191,44 @@ def center_basis(t: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
     return e[:, lam <= cut]
 
 
-def central_decomposition(q: QSystemData, tol: Tolerance = Tolerance(),
-                          rng: np.random.Generator | int | None = None):
+def central_decomposition(q: QSystemData, tol: Tolerance = Tolerance()):
     """Minimal central projections ``w w*`` of the multiplication algebra
     of Q, with ``w`` the eigenvector blocks of ``_central_projections``;
     ``InvalidQSystem`` first if the full check of ``q`` exceeds
     ``10 atol``."""
     _gate(q, tol)
-    ws = _central_projections(regular_reps(q), tol, np.random.default_rng(rng))
-    return [w @ dagger(w) for w in ws]
+    return [w @ dagger(w) for w in _central_projections(regular_reps(q), tol)]
 
 
-def _central_projections(t: np.ndarray, tol: Tolerance, rng: np.random.Generator):
+def _clusters(v: np.ndarray, h: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
+    """Isometries ``v e`` onto the eigenvalue clusters of ``v* h v``,
+    ascending, for an isometry ``v`` and a hermitian ``h``."""
+    return [v @ e for _, e in _eigen_clusters(dagger(v) @ h @ v, tol)]
+
+
+def _central_projections(t: np.ndarray, tol: Tolerance):
     """Eigenvectors ``w`` of each minimal central projection ``w w*``,
-    sorted by rank, then by first supported basis vector; retries with
-    fresh randomness if an element fails to separate the blocks.
-
-    Each attempt draws one random central ``z = basis @ coeff`` and
-    forms ``L_z[i, b] = sum_a z[a] t[i, a, b]`` as ``z @ t``, a product
-    batched over ``i`` that copies nothing of ``t``.  The ``L_z`` of
-    central ``z`` span the joint commutant of left and right
-    multiplication, which is closed under adjoints, so the hermitian part
-    of ``L_z`` stays in it.  An empty center gives ``L_z = 0``, which
-    separates nothing, so it ends in ``DegenerateRandomElement``."""
+    sorted by rank, then by first supported basis vector: starting from
+    the identity, each center basis vector ``z`` in turn splits every
+    piece ``w`` by the clusters of ``w* herm(L_z) w``, then of ``w*
+    herm(-i L_z) w``, until there are ``k`` pieces, with ``L_z = z @ t``.
+    On a Q-system the ``L_z`` are scalars on the blocks that the basis
+    tells apart, so this ends; ``InvalidQSystem`` if it does not."""
     basis = center_basis(t, tol)
     k = basis.shape[1]
-    for _ in range(_MAX_RANDOM_ATTEMPTS):
-        coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        clusters = _eigen_clusters(herm_part(basis @ coeff @ t), tol)
-        if len(clusters) == k:
-            return sorted((w for _, w in clusters), key=_support_key)
-    raise DegenerateRandomElement(
-        f"could not separate {k} central blocks in {_MAX_RANDOM_ATTEMPTS} attempts")
+    pieces = [np.eye(t.shape[0], dtype=complex)]
+    for z in basis.T:
+        if len(pieces) == k:
+            break
+        lz = z @ t
+        for h in (herm_part(lz), herm_part(-1j * lz)):
+            i = 0
+            while i < len(pieces) < k:
+                pieces[i:i + 1] = split = _clusters(pieces[i], h, tol)
+                i += len(split)
+    if len(pieces) != k:
+        raise InvalidQSystem(f"could not separate {k} central blocks")
+    return sorted(pieces, key=_support_key)
 
 
 def _support_key(w: np.ndarray):
@@ -237,30 +237,34 @@ def _support_key(w: np.ndarray):
     return (w.shape[1], first)
 
 
-def _minimal_projection(t, w, d, tol, rng):
-    """Orthonormal eigenvectors ``e`` (``w.shape[1] x d``) of a rank-``d``
-    spectral projection of ``herm(w* (t @ x) w)``, the compressed right
-    multiplication by a random complex Gaussian ``x`` (columns of ``w`` =
-    block range).  Its hermitian parts cover every hermitian element of
-    the compressed span plus its adjoints, so ``x`` is generic with
-    probability 1."""
-    n = t.shape[0]
-    for _ in range(_MAX_RANDOM_ATTEMPTS):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        clusters = _eigen_clusters(herm_part(dagger(w) @ (t @ x) @ w), tol)
-        if all(e.shape[1] == d for _, e in clusters) and len(clusters) * d == w.shape[1]:
-            return clusters[0][1]
-    raise DegenerateRandomElement("no generic element found in a matrix block")
+def _minimal_projection(t: np.ndarray, w: np.ndarray, d: int, tol: Tolerance) -> np.ndarray:
+    """Isometry ``v`` (``N x d``) onto the range of a minimal projection
+    of the block with eigenvectors ``w``: from ``v = w``, each column
+    ``x`` of ``w`` in turn cuts ``v`` to the smallest cluster (the first
+    on a tie) of ``v* herm(R_x) v``, then of ``v* herm(-i R_x) v``, until
+    its rank is ``d``, with ``R_x = t @ x``.  On a Q-system the ``R_x``
+    span the block's ``M_d`` acting on the right, so cluster ranks are
+    multiples of ``d``; ``InvalidQSystem`` if it ends elsewhere."""
+    v = w
+    for x in w.T:
+        if v.shape[1] <= d:
+            break
+        rx = t @ x
+        for h in (herm_part(rx), herm_part(-1j * rx)):
+            if v.shape[1] > d:
+                v = min(_clusters(v, h, tol), key=lambda c: c.shape[1])
+    if v.shape[1] != d:
+        raise InvalidQSystem("no generic element found in a matrix block")
+    return v
 
 
-def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
-                  rng: np.random.Generator | int | None = None) -> SplitResult:
+def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance()) -> SplitResult:
     """Split a Q-system as ``X . Xbar`` over a new zero-cell.
 
     Steps: regular representations; central decomposition into ``k``
-    simple blocks, each given by its eigenvectors ``w``; one minimal
-    right-multiplication projection per block, whose ``d`` eigenvectors
-    ``e`` give the isometry ``V = w e`` onto the block's column space;
+    simple blocks, each given by its eigenvectors ``w``; per block, the
+    range of a minimal projection that right multiplications cut out of
+    ``w``, with isometry ``V`` (``N x d``): the block's column space;
     the column spaces, refined by the row grading, become the sectors
     of ``X``, blocks sorted by dimension, then by rows and their column
     counts; compressed left multiplication, rescaled to be isometric
@@ -283,15 +287,15 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     within ``10 atol``, the residuals are too and no check runs.  When
     it is not, or the split raised, the full check decides: it raises
     the gate's error, or the split's result or exception is handed on.
-    The draws, the result and any warning the split showed are those of
-    a split made after the check, so only the cost differs.
+    The result and any warning the split showed are those of a split
+    made after the check, so only the cost differs.
     """
     if q.Q.dim == 0:
         raise CellMismatch("cannot split a zero-dimensional Q-system: "
                            "it would need a zero-cell of size 0")
     with warnings.catch_warnings(record=True) as shown:
         try:
-            out = _split(q, tol, np.random.default_rng(rng))
+            out = _split(q, tol)
             certified = axiom_bounds(q, out).passes(10 * tol.atol)
         except Exception as exc:   # the gate decides what a failed split means
             out, certified = exc, False
@@ -304,10 +308,10 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance(),
     return out
 
 
-def _split(q: QSystemData, tol: Tolerance, rng: np.random.Generator) -> SplitResult:
+def _split(q: QSystemData, tol: Tolerance) -> SplitResult:
     """``split_qsystem`` without its gate."""
     tensor = regular_reps(q)   # dropped before the dual is built
-    ws = _central_projections(tensor, tol, rng)
+    ws = _central_projections(tensor, tol)
     Q = q.Q
     n_rows = Q.tgt.n
     N = Q.dim
@@ -320,9 +324,9 @@ def _split(q: QSystemData, tol: Tolerance, rng: np.random.Generator) -> SplitRes
         d_t = isqrt(m_t)
         if d_t * d_t != m_t:
             raise InvalidQSystem("central block dimension is not a perfect square")
-        # V = w e spans the column space; central and right multiplications
+        # V spans the column space; central and right multiplications
         # preserve rows, so V* P_j V is the projection onto its row-j part
-        v = w @ _minimal_projection(tensor, w, d_t, tol, rng)
+        v = _minimal_projection(tensor, w, d_t, tol)
         counts, cols = {}, []
         for j, idx in enumerate(row_idx, start=1):
             vj = v[idx]
@@ -357,11 +361,9 @@ def _split(q: QSystemData, tol: Tolerance, rng: np.random.Generator) -> SplitRes
         mmat = np.concatenate([dagger(v) @ tensor[:, s].transpose(1, 0, 2) @ v
                                for s in _slabs(N, d * N)])
         mmat = mmat.transpose(1, 2, 0).reshape(d * d, N)
-        gram = mmat @ dagger(mmat)
-        s2 = float(np.real(np.trace(gram))) / (d * d)
-        if s2 <= 0 or frob(gram - s2 * np.eye(d * d)) > 1e-6 * max(1.0, s2) * d * d:
-            raise NormalizationFailure(
-                "compressed left multiplication is not a scalar multiple of an isometry")
+        s2 = _sq(mmat) / (d * d)
+        if s2 <= 0:
+            raise NormalizationFailure("compressed left multiplication vanishes on a block")
         gdag[block_of == t] = (1.0 / np.sqrt(s2)) * mmat
     # zero the numerical dust on mismatched (row, col) sectors
     gamma = BlockTwoCell(src, Q, np.where(sector_mask(Q, src), dagger(gdag), 0))

@@ -108,7 +108,7 @@ def test_acceptance_3_split_roundtrip():
             if sum(d * d for d in counts) <= 24:
                 break
         q = qsystem_from_dual(standard_dual_pair(x))
-        res = split_qsystem(q, rng=rng)
+        res = split_qsystem(q)
         rec = [0] * res.k.n
         for _, t in res.pair.X.grading:
             rec[t - 1] += 1
@@ -148,11 +148,11 @@ def test_acceptance_5_main_theorem_roundtrip():
     worst_name = ""
     for _ in range(25):
         cat, f, endf = product_scenario(rng)
-        gc = construct_G(cat, f, endf, rng=rng)
+        gc = construct_G(cat, f, endf)
         phi = construct_phi(gc)
         phibar = construct_phibar(gc)
         q2 = qsystem_from_dualizable_transformation(phi, phibar)
-        out = verify_main_theorem(cat, f, q2, rng=rng)
+        out = verify_main_theorem(cat, f, q2)
         name, value = out.worst()
         if value > worst:
             worst, worst_name = value, name
@@ -172,7 +172,7 @@ def test_acceptance_6_constant_scenarios():
                               blocks=int(rng.integers(1, 3)), max_total=16)
         f, endf = constant_functor_scenario(cat, q)
         worst = max(worst, check_endf_qsystem(cat, f, endf).max_residual)
-        out = verify_main_theorem(cat, f, endf, rng=rng)
+        out = verify_main_theorem(cat, f, endf)
         name, value = out.worst()
         worst = max(worst, value)
         ks = {out.gconstruction.splits[a].k.n for a in cat.zero_cells}

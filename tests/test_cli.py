@@ -877,14 +877,14 @@ def test_verify_fun_is_invariant_under_relabelling(tmp_path, capsys, seed):
     assert seen[0][:2] == (0, True)
 
 
-def _split_after_the_check(q, tol=Tolerance(), rng=None):
+def _split_after_the_check(q, tol=Tolerance()):
     """``split_qsystem`` in its former order: the full check of ``q`` as
     the gate, then the split."""
     rep = check_qsystem(q)
     if not rep.passes(10 * tol.atol):
         name, value = rep.worst()
         raise InvalidQSystem(f"axiom {name} fails with residual {value:.3e}")
-    return splitting._split(q, tol, np.random.default_rng(rng))
+    return splitting._split(q, tol)
 
 
 def _captured(argv):
@@ -975,3 +975,49 @@ def test_split_qsystem_checks_only_a_file_that_its_bounds_do_not_certify(tmp_pat
     assert len(calls) == 1
     assert main(["split-qsystem", qfile]) == 1
     assert capsys.readouterr().err == f"error: axiom {name} fails with residual {value:.3e}\n"
+
+
+def test_a_huge_finite_entry_fails_with_at_most_one_error_line(tmp_path, capsys):
+    # one on-sector entry of m at 1e150 makes Q4's residual overflow to
+    # inf; the overflow shows no warning, which warnings-as-errors would
+    # turn into a traceback, only the report or the one error line
+    qfile, scfile = str(tmp_path / "q.json"), str(tmp_path / "sc.json")
+    run(capsys, "gen", "--kind", "qsystem", "--seed", "3", "--out", qfile)
+    q = qsystem_from_json(load_document(qfile))
+    dump_document(qsystem_to_json(_perturbed(q, "huge m", 0, np.random.default_rng(3))), qfile)
+    run(capsys, "gen", "--kind", "scenario", "--seed", "1", "--out", scfile)
+    cat, f, endf = scenario_from_json(load_document(scfile))
+    a = cat.zero_cells[0]
+    endf.m.comp[a] = _perturbed(endf.at(a), "huge m", 0, np.random.default_rng(1)).m
+    dump_document(scenario_to_json(cat, f, endf), scfile)
+
+    for flags in ([], ["--json"]):
+        assert main(["check-qsystem", qfile, *flags]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and ("Q4  inf" in out or '"residual":Infinity' in out)
+        assert _one_error_line(["split-qsystem", qfile, *flags], capsys) == 1
+        assert _one_error_line(["verify-fun", scfile, *flags], capsys) == 1
+    assert main(["split-qsystem", qfile]) == 1
+    assert capsys.readouterr().err.endswith(" fails with residual inf\n")
+
+
+@pytest.mark.parametrize("kind", ["qsystem", "scenario", "constant"])
+def test_split_and_verify_outputs_do_not_depend_on_the_seed(tmp_path, capsys, kind):
+    # split-qsystem and verify-fun accept --seed, but the split draws no
+    # random numbers: reports and written files keep every byte
+    path = str(tmp_path / "in.json")
+    run(capsys, "gen", "--kind", kind, "--seed", "5", "--out", path)
+    seen = []
+    for seed in ("0", "1", str(2 ** 31 - 1)):
+        outputs = []
+        if kind == "qsystem":
+            for flags in ([], ["--json"]):
+                out = tmp_path / f"split-{seed}{''.join(flags)}.json"
+                outputs += run(capsys, "split-qsystem", path, "--seed", seed, "--out", str(out),
+                               *flags)
+                outputs.append(out.read_bytes())
+        else:
+            outputs += run(capsys, "verify-fun", path, "--seed", seed, "--json")
+        assert outputs[0] == 0
+        seen.append(outputs)
+    assert seen[0] == seen[1] == seen[2]

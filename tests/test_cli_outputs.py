@@ -79,3 +79,17 @@ def test_compare_counts_runs_without_a_command_as_qhilb(tmp_path, tool, monkeypa
     assert tool.compare(_outdir(tmp_path / "old"), _outdir(tmp_path / "new")) == 0
     assert "qhilb: largest residual change 0.000e+00\n" in capsys.readouterr().out
 
+
+
+def test_compare_counts_a_written_split_that_differs_only_in_gamma(tmp_path, tool, capsys):
+    # a split draws no random numbers, so gamma's entries must keep their
+    # bytes too
+    dirs = {name: _outdir(tmp_path / name) for name in ("old", "new")}
+    for name, entries in (("old", "AAAA"), ("new", "AAAB")):
+        doc = {"kind": "split_result", "schema": 2, "gamma": {"entries": entries}}
+        with open(os.path.join(dirs[name], "files", "split.json"), "w") as fh:
+            json.dump(doc, fh)
+    assert tool.compare(dirs["old"], dirs["new"]) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH files/split.json\n" in out
+    assert "1 mismatches" in out

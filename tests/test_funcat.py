@@ -277,7 +277,7 @@ def test_constant_scenario_m2():
     cat = two_cell_cat()
     f, endf = constant_functor_scenario(cat, m2_qsystem())
     assert check_endf_qsystem(cat, f, endf).max_residual < 1e-12
-    out = verify_main_theorem(cat, f, endf, rng=5)
+    out = verify_main_theorem(cat, f, endf)
     assert out.passes(1e-7)
     ks = {out.gconstruction.splits[a].k.n for a in cat.zero_cells}
     assert ks == {1}
@@ -316,7 +316,7 @@ def test_construct_G_gates_on_invalid():
                          endf.m[a].mat + 0.01) for a in cat.zero_cells}
     bad = EndFQSystem(endf.psi, ModificationData(bad_m), endf.i)
     with pytest.raises(InvalidQSystem):
-        construct_G(cat, f, bad, rng=0)
+        construct_G(cat, f, bad)
 
 
 def test_construct_G_keeps_the_split_gate():
@@ -332,9 +332,9 @@ def test_construct_G_keeps_the_split_gate():
     a = cat.zero_cells[0]
     assert check_qsystem(bad.at(a)).max_residual > 10 * tol.atol
     with pytest.raises(InvalidQSystem, match="fails with residual") as want:
-        split_qsystem(bad.at(a), tol, 0)
+        split_qsystem(bad.at(a), tol)
     with pytest.raises(InvalidQSystem) as got:
-        construct_G(cat, f, bad, tol, rng=0)
+        construct_G(cat, f, bad, tol)
     assert str(got.value) == str(want.value)
 
 
@@ -350,7 +350,7 @@ def test_verify_main_theorem_checks_each_qsystem_once(monkeypatch):
     zero_cells = 0
     for seed in range(10):
         cat, f, endf = product_scenario(np.random.default_rng(seed))
-        assert verify_main_theorem(cat, f, endf, rng=seed).passes(1e-7)
+        assert verify_main_theorem(cat, f, endf).passes(1e-7)
         zero_cells += len(cat.zero_cells)
     assert zero_cells == len(calls) == 26
 
@@ -371,7 +371,7 @@ def test_verify_main_theorem_builds_each_qsystem_report_once(monkeypatch):
     zero_cells = 0
     for seed in range(10):
         cat, f, endf = product_scenario(np.random.default_rng(seed))
-        out = verify_main_theorem(cat, f, endf, rng=seed)
+        out = verify_main_theorem(cat, f, endf)
         assert out.passes(1e-7)
         assert built[zero_cells:] == [endf.at(a) for a in cat.zero_cells]
         zero_cells += len(cat.zero_cells)
@@ -390,7 +390,7 @@ def test_verify_main_theorem_builds_each_endf_tensor_once(monkeypatch):
 
     monkeypatch.setattr(splitting, "regular_reps", counted)
     cat, f, endf = product_scenario(np.random.default_rng(1))
-    assert verify_main_theorem(cat, f, endf, rng=1).passes(1e-7)
+    assert verify_main_theorem(cat, f, endf).passes(1e-7)
     assert len(cat.zero_cells) == 2
     assert built == [endf.at(a) for a in cat.zero_cells]
 
@@ -406,7 +406,7 @@ def test_verify_main_theorem_builds_each_dual_qsystem_once(monkeypatch):
     for module in (funcat, splitting):
         monkeypatch.setattr(module, "qsystem_from_dual", counted)
     cat, f, endf = product_scenario(np.random.default_rng(1))
-    out = verify_main_theorem(cat, f, endf, rng=1)
+    out = verify_main_theorem(cat, f, endf)
     assert out.passes(1e-7)
     splits = out.gconstruction.splits
     assert calls == [splits[a].pair for a in cat.zero_cells]
@@ -429,7 +429,7 @@ def test_trivial_endf_recovers_F():
         m[a] = unitor_left(u)
         i[a] = id2(u)
     endf = EndFQSystem(ident, ModificationData(m), ModificationData(i))
-    out = verify_main_theorem(cat, f, endf, rng=2)
+    out = verify_main_theorem(cat, f, endf)
     assert out.passes(1e-8)
     gc = out.gconstruction
     for a in cat.zero_cells:
@@ -443,7 +443,7 @@ def test_verify_main_theorem_product_scenarios():
     rng = np.random.default_rng(77)
     for _ in range(3):
         cat, f, endf = product_scenario(rng)
-        out = verify_main_theorem(cat, f, endf, rng=rng)
+        out = verify_main_theorem(cat, f, endf)
         assert out.passes(1e-7), out.worst()
 
 
@@ -460,7 +460,7 @@ def test_verify_main_theorem_checks_each_identity_once(monkeypatch):
     monkeypatch.setattr(funcat, "check_endf_qsystem", counted)
     cat, f, endf = product_scenario(np.random.default_rng(1))
     assert cat.composable_triples() and cat.gen_two_cells
-    out = verify_main_theorem(cat, f, endf, rng=1)
+    out = verify_main_theorem(cat, f, endf)
     assert len(calls) == 1
     assert {name[len("input."):]: value for name, value in out.residuals.items()
             if name.startswith("input.")} == check_input(cat, f, endf).residuals
@@ -480,8 +480,8 @@ def test_verify_main_theorem_checks_each_identity_once(monkeypatch):
 def test_G_tensorator_built_once_per_pair(monkeypatch):
     cat, f, endf = product_scenario(np.random.default_rng(1))
     assert cat.composable_pairs()
-    out = verify_main_theorem(cat, f, endf, rng=1)
-    gc = construct_G(cat, f, endf, rng=1)
+    out = verify_main_theorem(cat, f, endf)
+    gc = construct_G(cat, f, endf)
     for p, q in cat.composable_pairs():
         t = gc.tensorator(p, q)
         assert gc.tensorator(p, q) is t
@@ -489,7 +489,7 @@ def test_G_tensorator_built_once_per_pair(monkeypatch):
     # the report is the one built without the memo
     monkeypatch.setattr(funcat.GConstruction, "tensorator",
                         funcat.GConstruction._build_tensorator)
-    assert list(verify_main_theorem(cat, f, endf, rng=1).rows(1.0)) == list(out.rows(1.0))
+    assert list(verify_main_theorem(cat, f, endf).rows(1.0)) == list(out.rows(1.0))
 
 
 def test_roundtrip_dualizable_transformation():
@@ -497,13 +497,13 @@ def test_roundtrip_dualizable_transformation():
     # verify the whole theorem on it
     rng = np.random.default_rng(123)
     cat, f, endf = product_scenario(rng)
-    gc = construct_G(cat, f, endf, rng=rng)
+    gc = construct_G(cat, f, endf)
     phi = construct_phi(gc)
     phibar = construct_phibar(gc)
     q2 = qsystem_from_dualizable_transformation(phi, phibar)
     rep = check_endf_qsystem(cat, f, q2)
     assert rep.max_residual < 1e-8
-    out = verify_main_theorem(cat, f, q2, rng=rng)
+    out = verify_main_theorem(cat, f, q2)
     assert out.passes(1e-7), out.worst()
     # the reconstruction matches the target functor up to block
     # relabeling: same zero-cells, same sorted sector dimension multisets
@@ -520,7 +520,7 @@ def test_roundtrip_dualizable_transformation():
 def test_construct_phi_components_unitary():
     rng = np.random.default_rng(55)
     cat, f, endf = product_scenario(rng)
-    gc = construct_G(cat, f, endf, rng=rng)
+    gc = construct_G(cat, f, endf)
     phi = construct_phi(gc)
     phibar = construct_phibar(gc)
     from qhilb.cells import is_unitary_residual
@@ -536,7 +536,7 @@ def test_phibar_is_bent_phi():
     # the dual crossing equals the adjoint crossing with both strands bent
     rng = np.random.default_rng(66)
     cat, f, endf = product_scenario(rng)
-    gc = construct_G(cat, f, endf, rng=rng)
+    gc = construct_G(cat, f, endf)
     phi = construct_phi(gc)
     phibar = construct_phibar(gc)
     from qhilb.cells import hcomp2, unitor_left

@@ -167,7 +167,7 @@ def test_intertwiner_central_element():
     from qhilb.splitting import central_decomposition
 
     q, _ = random_qsystem(RNG, zero_cell=1, blocks=2, dress=False)
-    z = central_decomposition(q, rng=np.random.default_rng(3))[0]
+    z = central_decomposition(q)[0]
     f = two_cell(q.Q, q.Q, z)
     rep = check_intertwiner(f, free_bimodule(q), free_bimodule(q))
     assert rep.max_residual < 1e-8
@@ -345,7 +345,7 @@ def dense_check_qsystem_iso(g, a, b):
 def test_iso_contraction_matches_dense(seed):
     rng = np.random.default_rng(seed)
     q, _ = random_qsystem(rng, zero_cell=int(rng.integers(1, 4)), blocks=int(rng.integers(1, 4)))
-    res = split_qsystem(q, rng=rng)
+    res = split_qsystem(q)
     a, g = qsystem_from_dual(res.pair), res.gamma
     # the same gamma pushed off unitarity: a failing iso reads the same residual
     off = two_cell(g.source, g.target,
@@ -362,7 +362,7 @@ def test_iso_check_refuses_an_off_sector_entry_of_gamma():
     # meets no block, so it must not reach the check at all
     x = one_cell(2, 2, [(1, 1), (2, 1), (1, 2), (2, 2)])
     q = dress_qsystem(np.random.default_rng(3), qsystem_from_dual(standard_dual_pair(x)))
-    res = split_qsystem(q, rng=np.random.default_rng(3))
+    res = split_qsystem(q)
     g = res.gamma
     r, c = next((r, c) for r in range(g.target.dim) for c in range(g.source.dim)
                 if g.target.grading[r] != g.source.grading[c])
@@ -464,7 +464,7 @@ def test_check_and_split_at_n144_keep_to_half_the_whole_block_peaks(monkeypatch)
         whole = check_qsystem(q)
     for name, value in whole.residuals.items():
         assert abs(rep[name] - value) <= 1e-13
-    res, peak = traced(lambda: split_qsystem(q, rng=np.random.default_rng(0)))
+    res, peak = traced(lambda: split_qsystem(q))
     assert peak < 81 * 2 ** 20
     assert res.iso.passes(1e-13)
     dense = dense_check_qsystem_iso(res.gamma, res.dual, q)
@@ -487,6 +487,6 @@ def test_split_at_n144_never_holds_the_tensor_and_the_dual():
     # the split's gate would do it
     q = n144_qsystem()
     assert q.residuals.passes(1e-13)
-    res, peak = traced(lambda: split_qsystem(q, rng=np.random.default_rng(0)))
+    res, peak = traced(lambda: split_qsystem(q))
     assert peak < 60 * 2 ** 20
     assert res.iso.passes(1e-13)

@@ -21,7 +21,7 @@ from qhilb.cells import (
     vcomp,
 )
 from qhilb.cli import main
-from qhilb.errors import DegenerateRandomElement, InvalidQSystem, NotAProjection, QhilbError
+from qhilb.errors import InvalidQSystem, NotAProjection, QhilbError
 from qhilb.generate import (
     dress_qsystem,
     dsum_qsystems,
@@ -202,7 +202,7 @@ def test_regular_reps_commute_and_star_closed():
 
 
 def test_central_decomposition_trivial():
-    zs = central_decomposition(trivial_qsystem(3), rng=np.random.default_rng(1))
+    zs = central_decomposition(trivial_qsystem(3))
     assert len(zs) == 3
     for z in zs:
         assert round(float(np.real(np.trace(z)))) == 1
@@ -211,7 +211,7 @@ def test_central_decomposition_trivial():
 def test_central_decomposition_m2():
     x = one_cell(1, 1, [(1, 1)] * 2)
     q = qsystem_from_dual(standard_dual_pair(x))
-    zs = central_decomposition(q, rng=np.random.default_rng(1))
+    zs = central_decomposition(q)
     assert len(zs) == 1
     assert frob(zs[0] - np.eye(4)) < 1e-9
 
@@ -222,12 +222,12 @@ def test_central_decomposition_direct_sum():
     q = dsum_qsystems(qsystem_from_dual(standard_dual_pair(x1)),
                       qsystem_from_dual(standard_dual_pair(x2)))
     assert check_qsystem(q).max_residual < 1e-12
-    zs = central_decomposition(q, rng=np.random.default_rng(1))
+    zs = central_decomposition(q)
     assert len(zs) == 2
 
 
 def test_split_trivial():
-    res = split_qsystem(trivial_qsystem(4), rng=np.random.default_rng(0))
+    res = split_qsystem(trivial_qsystem(4))
     assert res.k.n == 4
     assert block_dims(res) == [1, 1, 1, 1]
     # gamma is a permutation times phases
@@ -238,7 +238,7 @@ def test_split_trivial():
 def test_split_m2():
     x = one_cell(1, 1, [(1, 1)] * 2)
     q = qsystem_from_dual(standard_dual_pair(x))
-    res = split_qsystem(q, rng=np.random.default_rng(0))
+    res = split_qsystem(q)
     assert res.k.n == 1 and res.pair.X.dim == 2
     assert res.gamma.mat.shape == (4, 4)
     rep = check_qsystem_iso(res.gamma, qsystem_from_dual(res.pair), q)
@@ -257,7 +257,7 @@ def test_split_roundtrip_random():
             if sum(d * d for d in counts) <= 24:
                 break
         q = qsystem_from_dual(standard_dual_pair(x))
-        res = split_qsystem(q, rng=rng)
+        res = split_qsystem(q)
         assert res.k.n == 2
         assert block_dims(res) == sorted(counts)
         rep = check_qsystem_iso(res.gamma, qsystem_from_dual(res.pair), q)
@@ -273,7 +273,7 @@ def test_split_roundtrip_random():
 def test_split_dressed():
     rng = np.random.default_rng(11)
     q, dims = random_qsystem(rng, zero_cell=3, blocks=3, max_sector_dim=2)
-    res = split_qsystem(q, rng=rng)
+    res = split_qsystem(q)
     assert block_dims(res) == dims
     rep = check_qsystem_iso(res.gamma, qsystem_from_dual(res.pair), q)
     assert rep.max_residual < 1e-8
@@ -282,7 +282,7 @@ def test_split_dressed():
 def test_split_gamma_unitary_and_separable():
     rng = np.random.default_rng(13)
     q, _ = random_qsystem(rng, zero_cell=2, blocks=2)
-    res = split_qsystem(q, rng=rng)
+    res = split_qsystem(q)
     g = res.gamma.mat
     assert frob(g @ dagger(g) - np.eye(g.shape[0])) < 1e-8
     assert frob(dagger(g) @ g - np.eye(g.shape[1])) < 1e-8
@@ -290,38 +290,24 @@ def test_split_gamma_unitary_and_separable():
     assert frob(ev.mat @ dagger(ev.mat) - np.eye(res.k.n)) < 1e-9
 
 
-class ZeroRng:
-    """Draws the constant zero vector and counts the draws."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def standard_normal(self, n):
-        self.calls += 1
-        return np.zeros(n)
-
-
-def test_degenerate_randomness_raises():
-    from qhilb.splitting import _central_projections
-
-    t = regular_reps(trivial_qsystem(3))
-    with pytest.raises(DegenerateRandomElement):
-        _central_projections(t, Tolerance(), ZeroRng())
-
-    # the zero right multiplication has one cluster, of rank d^2, not d;
-    # each attempt draws a real and an imaginary vector
+def test_a_refinement_that_does_not_end_raises_invalid_qsystem():
+    # the zero multiplication makes every vector central, and each L_z is
+    # zero, so no piece splits; and right multiplications of one block
+    # of dimension 3 never cut it to rank 2
+    tol = Tolerance()
+    with pytest.raises(InvalidQSystem, match="could not separate 3 central blocks"):
+        splitting._central_projections(np.zeros((3, 3, 3)), tol)
     x = one_cell(1, 2, [(1, 1), (1, 1), (2, 1)])
     t = regular_reps(qsystem_from_dual(standard_dual_pair(x)))
-    rng = ZeroRng()
-    with pytest.raises(DegenerateRandomElement):
-        splitting._minimal_projection(t, np.eye(9), 3, Tolerance(), rng)
-    assert rng.calls == 2 * splitting._MAX_RANDOM_ATTEMPTS
+    assert splitting._minimal_projection(t, np.eye(9), 3, tol).shape == (9, 3)
+    with pytest.raises(InvalidQSystem, match="no generic element"):
+        splitting._minimal_projection(t, np.eye(9), 2, tol)
 
 
 def test_split_seed_deterministic():
     q, _ = random_qsystem(np.random.default_rng(5), zero_cell=2, blocks=2)
-    r1 = split_qsystem(q, rng=np.random.default_rng(42))
-    r2 = split_qsystem(q, rng=np.random.default_rng(42))
+    r1 = split_qsystem(q)
+    r2 = split_qsystem(q)
     assert np.array_equal(r1.gamma.mat, r2.gamma.mat)
     assert r1.pair.X.grading == r2.pair.X.grading
 
@@ -338,7 +324,7 @@ def test_split_builds_the_multiplication_tensor_once(monkeypatch):
 
     monkeypatch.setattr(splitting, "regular_reps", counted)
     q, _ = random_qsystem(np.random.default_rng(5), zero_cell=2, blocks=2)
-    split_qsystem(q, rng=np.random.default_rng(42))
+    split_qsystem(q)
     assert len(built) == 1
     t = built[0]
     assert t.shape == (q.Q.dim,) * 3 and not t.flags.writeable
@@ -347,13 +333,14 @@ def test_split_builds_the_multiplication_tensor_once(monkeypatch):
 
 
 @st.composite
-def block_structures(draw, max_dim=24):
+def block_structures(draw, max_dim=24, max_blocks=3):
     """Per-block sector dimensions over the rows of a dual-pair cell
-    ``X : k -> b``, as ``(rows, sectors)`` with ``sectors[t][r]`` and at
-    most ``max_dim`` basis vectors in ``X . Xbar``; half of the draws
-    repeat the first block in every block."""
+    ``X : k -> b``, as ``(rows, sectors)`` with ``sectors[t][r]``, at
+    most ``max_blocks`` blocks and at most ``max_dim`` basis vectors in
+    ``X . Xbar``; half of the draws repeat the first block in every
+    block."""
     rows = draw(st.integers(1, 3))
-    k = draw(st.integers(1, 3))
+    k = draw(st.integers(1, max_blocks))
     column = st.lists(st.integers(0, 2), min_size=rows, max_size=rows).filter(any)
     first = draw(column)
     if draw(st.booleans()):
@@ -395,44 +382,68 @@ def test_center_of_dual_pair_qsystems(structure, dressed, seed):
     gens = list(ops) + [dagger(g) for g in ops]
     assert len(commutant_basis(gens, tol)) == k
 
-    res = split_qsystem(q, tol, rng)
+    res = split_qsystem(q, tol)
     assert block_dims(res) == sorted(sum(col) for col in sectors)
 
 
+@given(block_structures(max_dim=48, max_blocks=6), st.booleans(), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([Tolerance(), Tolerance(gap_tol=1e-8)]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_the_refinement_splits_every_block_structure(structure, dressed, seed, tol):
+    # equal and unequal blocks, dressed or in matrix units, where the
+    # center basis and the block's own vectors are far from generic: the
+    # split finds every block and certifies its gate without a check
+    q = dual_pair_qsystem(structure, np.random.default_rng(seed), dressed)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_checks(mp)
+        res = split_qsystem(q, tol)
+    assert block_dims(res) == sorted(sum(col) for col in structure[1])
+    assert res.iso.passes(10 * tol.atol) and calls == []
+
+
+ORACLE_ATTEMPTS = 5
+
+
 def summed_central_projections(t, tol, rng):
-    """``_central_projections`` as it was with one ``L_z`` per center
-    basis vector: ``herm_part(sum_k c_k L_(z_k))`` for the same draws."""
+    """The minimal central projections by the random-element method
+    (Murota, Kanno, Kojima and Kojima, 2010), with one ``L_z`` per center
+    basis vector: the clusters of ``herm_part(sum_k c_k L_(z_k))`` for
+    random complex ``c``, redrawn until they number ``k``."""
     basis = center_basis(t, tol)
     k = basis.shape[1]
     center = np.tensordot(basis, t, axes=(0, 1))   # [k, i, b]
-    for _ in range(splitting._MAX_RANDOM_ATTEMPTS):
+    for _ in range(ORACLE_ATTEMPTS):
         coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         clusters = linalg._eigen_clusters(
             herm_part(sum(c * z for c, z in zip(coeff, center))), tol)
         if len(clusters) == k:
-            return sorted((w for _, w in clusters), key=splitting._support_key)
-    raise DegenerateRandomElement("no separating element")
+            return [w for _, w in clusters]
+    raise AssertionError("no separating element")
 
 
 @given(block_structures(), st.booleans(), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_one_central_element_matches_the_summed_operators(structure, dressed, seed):
-    # L_z of z = basis @ coeff is the sum of the c_k L_(z_k), up to rounding
+    # the refinement finds the central projections that one random
+    # element finds; equal-rank blocks in one sector tie under
+    # _support_key, so the two orders may differ
     q = dual_pair_qsystem(structure, np.random.default_rng(seed), dressed)
     t, tol = regular_reps(q), Tolerance()
-    ws = splitting._central_projections(t, tol, np.random.default_rng(seed))
-    oracle = summed_central_projections(t, tol, np.random.default_rng(seed))
-    assert [w.shape[1] for w in ws] == [w.shape[1] for w in oracle]
-    for w, o in zip(ws, oracle):
-        assert frob(w @ dagger(w) - o @ dagger(o)) <= 1e-12
+    ws = splitting._central_projections(t, tol)
+    oracle = [o @ dagger(o) for o in summed_central_projections(t, tol, np.random.default_rng(seed))]
+    assert len(ws) == len(oracle)
+    for w in ws:
+        gaps = [frob(w @ dagger(w) - o) for o in oracle]
+        assert min(gaps) <= 1e-12
+        oracle.pop(int(np.argmin(gaps)))
 
 
 def test_center_basis_phase_does_not_matter(monkeypatch):
-    # L_(i z) has a zero hermitian part when L_z is hermitian; the
-    # random element must still separate the blocks
+    # L_(i z) has a zero hermitian part when L_z is hermitian; its
+    # -i counterpart must still separate the blocks
     monkeypatch.setattr(splitting, "center_basis",
                         lambda t, tol: 1j * center_basis(t, tol))
-    zs = central_decomposition(trivial_qsystem(3), rng=np.random.default_rng(1))
+    zs = central_decomposition(trivial_qsystem(3))
     assert len(zs) == 3
 
 
@@ -471,7 +482,7 @@ def test_slabs_of_a_few_hundred_bytes_change_no_result(structure, dressed, seed)
     q = dual_pair_qsystem(structure, rng, dressed)
     bad = QSystemData(q.Q, two_cell(q.m.source, q.m.target, q.m.mat + 1e-3 * random_sector_matrix(
         rng, q.m.source, q.m.target).mat), q.i)
-    res = split_qsystem(q, rng=np.random.default_rng(seed))
+    res = split_qsystem(q)
     g = res.gamma
     off = two_cell(g.source, g.target, g.mat + 1e-3 * random_sector_matrix(
         rng, g.source, g.target).mat)
@@ -480,7 +491,7 @@ def test_slabs_of_a_few_hundred_bytes_change_no_result(structure, dressed, seed)
         z = center_basis(regular_reps(q), Tolerance())
         reports = [check_qsystem(a) for a in (q, bad)]
         reports += [check_qsystem_iso(h, res.dual, q) for h in (g, off)]
-        split = split_qsystem(q, rng=np.random.default_rng(seed))
+        split = split_qsystem(q)
         return z @ dagger(z), reports, split.pair.X
 
     center, reports, x = run()
@@ -503,7 +514,7 @@ def test_split_calls_no_svd(monkeypatch, capsys):
     x = one_cell(1, 2, [(1, 1)] * 3 + [(2, 1)] * 3)
     q = dress_qsystem(np.random.default_rng(3), qsystem_from_dual(standard_dual_pair(x)))
     assert q.Q.dim == 36
-    res = split_qsystem(q, rng=np.random.default_rng(0))
+    res = split_qsystem(q)
     assert block_dims(res) == [6] and res.iso.passes(1e-8)
     path = Path(__file__).parent / "data" / "scenario-schema2.json"
     assert main(["verify-fun", str(path)]) == 0
@@ -530,7 +541,7 @@ def test_basis_order_invariance(zero_cell, blocks, seed):
     for name, value in q.residuals.residuals.items():
         assert abs(qp.residuals[name] - value) <= 1e-12 * max(1.0, frob(q.m.mat))
     tol = Tolerance()
-    res, resp = (split_qsystem(a, tol, np.random.default_rng(seed)) for a in (q, qp))
+    res, resp = (split_qsystem(a, tol) for a in (q, qp))
     assert res.k == resp.k and block_dims(res) == block_dims(resp) == dims
     # the blocks are ordered by their row profiles, which a basis order
     # inside the sectors does not change
@@ -538,13 +549,13 @@ def test_basis_order_invariance(zero_cell, blocks, seed):
     assert resp.iso.passes(10 * tol.atol)
 
 
-def test_block_order_does_not_depend_on_the_random_elements():
+def test_block_order_does_not_depend_on_the_dressing():
     # two blocks of dimension 2 that both start in row 1; the row
-    # profiles, not the order of the random element's clusters, set
-    # which block comes first
+    # profiles, not the order of the refinement's clusters, which a
+    # sector unitary dressing moves, set which block comes first
     x = one_cell(2, 2, [(1, 1), (1, 2), (1, 2), (2, 1)])
-    q = dress_qsystem(np.random.default_rng(1), qsystem_from_dual(standard_dual_pair(x)))
-    gradings = {split_qsystem(q, rng=np.random.default_rng(s)).pair.X.grading
+    q = qsystem_from_dual(standard_dual_pair(x))
+    gradings = {split_qsystem(dress_qsystem(np.random.default_rng(s), q)).pair.X.grading
                 for s in range(10)}
     assert gradings == {((1, 1), (1, 2), (1, 2), (2, 1))}
 
@@ -562,7 +573,7 @@ def test_split_hands_on_central_blocks_as_eigenvectors(monkeypatch):
     monkeypatch.setattr(splitting, "range_isometry", isometry)
     x = one_cell(3, 2, [(1, 1), (1, 2), (1, 2), (2, 2), (2, 3), (2, 3), (2, 3)])
     q = dress_qsystem(np.random.default_rng(4), qsystem_from_dual(standard_dual_pair(x)))
-    res = split_qsystem(q, rng=np.random.default_rng(0))
+    res = split_qsystem(q)
     assert block_dims(res) == [1, 3, 3] and res.iso.passes(1e-8)
     assert shapes and all(s[0] <= 3 for s in shapes)
     assert (q.Q.dim, q.Q.dim) not in shapes
@@ -588,11 +599,11 @@ def test_split_is_gauge_invariant_and_certified_without_a_check(monkeypatch):
     rng = np.random.default_rng(26)
     q, dims = random_qsystem(rng, zero_cell=3, blocks=3, dress=False)
     tol = Tolerance()
-    base = split_qsystem(q, tol, 0)
+    base = split_qsystem(q, tol)
     assert block_dims(base) == dims
     for _ in range(5):
         dressed = dress_qsystem(rng, q)
-        res = split_qsystem(dressed, tol, 0)
+        res = split_qsystem(dressed, tol)
         assert res.k == base.k and block_dims(res) == dims and res.pair.X is base.pair.X
         assert res.iso.passes(10 * tol.atol)
         assert axiom_bounds(dressed, res).passes(10 * tol.atol)
@@ -628,11 +639,11 @@ def test_axiom_bounds_hold_for_the_computed_residuals(structure, dressed, kind, 
     exact = dual_pair_qsystem(structure, rng, dressed)
     q = perturbed_qsystem(exact, kind, 10 ** exponent, rng)
     tol = Tolerance()
-    base = split_qsystem(exact, tol, rng)
+    base = split_qsystem(exact, tol)
     splits = [splitting.SplitResult(base.k, base.pair, base.gamma,
                                     check_qsystem_iso(base.gamma, base.dual, q), base.dual)]
     try:
-        splits.append(splitting._split(q, tol, rng))
+        splits.append(splitting._split(q, tol))
     except QhilbError:
         pass
     rep = check_qsystem(q)
@@ -649,7 +660,7 @@ def test_axiom_bounds_hold_for_the_computed_residuals(structure, dressed, kind, 
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_dual_residuals_in_closed_form_match_the_check(structure, dressed, seed):
     rng = np.random.default_rng(seed)
-    res = split_qsystem(dual_pair_qsystem(structure, rng, dressed), rng=rng)
+    res = split_qsystem(dual_pair_qsystem(structure, rng, dressed))
     closed, rep = splitting._dual_residuals(res.pair.X), check_qsystem(res.dual)
     assert list(closed) == list(rep) and closed["Q1"] == closed["Q3"] == 0.0
     for name, value in rep.items():
@@ -663,19 +674,19 @@ def test_split_shows_only_the_warnings_of_a_split_that_passes_the_gate(monkeypat
     # after the gate would show it, and not at all when the gate fails
     split = splitting._split
 
-    def warned(q, tol, rng):
+    def warned(q, tol):
         warnings.warn("shown by the split", RuntimeWarning)
-        return split(q, tol, rng)
+        return split(q, tol)
 
     monkeypatch.setattr(splitting, "_split", warned)
     q, _ = random_qsystem(np.random.default_rng(5), zero_cell=2, blocks=2)
     with pytest.warns(RuntimeWarning, match="shown by the split"):
-        split_qsystem(q, rng=0)
+        split_qsystem(q)
     bad = perturbed_qsystem(q, "m", 1e-3, None)
     with warnings.catch_warnings(record=True) as shown:
         warnings.simplefilter("always")
         with pytest.raises(InvalidQSystem, match="fails with residual"):
-            split_qsystem(bad, rng=0)
+            split_qsystem(bad)
     assert shown == []
 
 
@@ -686,8 +697,8 @@ def test_a_split_that_fails_its_bound_but_passes_the_check_is_kept(monkeypatch):
     q, _ = random_qsystem(np.random.default_rng(5), zero_cell=2, blocks=2)
     near = perturbed_qsystem(q, "off", 2e-9, np.random.default_rng(1))
     tol = Tolerance()
-    ungated = splitting._split(near, tol, np.random.default_rng(7))
+    ungated = splitting._split(near, tol)
     assert not axiom_bounds(near, ungated).passes(10 * tol.atol)
-    res = split_qsystem(near, tol, 7)
+    res = split_qsystem(near, tol)
     assert calls == [near] and near.residuals.passes(10 * tol.atol)
     assert np.array_equal(res.gamma.mat, ungated.gamma.mat)

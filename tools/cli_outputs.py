@@ -33,13 +33,13 @@ runs write go to ``files/``.  Two trees behave the same on these runs
 exactly when ``diff -r`` of their two OUTDIRs is empty.
 
 ``--compare`` reads two such OUTDIRs for a change that may move
-residuals by rounding and the gauge of a split's ``gamma``, but nothing
-else.  It requires the same runs, exit codes and stderr, and stdout
-that is the same once each residual is masked (verdicts, row names,
-thresholds, ``k``, ``block_dims``, ``G_zero_cells``); written files
-must be the same bytes, except a ``split_result``'s ``gamma`` entries.
-A run file missing from either OUTDIR is a mismatch, and so is a
-residual that moved by more than ``RESIDUAL_BOUND`` (1e-13).  It prints
+residuals by rounding, but nothing else.  It requires the same runs,
+exit codes and stderr, and stdout that is the same once each residual
+is masked (verdicts, row names, thresholds, ``k``, ``block_dims``,
+``G_zero_cells``); written files, a ``split_result``'s ``gamma``
+included, must be the same bytes.  A run file missing from either
+OUTDIR is a mismatch, and so is a residual that moved by more than
+``RESIDUAL_BOUND`` (1e-13).  It prints
 the largest residual change per command (runs that name no command are
 counted as ``qhilb``), with the run and the report row where it
 occurred, and every mismatch, and exits 1 if there is one.
@@ -175,21 +175,11 @@ def read(path: str) -> str:
         return fh.read()
 
 
-def without_gamma_entries(path: str):
-    """The document at ``path``, with a ``split_result``'s gamma entries
-    dropped."""
-    doc = json.loads(read(path))
-    if doc.get("kind") == "split_result":
-        del doc["gamma"]["entries"]
-    return doc
-
-
 def compare(old: str, new: str) -> int:
     """Check that OUTDIR ``new`` differs from ``old`` only in residuals,
-    each by at most ``RESIDUAL_BOUND``, and in ``gamma`` entries; print
-    the largest residual change per command, with its run and row, and
-    every mismatch."""
-    mismatches, change, gauged = [], {}, 0
+    each by at most ``RESIDUAL_BOUND``; print the largest residual
+    change per command, with its run and row, and every mismatch."""
+    mismatches, change = [], {}
     for name, argv in runs():
         command = argv[0] if argv and argv[0] in COMMANDS else "qhilb"
         change.setdefault(command, (0.0, None, None))   # (change, run, row)
@@ -217,16 +207,11 @@ def compare(old: str, new: str) -> int:
         mismatches.append("files/ (the written files differ in name)")
     for name in files[0] if files[0] == files[1] else ():
         a, b = (os.path.join(d, "files", name) for d in (old, new))
-        if read(a) == read(b):
-            continue
-        if without_gamma_entries(a) != without_gamma_entries(b):
+        if read(a) != read(b):
             mismatches.append(f"files/{name}")
-        else:
-            gauged += 1
     for command, (value, name, row) in change.items():
         print(f"{command}: largest residual change {value:.3e}"
               + (f" ({name}, row {row})" if name else ""))
-    print(f"{gauged} written files differ only in gamma entries")
     for name in mismatches:
         print(f"MISMATCH {name}")
     print(f"{len(mismatches)} mismatches")
