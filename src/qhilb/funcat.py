@@ -174,13 +174,15 @@ def eval_expr(f, e) -> BlockTwoCell:
     raise IllTypedPath(f"unknown expression node {e!r}")
 
 
-def check_functor(cat: PresentedTwoCat, f) -> ResidualReport:
-    """Residuals of the functor axioms over the presentation.
+def check_functor(f: FunctorData) -> ResidualReport:
+    """Residuals of the functor axioms over ``f``'s own presentation
+    ``f.cat``.
 
     Tensorator unitarity and associativity on composable generator
     pairs/triples, the two unit equations per generator, and equality
     of relation images.
     """
+    cat = f.cat
     rep = ResidualReport()
     for p, q in cat.composable_pairs():
         t2 = f.tensorator(p, q)
@@ -396,12 +398,13 @@ class EndFQSystem:
         return self._at[a]
 
 
-def check_endf_qsystem(cat: PresentedTwoCat, f: FunctorData,
-                       q: EndFQSystem) -> ResidualReport:
+def check_endf_qsystem(q: EndFQSystem) -> ResidualReport:
     """Per-zero-cell Q-system residuals, transformation residuals of
-    ``psi`` and sliding residuals of the multiplication and unit."""
+    ``psi`` and sliding residuals of the multiplication and unit, over
+    the presentation of ``F = q.psi.source``."""
+    f = q.psi.source
     rep = ResidualReport()
-    for a in cat.zero_cells:
+    for a in f.cat.zero_cells:
         rep.extend(f"qsystem[{a}].", q.at(a).residuals)
     rep.extend("psi.", check_transformation(q.psi))
     psi2 = tensor_transformations(q.psi, q.psi)
@@ -442,24 +445,27 @@ class _PathData:
     image: GradedOneCell          # G(p)
 
 
-class GConstruction:
-    """All data of the functor ``G`` built from a Q-system on End(F):
-    the residuals of that Q-system (``input``), per-zero-cell
-    splittings, per-path projections and isometries, tensorators, and
-    images of generator two-cells.
+class GConstruction(FunctorData):
+    """The functor ``G`` split from a Q-system ``q`` on End(F), with
+    ``F = q.psi.source`` and presentation ``cat = F.cat``, and the data
+    it is built from: the residuals of ``q`` (``input``), per-zero-cell
+    splittings (``on0`` holds their new zero-cells), per-path
+    projections and isometries (``cell`` is the image of a path), the
+    tensorators through those isometries, and images of generator
+    two-cells (``on2``).  Path data and tensorators are built on first
+    read and kept, so one object belongs to one thread.
 
     Raises ``InvalidQSystem`` when an ``input`` residual exceeds
     ``100 atol``; ``split_qsystem`` gates each zero-cell at ``10 atol``.
     """
 
-    def __init__(self, cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
-                 tol: Tolerance):
-        self.input = check_endf_qsystem(cat, f, q)
+    def __init__(self, q: EndFQSystem, tol: Tolerance):
+        self.input = check_endf_qsystem(q)
         if not self.input.passes(100 * tol.atol):
             name, value = self.input.worst()
             raise InvalidQSystem(f"End(F) Q-system fails {name} at {value:.3e}")
-        self.cat = cat
-        self.F = f
+        self.F = f = q.psi.source
+        self.cat = cat = f.cat
         self.q = q
         self.tol = tol
         self.splits: dict[str, SplitResult] = {}
@@ -469,12 +475,14 @@ class GConstruction:
         self.coev: dict[str, BlockTwoCell] = {}
         self.gamma: dict[str, BlockTwoCell] = {}
         self.paths: dict[Path, _PathData] = {}
-        self.g2: dict[str, BlockTwoCell] = {}
+        self.on0: dict[str, ZeroCell] = {}
+        self.on2: dict[str, BlockTwoCell] = {}
         self._capped: dict[tuple[Path, Path], BlockTwoCell] = {}
         self._tensorators: dict[tuple[Path, Path], BlockTwoCell] = {}
         for a in cat.zero_cells:
             res = split_qsystem(q.at(a), tol)
             self.splits[a] = res
+            self.on0[a] = res.k
             self.xbar[a] = res.pair.X
             self.x[a] = res.pair.Xbar
             self.ev[a] = res.pair.ev
@@ -491,7 +499,8 @@ class GConstruction:
         for two in cat.gen_two_cells:
             self.materialize(two.source)
             self.materialize(two.target)
-            self.g2[two.label] = self._gen2_image(two)
+            self.on2[two.label] = self._gen2_image(two)
+        self.on1 = {g.label: self.cell(cat.path((g.label,))) for g in cat.gen_one_cells}
 
     # -- per-path data ----------------------------------------------------
 
@@ -532,7 +541,8 @@ class GConstruction:
         self.paths[path] = data
         return data
 
-    def image(self, path: Path) -> GradedOneCell:
+    def cell(self, path: Path) -> GradedOneCell:
+        """``G(path)``: the image of the path's splitting isometry."""
         return self.materialize(path).image
 
     def u_of(self, path: Path) -> BlockTwoCell:
@@ -573,41 +583,17 @@ class GConstruction:
                 (self.u_of(p), self.u_of(q)))
         return capped
 
-    def functor(self) -> "ConstructedFunctor":
-        if not hasattr(self, "_functor"):
-            self._functor = ConstructedFunctor(self)
-        return self._functor
 
-
-class ConstructedFunctor(FunctorData):
-    """Functor facade over a :class:`GConstruction` (image cells from
-    the path splittings, tensorators through the isometries)."""
-
-    def __init__(self, gc: GConstruction):
-        self.gc = gc
-        self.cat = gc.cat
-        self.on0 = {a: gc.splits[a].k for a in gc.cat.zero_cells}
-        self.on1 = {g.label: gc.image(gc.cat.path((g.label,)))
-                    for g in gc.cat.gen_one_cells}
-        self.on2 = dict(gc.g2)
-
-    def cell(self, path: Path) -> GradedOneCell:
-        return self.gc.image(path)
-
-    def tensorator(self, p: Path, q: Path) -> BlockTwoCell:
-        return self.gc.tensorator(p, q)
-
-
-def construct_G(cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
-                tol: Tolerance = Tolerance()) -> GConstruction:
-    """Split a Q-system on End(F) into the data of a new functor.
+def construct_G(q: EndFQSystem, tol: Tolerance = Tolerance()) -> GConstruction:
+    """Split a Q-system ``q`` on End(F), ``F = q.psi.source``, into the
+    functor ``G`` itself.
 
     Checks the Q-system (``InvalidQSystem`` if it fails), splits each
     ``psi_a``, builds the path projections from the crossings and
-    comparison unitaries, their splitting isometries, the images of
-    two-cell generators, and the tensorators.
+    comparison unitaries, their splitting isometries and the images of
+    two-cell generators; tensorators are built on first use.
     """
-    return GConstruction(cat, f, q, tol)
+    return GConstruction(q, tol)
 
 
 def construct_phi(gc: GConstruction) -> TransformationData:
@@ -620,12 +606,11 @@ def construct_phi(gc: GConstruction) -> TransformationData:
         a, b = path.src, path.tgt
         comp1[path] = vcomp_many((dagger2(gc.u_of(path)), gc.x[a]),
                                  (gc.x[b], gc.F.cell(path), gc.coev[a]))
-    return TransformationData(gc.F, gc.functor(), comp0, comp1)
+    return TransformationData(gc.F, gc, comp0, comp1)
 
 
 def construct_phibar(gc: GConstruction) -> TransformationData:
     """The dual transformation ``phibar : G => F``."""
-    g = gc.functor()
     comp0 = {a: gc.xbar[a] for a in gc.cat.zero_cells}
     comp1 = {}
     for path in gc.paths:
@@ -633,7 +618,7 @@ def construct_phibar(gc: GConstruction) -> TransformationData:
         tail = hcomp1(gc.F.cell(path), gc.xbar[a])
         comp1[path] = vcomp_many(unitor_left(tail), (dagger2(gc.coev[b]), tail),
                                  (gc.xbar[b], gc.u_of(path)))
-    return TransformationData(g, gc.F, comp0, comp1)
+    return TransformationData(gc, gc.F, comp0, comp1)
 
 
 # --------------------------------------------------------------------------
@@ -647,9 +632,10 @@ class MainTheoremReport(ResidualReport):
     gconstruction: GConstruction | None = None
 
 
-def verify_main_theorem(cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
-                        tol: Tolerance = Tolerance()) -> MainTheoremReport:
-    """Run the whole construction and verify every intermediate claim.
+def verify_main_theorem(q: EndFQSystem, tol: Tolerance = Tolerance()) -> MainTheoremReport:
+    """Run the whole construction on a Q-system ``q`` on End(F),
+    ``F = q.psi.source``, and verify every intermediate claim over
+    ``F.cat``.
 
     One row ``section.check`` per identity, each checked once (all
     residuals Frobenius), in eleven sections:
@@ -676,9 +662,9 @@ def verify_main_theorem(cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
       ``split_qsystem`` reported it.
     """
     out = MainTheoremReport()
-    gc = construct_G(cat, f, q, tol)
+    gc = construct_G(q, tol)
+    f, cat = gc.F, gc.cat
     out.extend("input.", gc.input)
-    g = gc.functor()
     phi = construct_phi(gc)
     phibar = construct_phibar(gc)
 
@@ -748,7 +734,7 @@ def verify_main_theorem(cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
         out.add(f"crossing_transport.naturality[{two.label}]", residual(lhs, rhs))
 
     # (f) full functor checker
-    out.extend("functor.", check_functor(cat, g))
+    out.extend("functor.", check_functor(gc))
 
     # (g) phi and phibar are transformations
     out.extend("transformation.phi.", check_transformation(phi))
@@ -761,7 +747,7 @@ def verify_main_theorem(cat: PresentedTwoCat, f: FunctorData, q: EndFQSystem,
     phi_phibar = tensor_transformations(phi, phibar)
     out.extend("duality.coev.", check_modification(coev_mod, identity_transformation(f),
                                                    phibar_phi))
-    out.extend("duality.ev.", check_modification(ev_mod, identity_transformation(g),
+    out.extend("duality.ev.", check_modification(ev_mod, identity_transformation(gc),
                                                  phi_phibar))
     for a in cat.zero_cells:
         pair = gc.splits[a].pair

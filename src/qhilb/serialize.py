@@ -250,8 +250,12 @@ def presentation_from_json(d: dict) -> PresentedTwoCat:
         raise ParseError(f"bad presentation: {exc}") from exc
 
 
-def scenario_to_json(cat: PresentedTwoCat, f: FunctorData,
-                     q: EndFQSystem) -> dict:
+def scenario_to_json(q: EndFQSystem) -> dict:
+    """The scenario document of a Q-system ``q`` on End(F): the
+    presentation ``F.cat`` and the functor ``F = q.psi.source`` on
+    generators, then ``q``'s own data."""
+    f = q.psi.source
+    cat = f.cat
     return {
         "schema": SCHEMA,
         "kind": "scenario",

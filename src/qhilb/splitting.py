@@ -48,7 +48,6 @@ most two slabs alive.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, sqrt
@@ -287,24 +286,21 @@ def split_qsystem(q: QSystemData, tol: Tolerance = Tolerance()) -> SplitResult:
     within ``10 atol``, the residuals are too and no check runs.  When
     it is not, or the split raised, the full check decides: it raises
     the gate's error, or the split's result or exception is handed on.
-    The result and any warning the split showed are those of a split
-    made after the check, so only the cost differs.
+    The result is that of a split made after the check, so only the
+    cost differs; a warning the split shows (numpy's, on overflow) is
+    shown even when the gate then fails.
     """
     if q.Q.dim == 0:
         raise CellMismatch("cannot split a zero-dimensional Q-system: "
                            "it would need a zero-cell of size 0")
-    with warnings.catch_warnings(record=True) as shown:
-        try:
-            out = _split(q, tol)
-            certified = axiom_bounds(q, out).passes(10 * tol.atol)
-        except Exception as exc:   # the gate decides what a failed split means
-            out, certified = exc, False
+    try:
+        out = _split(q, tol)
+        certified = axiom_bounds(q, out).passes(10 * tol.atol)
+    except Exception:   # the gate decides what a failed split means
+        _gate(q, tol)
+        raise
     if not certified:
         _gate(q, tol)
-    for w in shown:   # what a gated split would have shown
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
-    if isinstance(out, Exception):
-        raise out
     return out
 
 

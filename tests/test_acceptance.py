@@ -148,11 +148,11 @@ def test_acceptance_5_main_theorem_roundtrip():
     worst_name = ""
     for _ in range(25):
         cat, f, endf = product_scenario(rng)
-        gc = construct_G(cat, f, endf)
+        gc = construct_G(endf)
         phi = construct_phi(gc)
         phibar = construct_phibar(gc)
         q2 = qsystem_from_dualizable_transformation(phi, phibar)
-        out = verify_main_theorem(cat, f, q2)
+        out = verify_main_theorem(q2)
         name, value = out.worst()
         if value > worst:
             worst, worst_name = value, name
@@ -171,8 +171,8 @@ def test_acceptance_6_constant_scenarios():
         q, _ = random_qsystem(rng, zero_cell=int(rng.integers(1, 3)),
                               blocks=int(rng.integers(1, 3)), max_total=16)
         f, endf = constant_functor_scenario(cat, q)
-        worst = max(worst, check_endf_qsystem(cat, f, endf).max_residual)
-        out = verify_main_theorem(cat, f, endf)
+        worst = max(worst, check_endf_qsystem(endf).max_residual)
+        out = verify_main_theorem(endf)
         name, value = out.worst()
         worst = max(worst, value)
         ks = {out.gconstruction.splits[a].k.n for a in cat.zero_cells}

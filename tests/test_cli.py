@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -55,11 +56,11 @@ def test_serialize_roundtrip_qsystem(tmp_path):
 def test_serialize_roundtrip_scenario(tmp_path):
     cat, f, endf = product_scenario(np.random.default_rng(4))
     path = tmp_path / "sc.json"
-    dump_document(scenario_to_json(cat, f, endf), str(path))
+    dump_document(scenario_to_json(endf), str(path))
     cat2, f2, endf2 = scenario_from_json(load_document(str(path)))
     assert cat2.zero_cells == cat.zero_cells
     from qhilb.funcat import check_endf_qsystem
-    assert check_endf_qsystem(cat2, f2, endf2).max_residual < 1e-9
+    assert check_endf_qsystem(endf2).max_residual < 1e-9
 
 
 def test_gen_and_check_qsystem(tmp_path, capsys):
@@ -989,16 +990,64 @@ def test_a_huge_finite_entry_fails_with_at_most_one_error_line(tmp_path, capsys)
     cat, f, endf = scenario_from_json(load_document(scfile))
     a = cat.zero_cells[0]
     endf.m.comp[a] = _perturbed(endf.at(a), "huge m", 0, np.random.default_rng(1)).m
-    dump_document(scenario_to_json(cat, f, endf), scfile)
+    dump_document(scenario_to_json(endf), scfile)
 
     for flags in ([], ["--json"]):
         assert main(["check-qsystem", qfile, *flags]) == 1
         out, err = capsys.readouterr()
-        assert err == "" and ("Q4  inf" in out or '"residual":Infinity' in out)
+        assert err == ""
+        if flags:   # JSON has no inf: the residual is null
+            checks = {c["name"]: c["residual"] for c in _strict_json(out)["checks"]}
+            assert checks["Q4"] is None
+        else:
+            assert "Q4  inf" in out
         assert _one_error_line(["split-qsystem", qfile, *flags], capsys) == 1
         assert _one_error_line(["verify-fun", scfile, *flags], capsys) == 1
     assert main(["split-qsystem", qfile]) == 1
     assert capsys.readouterr().err.endswith(" fails with residual inf\n")
+
+
+def _strict_json(text):
+    """``text`` parsed as JSON proper, which has no ``NaN`` or ``Infinity``."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _scaled(f, factor):
+    return two_cell(f.source, f.target, f.mat * factor)
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_a_multiplication_huge_everywhere_fails_with_at_most_one_error_line(tmp_path, action):
+    # every entry of m at 1e160 times its value: the products of the
+    # check and the split overflow to inf and nan all through; shown or
+    # raised as errors, no warning escapes, stderr holds at most the one
+    # error line and a --json report is JSON, with null for inf and nan
+    qfile, scfile = str(tmp_path / "q.json"), str(tmp_path / "sc.json")
+    _captured(["gen", "--kind", "qsystem", "--seed", "3", "--out", qfile])
+    q = qsystem_from_json(load_document(qfile))
+    dump_document(qsystem_to_json(QSystemData(q.Q, _scaled(q.m, 1e160), q.i)), qfile)
+    _captured(["gen", "--kind", "scenario", "--seed", "1", "--out", scfile])
+    _, _, endf = scenario_from_json(load_document(scfile))
+    for a in endf.m.comp:
+        endf.m.comp[a] = _scaled(endf.m[a], 1e160)
+    dump_document(scenario_to_json(endf), scfile)
+
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter(action)
+        for flags in ([], ["--json"]):
+            code, out, err = _captured(["check-qsystem", qfile, *flags])
+            assert (code, err) == (1, "")
+            if flags:
+                residuals = [c["residual"] for c in _strict_json(out)["checks"]]
+                assert None in residuals
+            for argv in (["split-qsystem", qfile, *flags], ["verify-fun", scfile, *flags]):
+                code, out, err = _captured(argv)
+                assert (code, out) == (1, "")
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert shown == []
 
 
 @pytest.mark.parametrize("kind", ["qsystem", "scenario", "constant"])
@@ -1021,3 +1070,34 @@ def test_split_and_verify_outputs_do_not_depend_on_the_seed(tmp_path, capsys, ki
         assert outputs[0] == 0
         seen.append(outputs)
     assert seen[0] == seen[1] == seen[2]
+
+
+def test_concurrent_calls_give_the_serial_results(tmp_path):
+    # four threads share the same inputs; each split and each report row
+    # matches a serial run's, byte for byte, and the warnings module's
+    # hooks, which every thread shares, are left as they were
+    paths = [str(tmp_path / f"q{s}.json") for s in range(8)] + [str(tmp_path / "sc.json")]
+    for s, path in enumerate(paths[:8]):
+        _captured(["gen", "--kind", "qsystem", "--size", "40", "--seed", str(s), "--out", path])
+    _captured(["gen", "--kind", "scenario", "--seed", "1", "--out", paths[8]])
+    qs = [qsystem_from_json(load_document(path)) for path in paths[:8]]
+    _, _, endf = scenario_from_json(load_document(paths[8]))
+
+    def outcome():
+        splits = [splitting.split_qsystem(q) for q in qs]
+        report = funcat.verify_main_theorem(endf)
+        return ([(r.k.n, sorted(np.bincount(r.pair.X.cols)[1:].tolist()), r.gamma.mat.tobytes())
+                 for r in splits], list(report.rows(1e-7)))
+
+    want = outcome()
+    hook = warnings._showwarnmsg_impl
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(outcome) for _ in range(12)]
+            got = [future.result(timeout=300) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert warnings._showwarnmsg_impl is hook
+    assert len(got) == 12 and all(g == want for g in got)

@@ -93,3 +93,28 @@ def test_compare_counts_a_written_split_that_differs_only_in_gamma(tmp_path, too
     out = capsys.readouterr().out
     assert "MISMATCH files/split.json\n" in out
     assert "1 mismatches" in out
+
+
+@pytest.mark.parametrize("token", ["Infinity", "NaN"])
+def test_compare_counts_a_json_report_that_is_not_json(tmp_path, tool, monkeypatch, capsys,
+                                                       token):
+    # json.loads reads NaN and Infinity, which are not JSON: a --json
+    # report holding one is a mismatch even when both sides hold it
+    monkeypatch.setattr(tool, "runs", lambda: iter([("gen-x", ["gen", "--json"])]))
+    report = _report(1e-16, 2e-15).replace("2e-15", token)
+    assert tool.compare(_outdir(tmp_path / "old", report), _outdir(tmp_path / "new", report)) == 1
+    out = capsys.readouterr().out
+    assert f"MISMATCH gen-x.stdout ({token} is not JSON)\n" in out
+    assert "1 mismatches" in out
+
+
+@pytest.mark.parametrize("old, new, count", [(None, None, 0), (None, 2e-15, 1),
+                                             (float("nan"), float("nan"), 0),
+                                             (2e-15, float("nan"), 1)])
+def test_compare_matches_a_null_or_nan_residual_only_with_itself(tmp_path, tool, capsys,
+                                                                  old, new, count):
+    # a nan residual compares false with everything, itself included
+    dirs = [_outdir(tmp_path / side, _report(1e-16, value))
+            for side, value in (("old", old), ("new", new))]
+    assert tool.compare(*dirs) == min(count, 1)
+    assert f"{count} mismatches" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import functools
+import inspect
 
 import numpy as np
 import pytest
@@ -116,14 +117,14 @@ def test_free_functor_passes_exactly():
     for _ in range(5):
         cat = random_presentation(RNG)
         f = random_free_functor(RNG, cat)
-        assert check_functor(cat, f).max_residual < 1e-12
+        assert check_functor(f).max_residual < 1e-12
 
 
 def test_constant_functor_identity_like():
     cat = two_cell_cat()
     f = FunctorData(cat, {a: id1(1).src for a in cat.zero_cells},
                     {g.label: id1(1) for g in cat.gen_one_cells})
-    assert check_functor(cat, f).max_residual == 0.0
+    assert check_functor(f).max_residual == 0.0
 
 
 def test_corrupt_unit_fails():
@@ -136,7 +137,7 @@ def test_corrupt_unit_fails():
             return two_cell(u.source, u.target, 0.5 * u.mat)
 
     bad = Corrupt(cat, f.on0, f.on1)
-    rep = check_functor(cat, bad)
+    rep = check_functor(bad)
     assert any(name.startswith("unit") and v > 1e-3
                for name, v in rep.residuals.items())
 
@@ -153,10 +154,10 @@ def test_relations_checked():
     f = FunctorData(cat, on0, on1)
     from qhilb.generate import random_block_unitary
     f.on2 = {"f": random_block_unitary(RNG, f.cell(px))}
-    rep = check_functor(cat, f)
+    rep = check_functor(f)
     assert rep["relation[0]"] < 1e-12  # unitary image satisfies f f* = id
     f.on2 = {"f": random_sector_matrix(RNG, f.cell(px), f.cell(px))}
-    rep = check_functor(cat, f)
+    rep = check_functor(f)
     assert rep["relation[0]"] > 1e-6
 
 
@@ -270,14 +271,14 @@ def test_constant_scenario_trivial_qsystem():
     from qhilb.qsystem import trivial_qsystem
     cat = two_cell_cat()
     f, endf = constant_functor_scenario(cat, trivial_qsystem(2))
-    assert check_endf_qsystem(cat, f, endf).max_residual < 1e-12
+    assert check_endf_qsystem(endf).max_residual < 1e-12
 
 
 def test_constant_scenario_m2():
     cat = two_cell_cat()
     f, endf = constant_functor_scenario(cat, m2_qsystem())
-    assert check_endf_qsystem(cat, f, endf).max_residual < 1e-12
-    out = verify_main_theorem(cat, f, endf)
+    assert check_endf_qsystem(endf).max_residual < 1e-12
+    out = verify_main_theorem(endf)
     assert out.passes(1e-7)
     ks = {out.gconstruction.splits[a].k.n for a in cat.zero_cells}
     assert ks == {1}
@@ -286,7 +287,7 @@ def test_constant_scenario_m2():
 def test_product_scenario_valid_and_corruptible():
     rng = np.random.default_rng(8)
     cat, f, endf = product_scenario(rng)
-    rep = check_endf_qsystem(cat, f, endf)
+    rep = check_endf_qsystem(endf)
     assert rep.max_residual < 1e-9
     # corrupt one crossing: coherence fails
     g0 = cat.gen_one_cells[0]
@@ -294,7 +295,7 @@ def test_product_scenario_valid_and_corruptible():
     cross = endf.psi.comp1[p0]
     from qhilb.generate import random_block_unitary
     endf.psi.comp1[p0] = vcomp(random_block_unitary(rng, cross.target), cross)
-    rep = check_endf_qsystem(cat, f, endf)
+    rep = check_endf_qsystem(endf)
     assert rep.max_residual > 1e-6
 
 
@@ -316,7 +317,7 @@ def test_construct_G_gates_on_invalid():
                          endf.m[a].mat + 0.01) for a in cat.zero_cells}
     bad = EndFQSystem(endf.psi, ModificationData(bad_m), endf.i)
     with pytest.raises(InvalidQSystem):
-        construct_G(cat, f, bad)
+        construct_G(bad)
 
 
 def test_construct_G_keeps_the_split_gate():
@@ -327,14 +328,14 @@ def test_construct_G_keeps_the_split_gate():
     bad_m = {a: two_cell(endf.m[a].source, endf.m[a].target, endf.m[a].mat * (1 + 1e-8))
              for a in cat.zero_cells}
     bad = EndFQSystem(endf.psi, ModificationData(bad_m), endf.i)
-    worst = check_endf_qsystem(cat, f, bad).max_residual
+    worst = check_endf_qsystem(bad).max_residual
     tol = Tolerance(atol=worst / 50)
     a = cat.zero_cells[0]
     assert check_qsystem(bad.at(a)).max_residual > 10 * tol.atol
     with pytest.raises(InvalidQSystem, match="fails with residual") as want:
         split_qsystem(bad.at(a), tol)
     with pytest.raises(InvalidQSystem) as got:
-        construct_G(cat, f, bad, tol)
+        construct_G(bad, tol)
     assert str(got.value) == str(want.value)
 
 
@@ -350,7 +351,7 @@ def test_verify_main_theorem_checks_each_qsystem_once(monkeypatch):
     zero_cells = 0
     for seed in range(10):
         cat, f, endf = product_scenario(np.random.default_rng(seed))
-        assert verify_main_theorem(cat, f, endf).passes(1e-7)
+        assert verify_main_theorem(endf).passes(1e-7)
         zero_cells += len(cat.zero_cells)
     assert zero_cells == len(calls) == 26
 
@@ -371,7 +372,7 @@ def test_verify_main_theorem_builds_each_qsystem_report_once(monkeypatch):
     zero_cells = 0
     for seed in range(10):
         cat, f, endf = product_scenario(np.random.default_rng(seed))
-        out = verify_main_theorem(cat, f, endf)
+        out = verify_main_theorem(endf)
         assert out.passes(1e-7)
         assert built[zero_cells:] == [endf.at(a) for a in cat.zero_cells]
         zero_cells += len(cat.zero_cells)
@@ -390,7 +391,7 @@ def test_verify_main_theorem_builds_each_endf_tensor_once(monkeypatch):
 
     monkeypatch.setattr(splitting, "regular_reps", counted)
     cat, f, endf = product_scenario(np.random.default_rng(1))
-    assert verify_main_theorem(cat, f, endf).passes(1e-7)
+    assert verify_main_theorem(endf).passes(1e-7)
     assert len(cat.zero_cells) == 2
     assert built == [endf.at(a) for a in cat.zero_cells]
 
@@ -406,7 +407,7 @@ def test_verify_main_theorem_builds_each_dual_qsystem_once(monkeypatch):
     for module in (funcat, splitting):
         monkeypatch.setattr(module, "qsystem_from_dual", counted)
     cat, f, endf = product_scenario(np.random.default_rng(1))
-    out = verify_main_theorem(cat, f, endf)
+    out = verify_main_theorem(endf)
     assert out.passes(1e-7)
     splits = out.gconstruction.splits
     assert calls == [splits[a].pair for a in cat.zero_cells]
@@ -429,21 +430,21 @@ def test_trivial_endf_recovers_F():
         m[a] = unitor_left(u)
         i[a] = id2(u)
     endf = EndFQSystem(ident, ModificationData(m), ModificationData(i))
-    out = verify_main_theorem(cat, f, endf)
+    out = verify_main_theorem(endf)
     assert out.passes(1e-8)
     gc = out.gconstruction
     for a in cat.zero_cells:
         assert gc.splits[a].k.n == f.on0[a].n
     for g in cat.gen_one_cells:
         p = cat.path((g.label,))
-        assert gc.image(p).dim == f.cell(p).dim
+        assert gc.cell(p).dim == f.cell(p).dim
 
 
 def test_verify_main_theorem_product_scenarios():
     rng = np.random.default_rng(77)
     for _ in range(3):
         cat, f, endf = product_scenario(rng)
-        out = verify_main_theorem(cat, f, endf)
+        out = verify_main_theorem(endf)
         assert out.passes(1e-7), out.worst()
 
 
@@ -460,10 +461,10 @@ def test_verify_main_theorem_checks_each_identity_once(monkeypatch):
     monkeypatch.setattr(funcat, "check_endf_qsystem", counted)
     cat, f, endf = product_scenario(np.random.default_rng(1))
     assert cat.composable_triples() and cat.gen_two_cells
-    out = verify_main_theorem(cat, f, endf)
+    out = verify_main_theorem(endf)
     assert len(calls) == 1
     assert {name[len("input."):]: value for name, value in out.residuals.items()
-            if name.startswith("input.")} == check_input(cat, f, endf).residuals
+            if name.startswith("input.")} == check_input(endf).residuals
     assert list(dict.fromkeys(name.split(".")[0] for name in out)) == [
         "input", "gamma_bend", "projection", "isometry_product", "gamma_action",
         "crossing_transport", "functor", "transformation", "duality",
@@ -480,8 +481,8 @@ def test_verify_main_theorem_checks_each_identity_once(monkeypatch):
 def test_G_tensorator_built_once_per_pair(monkeypatch):
     cat, f, endf = product_scenario(np.random.default_rng(1))
     assert cat.composable_pairs()
-    out = verify_main_theorem(cat, f, endf)
-    gc = construct_G(cat, f, endf)
+    out = verify_main_theorem(endf)
+    gc = construct_G(endf)
     for p, q in cat.composable_pairs():
         t = gc.tensorator(p, q)
         assert gc.tensorator(p, q) is t
@@ -489,7 +490,7 @@ def test_G_tensorator_built_once_per_pair(monkeypatch):
     # the report is the one built without the memo
     monkeypatch.setattr(funcat.GConstruction, "tensorator",
                         funcat.GConstruction._build_tensorator)
-    assert list(verify_main_theorem(cat, f, endf).rows(1.0)) == list(out.rows(1.0))
+    assert list(verify_main_theorem(endf).rows(1.0)) == list(out.rows(1.0))
 
 
 def test_roundtrip_dualizable_transformation():
@@ -497,13 +498,13 @@ def test_roundtrip_dualizable_transformation():
     # verify the whole theorem on it
     rng = np.random.default_rng(123)
     cat, f, endf = product_scenario(rng)
-    gc = construct_G(cat, f, endf)
+    gc = construct_G(endf)
     phi = construct_phi(gc)
     phibar = construct_phibar(gc)
     q2 = qsystem_from_dualizable_transformation(phi, phibar)
-    rep = check_endf_qsystem(cat, f, q2)
+    rep = check_endf_qsystem(q2)
     assert rep.max_residual < 1e-8
-    out = verify_main_theorem(cat, f, q2)
+    out = verify_main_theorem(q2)
     assert out.passes(1e-7), out.worst()
     # the reconstruction matches the target functor up to block
     # relabeling: same zero-cells, same sorted sector dimension multisets
@@ -512,17 +513,21 @@ def test_roundtrip_dualizable_transformation():
         assert gc2.splits[a].k.n == gc.splits[a].k.n
     for g in cat.gen_one_cells:
         p = cat.path((g.label,))
-        dims1 = sorted(map(len, gc.image(p).sectors().values()))
-        dims2 = sorted(map(len, gc2.image(p).sectors().values()))
+        dims1 = sorted(map(len, gc.cell(p).sectors().values()))
+        dims2 = sorted(map(len, gc2.cell(p).sectors().values()))
         assert dims1 == dims2
 
 
 def test_construct_phi_components_unitary():
     rng = np.random.default_rng(55)
     cat, f, endf = product_scenario(rng)
-    gc = construct_G(cat, f, endf)
+    gc = construct_G(endf)
     phi = construct_phi(gc)
     phibar = construct_phibar(gc)
+    # construct_G returns G itself, the target of phi and source of phibar
+    assert isinstance(gc, FunctorData) and gc.cat is cat and gc.F is f
+    assert phi.source is f and phi.target is gc
+    assert phibar.source is gc and phibar.target is f
     from qhilb.cells import is_unitary_residual
     for g in cat.gen_one_cells:
         p = cat.path((g.label,))
@@ -536,15 +541,14 @@ def test_phibar_is_bent_phi():
     # the dual crossing equals the adjoint crossing with both strands bent
     rng = np.random.default_rng(66)
     cat, f, endf = product_scenario(rng)
-    gc = construct_G(cat, f, endf)
+    gc = construct_G(endf)
     phi = construct_phi(gc)
     phibar = construct_phibar(gc)
     from qhilb.cells import hcomp2, unitor_left
-    g = gc.functor()
     for gen in cat.gen_one_cells:
         p = cat.path((gen.label,))
         a, b = gen.src, gen.tgt
-        fx, gx = f.cell(p), g.cell(p)
+        fx, gx = f.cell(p), gc.cell(p)
         xbar_b, xbar_a = gc.xbar[b], gc.xbar[a]
         bent = vcomp(
             vcomp(unitor_left(hcomp1(fx, xbar_a)),
@@ -553,3 +557,14 @@ def test_phibar_is_bent_phi():
                   hcomp2(id2(hcomp1(xbar_b, gx)), dagger2(gc.ev[a]))),
         )
         assert residual(phibar.comp1[p], bent) < 1e-8
+
+
+def test_the_entry_points_take_only_the_qsystem():
+    # F is the Q-system's own functor and the presentation F's: no entry
+    # point takes either again, so none can be handed one that disagrees
+    from qhilb.serialize import scenario_to_json
+    for func in (check_endf_qsystem, construct_G, verify_main_theorem, scenario_to_json,
+                 funcat.GConstruction):
+        assert list(inspect.signature(func).parameters)[0] == "q", func
+        assert not {"cat", "f"} & set(inspect.signature(func).parameters), func
+    assert list(inspect.signature(check_functor).parameters) == ["f"]

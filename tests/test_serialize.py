@@ -35,7 +35,7 @@ REPORTS = json.loads((DATA / "reports-schema1.json").read_text(encoding="utf-8")
 
 REWRITE = {
     "qsystem": lambda d: qsystem_to_json(qsystem_from_json(d)),
-    "scenario": lambda d: scenario_to_json(*scenario_from_json(d)),
+    "scenario": lambda d: scenario_to_json(scenario_from_json(d)[2]),
     "constant": lambda d: constant_to_json(*constant_from_json(d)),
 }
 

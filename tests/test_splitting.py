@@ -1,5 +1,6 @@
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -669,25 +670,35 @@ def test_dual_residuals_in_closed_form_match_the_check(structure, dressed, seed)
     assert abs(closed.info["m_norm"] - np.linalg.norm(res.dual.m.mat, 2)) <= 1e-13
 
 
-def test_split_shows_only_the_warnings_of_a_split_that_passes_the_gate(monkeypatch):
-    # the split runs before the gate: what it shows is shown as a split
-    # after the gate would show it, and not at all when the gate fails
-    split = splitting._split
+def test_split_leaves_the_warnings_machinery_alone(monkeypatch):
+    # catch_warnings swaps the hooks of the warnings module for the whole
+    # process, under every thread: no split may enter it, whether its
+    # bounds certify it, the full check passes it or the gate fails it
+    def refused(*args, **kwargs):
+        raise AssertionError("split_qsystem entered warnings.catch_warnings")
 
-    def warned(q, tol):
-        warnings.warn("shown by the split", RuntimeWarning)
-        return split(q, tol)
-
-    monkeypatch.setattr(splitting, "_split", warned)
+    calls = counted_checks(monkeypatch)
     q, _ = random_qsystem(np.random.default_rng(5), zero_cell=2, blocks=2)
-    with pytest.warns(RuntimeWarning, match="shown by the split"):
-        split_qsystem(q)
+    near = perturbed_qsystem(q, "off", 2e-9, np.random.default_rng(1))
     bad = perturbed_qsystem(q, "m", 1e-3, None)
-    with warnings.catch_warnings(record=True) as shown:
-        warnings.simplefilter("always")
+    tol = Tolerance()
+    error = InvalidQSystem("raised by the split")
+
+    def raising(q, tol):
+        raise error
+
+    with mock.patch.object(warnings, "catch_warnings", refused):
+        split_qsystem(q, tol)
+        assert calls == []
+        split_qsystem(near, tol)
+        assert calls == [near]
         with pytest.raises(InvalidQSystem, match="fails with residual"):
-            split_qsystem(bad)
-    assert shown == []
+            split_qsystem(bad, tol)
+        # a split that raises on a Q-system that passes the gate hands on its error
+        with mock.patch.object(splitting, "_split", raising), \
+                pytest.raises(InvalidQSystem) as got:
+            split_qsystem(q, tol)
+    assert got.value is error
 
 
 def test_a_split_that_fails_its_bound_but_passes_the_check_is_kept(monkeypatch):

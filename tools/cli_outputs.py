@@ -16,14 +16,20 @@ five inputs near ``split-qsystem``'s gate through the tree's own
 serializer, the seed's qsystem with ``m`` scaled by ``1 + delta`` for
 ``delta`` in 1e-12, 1e-10, 1e-8 and 1e-3 and with ``i`` scaled by
 ``1 + 1e-6``, and runs ``split-qsystem --seed s --out`` on each, as
-text and as ``--json``.  It also runs the checkers on a copy of each
+text and as ``--json``.  Three inputs overflow: seed 0's qsystem with
+one ``m`` entry set to 1e150 and with every ``m`` entry scaled by
+1e160, each through ``check-qsystem`` and ``split-qsystem``, and seed
+1's scenario with every ``qsystem.m`` entry scaled by 1e160, through
+``verify-fun``, as text and as ``--json``; they are written by
+rewriting the decoded ``entries`` of the JSON files, so they read no
+``qhilb`` API.  It also runs the checkers on a copy of each
 of the six committed fixtures in ``TREE/tests/data`` (``split-qsystem``
 and ``verify-fun`` once more with ``--gap-tol 1e-8 --json``, below the
 default tolerance), and runs that end in argparse's help or a usage
 error: no arguments, ``-h``, ``--help`` and an unknown command; each
 command with ``--help``, with no arguments and with an unknown flag;
 ``gen --kind nope``, ``check-qsystem --tol -1`` and ``split-qsystem
---seed -1``: 581 runs in all.
+--seed -1``: 591 runs in all.
 ``COLUMNS`` is set to 80, so argparse wraps its text the same way on
 every terminal.
 
@@ -36,10 +42,12 @@ exactly when ``diff -r`` of their two OUTDIRs is empty.
 residuals by rounding, but nothing else.  It requires the same runs,
 exit codes and stderr, and stdout that is the same once each residual
 is masked (verdicts, row names, thresholds, ``k``, ``block_dims``,
-``G_zero_cells``); written files, a ``split_result``'s ``gamma``
+``G_zero_cells``), the stdout of a ``--json`` run being JSON proper,
+without ``NaN`` or ``Infinity``; written files, a ``split_result``'s ``gamma``
 included, must be the same bytes.  A run file missing from either
 OUTDIR is a mismatch, and so is a residual that moved by more than
-``RESIDUAL_BOUND`` (1e-13).  It prints
+``RESIDUAL_BOUND`` (1e-13); ``inf``, ``nan`` and ``null`` residuals
+match only themselves.  It prints
 the largest residual change per command (runs that name no command are
 counted as ``qhilb``), with the run and the report row where it
 occurred, and every mismatch, and exits 1 if there is one.
@@ -47,18 +55,26 @@ occurred, and every mismatch, and exits 1 if there is one.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shutil
+import struct
 import sys
 
 SEEDS = range(40)
 GATE_SEEDS = range(10)
 GATE_INPUTS = (("m", 1e-12), ("m", 1e-10), ("m", 1e-8), ("m", 1e-3), ("i", 1e-6))
 GATE_SOURCES = {f"gen-qsystem-{s}": s for s in GATE_SEEDS}   # run -> seed it writes for
+OVERFLOWS = {   # input -> (the gen run whose file it rewrites, commands run on it)
+    "q-0-entry1e150": ("gen-qsystem-0", ("check-qsystem", "split-qsystem")),
+    "q-0-m1e160": ("gen-qsystem-0", ("check-qsystem", "split-qsystem")),
+    "sc-1-m1e160": ("gen-scenario-1", ("verify-fun",)),
+}
 COMMANDS = ("check-qsystem", "split-qsystem", "verify-fun", "gen")
 RESIDUAL_BOUND = 1e-13   # the most a residual may move under --compare
 FIXTURES = {
@@ -91,6 +107,10 @@ def runs():
                 yield f"split-qsystem-{tag}-{fmt}", [
                     "split-qsystem", f"files/q-{tag}.json", *seed,
                     "--out", f"files/split-{tag}-{fmt}.json", *flags]
+    for tag, (_, commands) in OVERFLOWS.items():
+        for command in commands:
+            for fmt, flags in (("text", []), ("json", ["--json"])):
+                yield f"{command}-{tag}-{fmt}", [command, f"files/{tag}.json", *flags]
     for name, commands in FIXTURES.items():
         for command in commands:
             for fmt, flags in (("text", []), ("json", ["--json"])):
@@ -132,6 +152,28 @@ def write_gate_inputs(s: int) -> None:
         dump_document(qsystem_to_json(QSystemData(q.Q, **cells)), f"files/q-{tag}.json")
 
 
+def write_overflow_inputs(source: str) -> None:
+    """Write the overflow inputs made from gen run ``source``'s file, by
+    setting or scaling the little-endian float64 values that each ``m``'s
+    base64 ``entries`` decode to."""
+    for tag, (run_name, _) in OVERFLOWS.items():
+        if run_name != source:
+            continue
+        with open(f"files/{tag.rsplit('-', 1)[0]}.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        ms = [doc["m"]] if doc["kind"] == "qsystem" else doc["qsystem"]["m"].values()
+        for m in ms:
+            raw = base64.b64decode(m["entries"])
+            values = list(struct.unpack(f"<{len(raw) // 8}d", raw))
+            if tag.endswith("entry1e150"):
+                values[:2] = [1e150, 0.0]
+            else:
+                values = [v * 1e160 for v in values]
+            m["entries"] = base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode()
+        with open(f"files/{tag}.json", "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def run(main, argv) -> tuple[str, str, str]:
     """Exit code, stdout and stderr of ``main(argv)``."""
     out, err = io.StringIO(), io.StringIO()
@@ -148,6 +190,28 @@ def run(main, argv) -> tuple[str, str, str]:
 
 # a text report row: "  name  residual  <= threshold  ok|FAIL"
 ROW = re.compile(r"^(  \S+ +)(\S+)(  <= \S+  (?:ok|FAIL))$")
+
+
+def _refuse(token: str):
+    raise ValueError(f"{token} is not JSON")
+
+
+def strict_json(text: str):
+    """``text`` parsed as JSON proper, which has no ``NaN`` or
+    ``Infinity``; ``ValueError`` if it is not."""
+    return json.loads(text, parse_constant=_refuse)
+
+
+def moved(x, y) -> float:
+    """How far a residual moved: 0 when it kept its value, ``nan``,
+    ``inf`` and ``None`` (a JSON ``null``) included, and ``inf`` when
+    one side is one of those and the other is not."""
+    if x == y or (x != x and y != y):
+        return 0.0
+    if x is None or y is None:
+        return math.inf
+    d = abs(x - y)
+    return d if d == d else math.inf
 
 
 def masked(stdout: str) -> tuple[str, list[tuple[str, float]]]:
@@ -193,15 +257,24 @@ def compare(old: str, new: str) -> int:
         for ext in ("code", "stderr"):
             if read(f"{a}.{ext}") != read(f"{b}.{ext}"):
                 mismatches.append(f"{name}.{ext}")
-        (text_a, res_a), (text_b, res_b) = (masked(read(f"{p}.stdout")) for p in (a, b))
+        stdouts = [read(f"{p}.stdout") for p in (a, b)]
+        if "--json" in argv:
+            try:
+                for text in filter(None, stdouts):
+                    strict_json(text)
+            except ValueError as exc:
+                mismatches.append(f"{name}.stdout ({exc})")
+                continue
+        (text_a, res_a), (text_b, res_b) = map(masked, stdouts)
         if text_a != text_b:
             mismatches.append(f"{name}.stdout")
             continue
         for (row, x), (_, y) in zip(res_a, res_b):
-            if abs(x - y) > change[command][0]:
-                change[command] = (abs(x - y), name, row)
-            if abs(x - y) > RESIDUAL_BOUND:
-                mismatches.append(f"{name}.stdout (row {row} moved {abs(x - y):.3e})")
+            d = moved(x, y)
+            if d > change[command][0]:
+                change[command] = (d, name, row)
+            if d > RESIDUAL_BOUND:
+                mismatches.append(f"{name}.stdout (row {row} moved {d:.3e})")
     files = [sorted(os.listdir(os.path.join(d, "files"))) for d in (old, new)]
     if files[0] != files[1]:
         mismatches.append("files/ (the written files differ in name)")
@@ -248,8 +321,10 @@ def main(argv=None) -> int:
         count += 1
         if code != "0":
             failed.append(f"{name}={code}")
-        elif name in GATE_SOURCES:
-            write_gate_inputs(GATE_SOURCES[name])
+        else:
+            if name in GATE_SOURCES:
+                write_gate_inputs(GATE_SOURCES[name])
+            write_overflow_inputs(name)
     print(f"{count} runs from {tree}, {len(failed)} with a nonzero exit"
           + (f": {' '.join(failed)}" if failed else ""))
     return 0
