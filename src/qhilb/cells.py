@@ -35,8 +35,8 @@ of one-cells rather than once per call:
   its index arrays.  Its one inverse, ``_pair_index(y, x)``, is the
   cached matrix of the place of each pair ``(p, q)`` in ``y . x``;
   ``standard_dual``, ``qsystem.qsystem_from_dual``, the sector blocks
-  of ``qsystem.check_qsystem`` and ``qsystem.check_qsystem_iso``, and
-  ``generate.interchanger`` read it.  ``hcomp_pairs`` lists the same
+  of ``qsystem.check_qsystem`` and ``qsystem.check_qsystem_iso``,
+  ``splitting._dual_residuals`` and ``generate.interchanger`` read it.  ``hcomp_pairs`` lists the same
   pairs as tuples; it is kept for the tests and the benchmark tracer;
 - ``id2(x)`` hands out one shared identity two-cell per one-cell, an
   ``_Identity2``, which only ``id2`` makes.  Its matrix is read-only,

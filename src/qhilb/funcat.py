@@ -15,7 +15,10 @@ Conventions (see :mod:`qhilb.presentation` for paths):
   longer paths the crossing is the stack of generator crossings unless
   an explicit cell is stored (the constructed ``phi`` stores cells
   built from the splitting isometries, which is what the coherence
-  checks compare against).
+  checks compare against);
+* a modification is a ``dict`` from zero-cell label to its two-cell
+  component, as a modification of Fun(C, D) is a family indexed by the
+  zero-cells of C.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .cells import (
     dagger2,
     hcomp1,
     hcomp1_many,
-    hcomp2,
     hcomp2_many,
     id1,
     id2,
@@ -39,7 +41,6 @@ from .cells import (
     projection_residual,
     residual,
     unitor_left,
-    unitor_right,
     vcomp,
     vcomp_many,
 )
@@ -58,7 +59,6 @@ from .splitting import SplitResult, split_projection, split_qsystem
 __all__ = [
     "FunctorData",
     "TransformationData",
-    "ModificationData",
     "EndFQSystem",
     "GConstruction",
     "check_functor",
@@ -67,8 +67,6 @@ __all__ = [
     "check_transformation",
     "check_modification",
     "tensor_transformations",
-    "tensor_modifications",
-    "vcomp_modifications",
     "split_modification_projection",
     "check_endf_qsystem",
     "qsystem_from_dualizable_transformation",
@@ -114,9 +112,6 @@ class FunctorData:
                     if not p.labels and x.dim != self.on0[p.src].n or x is not self.cell(p):
                         raise CellMismatch(f"image of {f.label} has wrong cells")
 
-    def zero_cell(self, a: str) -> ZeroCell:
-        return self.on0[a]
-
     def cell(self, path: Path) -> GradedOneCell:
         if not path.labels:
             return id1(self.on0[path.src])
@@ -137,9 +132,6 @@ class FunctorData:
     def unit(self, a: str) -> BlockTwoCell:
         return id2(id1(self.on0[a]))
 
-    def gen2_image(self, label: str) -> BlockTwoCell:
-        return self.on2[label]
-
 
 def eval_expr(f, e) -> BlockTwoCell:
     """Evaluate a two-cell expression under a functor.
@@ -151,7 +143,7 @@ def eval_expr(f, e) -> BlockTwoCell:
     cat = f.cat
     if isinstance(e, EGen):
         g = cat.gen2(e.label)
-        img = f.gen2_image(e.label)
+        img = f.on2[e.label]
         if img.source is not f.cell(g.source) or img.target is not f.cell(g.target):
             raise CellMismatch(f"image of {e.label} has wrong cells")
         return img
@@ -224,17 +216,16 @@ class TransformationData:
 
     def __post_init__(self):
         for a, c in self.comp0.items():
-            if c.src != self.source.zero_cell(a) or c.tgt != self.target.zero_cell(a):
+            if c.src != self.source.on0[a] or c.tgt != self.target.on0[a]:
                 raise CellMismatch(f"component at {a} has wrong endpoints")
 
     def component(self, path: Path) -> BlockTwoCell:
-        """Crossing cell on a path: stored, or the unitor composite on
-        empty paths, or the stack of generator crossings."""
+        """Crossing cell on a path: stored, or the inverse left unitor
+        on empty paths, or the stack of generator crossings."""
         if path in self.comp1:
             return self.comp1[path]
-        c = self.comp0[path.src]
         if not path.labels:
-            return vcomp(dagger2(unitor_left(c)), unitor_right(c))
+            return dagger2(unitor_left(self.comp0[path.src]))
         cat = self.source.cat
         labels = path.labels
         layers = []
@@ -248,24 +239,9 @@ class TransformationData:
         return vcomp_many(*reversed(layers))
 
 
-@dataclass(eq=False)
-class ModificationData:
-    """A family of two-cells between the components of two parallel
-    transformations."""
-
-    comp: dict[str, BlockTwoCell]
-
-    def __getitem__(self, a: str) -> BlockTwoCell:
-        return self.comp[a]
-
-
 def identity_transformation(f: FunctorData) -> TransformationData:
-    comp0 = {a: id1(f.zero_cell(a)) for a in f.cat.zero_cells}
-    comp1 = {}
-    for g in f.cat.gen_one_cells:
-        p = f.cat.path((g.label,))
-        img = f.cell(p)
-        comp1[p] = vcomp(dagger2(unitor_right(img)), unitor_left(img))
+    comp0 = {a: id1(f.on0[a]) for a in f.cat.zero_cells}
+    comp1 = {p: unitor_left(f.cell(p)) for p in f.cat.gen_paths()}
     return TransformationData(f, f, comp0, comp1)
 
 
@@ -302,19 +278,18 @@ def check_transformation(phi: TransformationData) -> ResidualReport:
     return rep
 
 
-def check_modification(eta: ModificationData, phi: TransformationData,
+def check_modification(eta: dict[str, BlockTwoCell], phi: TransformationData,
                        psi: TransformationData) -> ResidualReport:
     """Residuals of the sliding equation of a modification
     ``eta : phi => psi`` on every generator; component norms recorded."""
     f, g = phi.source, phi.target
     cat = f.cat
     rep = ResidualReport()
-    for gen in cat.gen_one_cells:
-        p = cat.path((gen.label,))
-        a, b = gen.src, gen.tgt
+    for p in cat.gen_paths():
+        a, b = p.src, p.tgt
         lhs = vcomp_many(psi.component(p), (eta[b], f.cell(p)))
         rhs = vcomp_many((g.cell(p), eta[a]), phi.component(p))
-        rep.add(f"slide[{gen.label}]", residual(lhs, rhs))
+        rep.add(f"slide[{_pname(p)}]", residual(lhs, rhs))
     for a in cat.zero_cells:
         rep.add_info(f"norm[{a}]",
                      float(np.linalg.norm(eta[a].mat, 2)) if eta[a].mat.size else 0.0)
@@ -326,30 +301,19 @@ def tensor_transformations(outer: TransformationData,
     """Tensor of transformations (``outer`` on the left); components
     are ``outer_a . inner_a`` and crossings the two-step stack."""
     cat = inner.source.cat
-    if any(inner.target.zero_cell(a) != outer.source.zero_cell(a)
+    if any(inner.target.on0[a] != outer.source.on0[a]
            for a in cat.zero_cells):
         raise CellMismatch("transformations are not composable")
     comp0 = {a: hcomp1(outer.comp0[a], inner.comp0[a]) for a in cat.zero_cells}
     comp1 = {}
-    for gen in cat.gen_one_cells:
-        p = cat.path((gen.label,))
-        a, b = gen.src, gen.tgt
+    for p in cat.gen_paths():
+        a, b = p.src, p.tgt
         comp1[p] = vcomp_many((outer.component(p), inner.comp0[a]),
                               (outer.comp0[b], inner.component(p)))
     return TransformationData(inner.source, outer.target, comp0, comp1)
 
 
-def tensor_modifications(n: ModificationData, t: ModificationData) -> ModificationData:
-    keys = sorted(set(n.comp) & set(t.comp))
-    return ModificationData({a: hcomp2(n[a], t[a]) for a in keys})
-
-
-def vcomp_modifications(n2: ModificationData, n1: ModificationData) -> ModificationData:
-    keys = sorted(set(n2.comp) & set(n1.comp))
-    return ModificationData({a: vcomp(n2[a], n1[a]) for a in keys})
-
-
-def split_modification_projection(p: ModificationData, phi: TransformationData,
+def split_modification_projection(p: dict[str, BlockTwoCell], phi: TransformationData,
                                   tol: Tolerance = Tolerance()):
     """Split a projection modification ``p : phi => phi``.
 
@@ -360,21 +324,16 @@ def split_modification_projection(p: ModificationData, phi: TransformationData,
     """
     f, g = phi.source, phi.target
     cat = f.cat
-    comp0 = {}
-    isos = {}
+    comp0, isos = {}, {}
     for a in cat.zero_cells:
-        y, u = split_projection(phi.comp0[a], p[a], tol)
-        comp0[a] = y
-        isos[a] = u
+        comp0[a], isos[a] = split_projection(phi.comp0[a], p[a], tol)
     comp1 = {}
-    for gen in cat.gen_one_cells:
-        path = cat.path((gen.label,))
-        a, b = gen.src, gen.tgt
+    for path in cat.gen_paths():
+        a, b = path.src, path.tgt
         comp1[path] = vcomp_many((g.cell(path), dagger2(isos[a])),
                                  phi.component(path),
                                  (isos[b], f.cell(path)))
-    x = TransformationData(f, g, comp0, comp1)
-    return x, ModificationData(isos)
+    return TransformationData(f, g, comp0, comp1), isos
 
 
 # --------------------------------------------------------------------------
@@ -387,8 +346,8 @@ class EndFQSystem:
     transformation ``psi`` with multiplication and unit modifications."""
 
     psi: TransformationData
-    m: ModificationData
-    i: ModificationData
+    m: dict[str, BlockTwoCell]
+    i: dict[str, BlockTwoCell]
     _at: dict[str, QSystemData] = field(init=False, repr=False, default_factory=dict)
 
     def at(self, a: str) -> QSystemData:
@@ -430,8 +389,8 @@ def qsystem_from_dualizable_transformation(phi: TransformationData,
                 f"components at {a} are not a transposed dual pair")
         qs[a] = qsystem_from_dual(pair)
     psi = tensor_transformations(phibar, phi)
-    return EndFQSystem(psi, ModificationData({a: q.m for a, q in qs.items()}),
-                       ModificationData({a: q.i for a, q in qs.items()}))
+    return EndFQSystem(psi, {a: q.m for a, q in qs.items()},
+                       {a: q.i for a, q in qs.items()})
 
 
 # --------------------------------------------------------------------------
@@ -741,11 +700,10 @@ def verify_main_theorem(q: EndFQSystem, tol: Tolerance = Tolerance()) -> MainThe
     out.extend("transformation.phibar.", check_transformation(phibar))
 
     # (h) duality of phi
-    coev_mod = ModificationData({a: gc.coev[a] for a in cat.zero_cells})
-    ev_mod = ModificationData({a: dagger2(gc.ev[a]) for a in cat.zero_cells})
+    ev_mod = {a: dagger2(gc.ev[a]) for a in cat.zero_cells}
     phibar_phi = tensor_transformations(phibar, phi)
     phi_phibar = tensor_transformations(phi, phibar)
-    out.extend("duality.coev.", check_modification(coev_mod, identity_transformation(f),
+    out.extend("duality.coev.", check_modification(gc.coev, identity_transformation(f),
                                                    phibar_phi))
     out.extend("duality.ev.", check_modification(ev_mod, identity_transformation(gc),
                                                  phi_phibar))
@@ -757,8 +715,7 @@ def verify_main_theorem(q: EndFQSystem, tol: Tolerance = Tolerance()) -> MainThe
                 residual(vcomp(gc.ev[a], dagger2(gc.ev[a])), id2(id1(gc.splits[a].k))))
 
     # (i) gamma slides through the crossings
-    gamma_mod = ModificationData(dict(gc.gamma))
-    out.extend("modification.", check_modification(gamma_mod, phibar_phi, q.psi))
+    out.extend("modification.", check_modification(gc.gamma, phibar_phi, q.psi))
 
     # (j) Q-system isomorphism at every zero-cell
     for a in cat.zero_cells:
@@ -809,17 +766,13 @@ def constant_functor_scenario(cat: PresentedTwoCat, q: QSystemData):
     """Constant functor at the zero-cell of ``q`` with the Q-system
     sitting identically over every zero-cell; crossings are unitors.
     ``q`` is not checked here: ``construct_G`` checks the result."""
-    b = q.zero_cell
+    b = q.Q.src
     on0 = {a: b for a in cat.zero_cells}
     on1 = {g.label: id1(b) for g in cat.gen_one_cells}
     on2 = {f.label: id2(id1(b)) for f in cat.gen_two_cells}
     f = FunctorData(cat, on0, on1, on2)
     comp0 = {a: q.Q for a in cat.zero_cells}
-    comp1 = {}
-    for g in cat.gen_one_cells:
-        p = cat.path((g.label,))
-        comp1[p] = vcomp(dagger2(unitor_left(q.Q)), unitor_right(q.Q))
+    comp1 = {p: dagger2(unitor_left(q.Q)) for p in cat.gen_paths()}
     psi = TransformationData(f, f, comp0, comp1)
-    m = ModificationData({a: q.m for a in cat.zero_cells})
-    i = ModificationData({a: q.i for a in cat.zero_cells})
-    return f, EndFQSystem(psi, m, i)
+    return f, EndFQSystem(psi, dict.fromkeys(cat.zero_cells, q.m),
+                          dict.fromkeys(cat.zero_cells, q.i))

@@ -30,7 +30,7 @@ from .cells import (
     vcomp_many,
 )
 from .errors import CellMismatch
-from .funcat import EndFQSystem, FunctorData, ModificationData, TransformationData
+from .funcat import EndFQSystem, FunctorData, TransformationData
 from .presentation import GenOneCell, GenTwoCell, Path, PresentedTwoCat
 from .qsystem import QSystemData, qsystem_from_dual, standard_dual_pair
 
@@ -160,7 +160,7 @@ def random_qsystem(rng: np.random.Generator, zero_cell: int = 1,
 
 def dsum_qsystems(q1: QSystemData, q2: QSystemData) -> QSystemData:
     """Direct sum of two Q-systems on the same zero-cell."""
-    if q1.zero_cell != q2.zero_cell:
+    if q1.Q.src != q2.Q.src:
         raise CellMismatch("direct sum needs a common zero-cell")
     Q = GradedOneCell(q1.Q.src, q1.Q.tgt, q1.Q.grading + q2.Q.grading)
     eye, d1 = np.eye(Q.dim), q1.Q.dim
@@ -268,7 +268,8 @@ def product_scenario(rng: np.random.Generator):
     above ``_MAX_PSI_DIM`` are resampled, keeping the downstream
     eigendecompositions small.
 
-    Returns ``(cat, F, EndFQSystem)``.
+    Returns ``(cat, F, EndFQSystem)``; the ``m`` and ``i`` of the
+    ``EndFQSystem`` are ``dict``s keyed by zero-cell.
     """
     for _ in range(64):
         out = _product_scenario_once(rng, random_presentation(rng))
@@ -362,7 +363,7 @@ def _product_scenario_once(rng: np.random.Generator, cat: PresentedTwoCat):
     f.on2 = on2
 
     psi = TransformationData(f, f, psi0, comp1)
-    return cat, f, EndFQSystem(psi, ModificationData(m), ModificationData(i))
+    return cat, f, EndFQSystem(psi, m, i)
 
 
 def summed_transformation(rng: np.random.Generator, cat: PresentedTwoCat,
@@ -371,8 +372,8 @@ def summed_transformation(rng: np.random.Generator, cat: PresentedTwoCat,
     independent unitary layers over permutation-shaped components, plus
     the projection modification onto a sub-family of layers.
 
-    Returns ``(phi, p, kept)`` where ``p`` projects onto ``kept``
-    layers.
+    Returns ``(phi, p, kept)`` where ``p``, a ``dict`` of components
+    keyed by zero-cell, projects onto ``kept`` layers.
     """
     f = random_free_functor(rng, cat)
     perm = {}
@@ -429,5 +430,5 @@ def summed_transformation(rng: np.random.Generator, cat: PresentedTwoCat,
             e = embed(a, k).mat
             mat += e @ e.conj().T
         p[a] = BlockTwoCell(comp0[a], comp0[a], mat)
-    return phi, ModificationData(p), kept
+    return phi, p, kept
 

@@ -56,8 +56,6 @@ __all__ = [
     "check_qsystem",
     "trivial_qsystem",
     "qsystem_from_dual",
-    "canonical_pairing",
-    "check_dual_pair",
     "check_bimodule",
     "check_intertwiner",
     "relative_tensor",
@@ -85,10 +83,6 @@ class QSystemData:
         for name, f in (("m", self.m), ("i", self.i)):
             if off_sector_nonzero(f):
                 raise CellMismatch(f"{name} has a nonzero entry off its grading sectors")
-
-    @property
-    def zero_cell(self) -> ZeroCell:
-        return self.Q.src
 
     @cached_property
     def residuals(self) -> ResidualReport:
@@ -310,13 +304,6 @@ def qsystem_from_dual(d: DualPair) -> QSystemData:
     return QSystemData(Q, BlockTwoCell(src, Q, m), d.coev)
 
 
-def canonical_pairing(q: QSystemData) -> tuple[BlockTwoCell, BlockTwoCell]:
-    """Self-duality pairing ``ev = i* . m`` and ``coev = m* . i``."""
-    ev = vcomp(dagger2(q.i), q.m)
-    coev = vcomp(dagger2(q.m), q.i)
-    return ev, coev
-
-
 def zigzag_residuals(X: GradedOneCell, Xbar: GradedOneCell,
                      ev: BlockTwoCell, coev: BlockTwoCell) -> tuple[float, float]:
     """Residuals of the two zig-zag identities (unitors inserted)."""
@@ -325,16 +312,6 @@ def zigzag_residuals(X: GradedOneCell, Xbar: GradedOneCell,
     z2 = vcomp_many((ev, Xbar), (Xbar, coev), dagger2(unitor_right(Xbar)))
     r2 = residual(z2, dagger2(unitor_left(Xbar)))
     return r1, r2
-
-
-def check_dual_pair(d: DualPair) -> ResidualReport:
-    rep = ResidualReport()
-    r1, r2 = zigzag_residuals(d.X, d.Xbar, d.ev, d.coev)
-    rep.add("zigzag_left", r1)
-    rep.add("zigzag_right", r2)
-    sep = vcomp(d.ev, dagger2(d.ev))
-    rep.add("ev_coisometry", residual(sep, id2(id1(d.X.src))))
-    return rep
 
 
 def standard_dual_pair(x: GradedOneCell) -> DualPair:

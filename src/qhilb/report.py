@@ -4,6 +4,7 @@ axiom failure."""
 from __future__ import annotations
 
 from collections.abc import Mapping
+from math import isnan
 
 __all__ = ["ResidualReport"]
 
@@ -39,12 +40,16 @@ class ResidualReport(Mapping):
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
+        return self.worst()[1]
 
     def worst(self) -> tuple[str, float]:
+        """The first ``nan`` row if there is one, else the first largest
+        row; ``("", 0.0)`` on no rows."""
         if not self.residuals:
             return ("", 0.0)
-        name = max(self.residuals, key=self.residuals.get)
+        name = next((k for k, v in self.residuals.items() if isnan(v)), None)
+        if name is None:
+            name = max(self.residuals, key=self.residuals.get)
         return name, self.residuals[name]
 
     def passes(self, limit: float) -> bool:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .cells import BlockTwoCell, GradedOneCell, ZeroCell, off_sector_nonzero, sector_mask
 from .errors import CellMismatch, ParseError
-from .funcat import EndFQSystem, FunctorData, ModificationData, TransformationData
+from .funcat import EndFQSystem, FunctorData, TransformationData
 from .presentation import (
     EDagger,
     EGen,
@@ -279,9 +279,10 @@ def scenario_to_json(q: EndFQSystem) -> dict:
 
 
 def scenario_from_json(d: dict):
-    """Scenario ``(cat, f, q)``; ``on0``, ``psi0``, ``m`` and ``i`` must
-    cover every zero-cell, ``on1``, ``psi1`` every generator and ``on2``
-    (optional without generator two-cells) every generator two-cell."""
+    """Scenario ``(cat, f, q)``, ``q.m`` and ``q.i`` ``dict``s keyed by
+    zero-cell; ``on0``, ``psi0``, ``m`` and ``i`` must cover every
+    zero-cell, ``on1``, ``psi1`` every generator and ``on2`` (optional
+    without generator two-cells) every generator two-cell."""
     try:
         cat = presentation_from_json(d["presentation"])
         fd, qd = d["functor"], d["qsystem"]
@@ -307,8 +308,8 @@ def scenario_from_json(d: dict):
         comp1 = {cat.path((lab,)): two_cell_from_json(c)
                  for lab, c in qd["psi1"].items()}
         psi = TransformationData(f, f, comp0, comp1)
-        m = ModificationData({a: two_cell_from_json(c) for a, c in qd["m"].items()})
-        i = ModificationData({a: two_cell_from_json(c) for a, c in qd["i"].items()})
+        m = {a: two_cell_from_json(c) for a, c in qd["m"].items()}
+        i = {a: two_cell_from_json(c) for a, c in qd["i"].items()}
         return cat, f, EndFQSystem(psi, m, i)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad scenario: {exc}") from exc

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import inf, isqrt, sqrt
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .cells import (
     GradedOneCell,
     ZeroCell,
     _hcomp_plan,
+    _pair_index,
     sector_mask,
 )
 from .errors import (
@@ -389,33 +390,51 @@ def _kappa(n: int) -> float:
     return (n + 2) * _EPS
 
 
-def _dual_residuals(X: GradedOneCell) -> ResidualReport:
-    """``check_qsystem`` of ``qsystem_from_dual(standard_dual_pair(X))``
-    in closed form: the exact residuals of its stored entries, rounded
-    once.
+def _dual_residuals(pair: DualPair) -> ResidualReport:
+    """``check_qsystem(qsystem_from_dual(pair))`` in closed form: the
+    exact residuals of its stored entries, rounded once.
 
-    With ``d_c`` the basis vectors of ``X`` over column ``c``, its ``m``
-    holds only ``w_c = fl(1 / fl(sqrt(d_c)))`` and its unit only
-    ``s_c = fl(sqrt(d_c))``, on the ``d_c^2`` basis vectors of column
-    ``c``.  Every entry of either side of Q1 or of Q3 is the same
-    product of two ``w``, so both are exactly 0.  ``m (i . 1)``,
-    ``m (1 . i)`` and ``m m*`` are diagonal, ``s_c w_c`` and ``d_c w_c^2``
-    on column ``c``.  Info: ``unit_norm`` is ``|i|_F``, and ``m_norm``
-    the operator norm ``max_c sqrt(d_c) w_c`` of ``m``."""
-    d = np.bincount(X.cols - 1, minlength=X.src.n)
-    unit = sep = norm = top = 0
-    for n, s in zip(d.tolist(), np.sqrt(d).tolist()):
-        w = Fraction(1.0 / s)
-        unit += n * n * (Fraction(s) * w - 1) ** 2
-        sep += n * n * (n * w * w - 1) ** 2
-        norm += n * Fraction(s) ** 2
-        top = max(top, n * w * w)
+    With ``d_c`` the basis vectors of ``X`` over column ``c``, a pair of
+    ``standard_dual``'s form holds one real weight per column, ``w_c``
+    in ``ev`` and ``s_c`` in ``coev``, at each of them; so its ``m``
+    holds only ``w_c`` and its unit only ``s_c``.  Every entry of either
+    side of Q1 or of Q3 is the same product of two ``w``, so both are
+    exactly 0.  ``m (i . 1)``, ``m (1 . i)`` and ``m m*`` are diagonal,
+    ``s_c w_c`` and ``d_c w_c^2`` on the ``d_c^2`` basis vectors of
+    column ``c``.  Info: ``unit_norm`` is ``|i|_F``, and ``m_norm`` the
+    operator norm ``max_c sqrt(d_c) w_c`` of ``m``.  A pair of another
+    form gets ``inf`` everywhere, so the full check decides."""
+    X, Xbar = pair.X, pair.Xbar
+    cols = X.cols - 1
+    w = _column_weights(pair.ev.mat, (cols, _pair_index(Xbar, X).diagonal()), cols)
+    s = _column_weights(pair.coev.mat, (_pair_index(X, Xbar).diagonal(), X.rows - 1), cols)
+    unit = sep = norm = top = zero = 0
+    if w is None or s is None:
+        unit = sep = norm = top = zero = inf
+    else:
+        for n, wc, sc in zip(np.bincount(cols).tolist(), w.tolist(), s.tolist()):
+            wc, sc = Fraction(wc), Fraction(sc)
+            unit += n * n * (sc * wc - 1) ** 2
+            sep += n * n * (n * wc * wc - 1) ** 2
+            norm += n * sc ** 2
+            top = max(top, n * wc * wc)
     rep = ResidualReport()
-    for name, value in (("Q1", 0), ("Q2", unit), ("Q3", 0), ("Q4", sep)):
+    for name, value in (("Q1", zero), ("Q2", unit), ("Q3", zero), ("Q4", sep)):
         rep.add(name, sqrt(value))
     rep.add_info("unit_norm", sqrt(norm))
     rep.add_info("m_norm", sqrt(top))
     return rep
+
+
+def _column_weights(full: np.ndarray, at, cols: np.ndarray) -> np.ndarray | None:
+    """The weight per column of ``X`` that ``full`` holds at ``at``, one
+    entry per basis vector; ``None`` if the entries of a column differ or
+    are not real and finite, or ``full`` has a nonzero entry elsewhere."""
+    w = np.zeros(cols.max() + 1)
+    w[cols] = full[at].real
+    rebuilt = np.zeros_like(full)
+    rebuilt[at] = w[cols]
+    return w if np.isfinite(w).all() and np.array_equal(rebuilt, full) else None
 
 
 def axiom_bounds(q: QSystemData, res: SplitResult) -> ResidualReport:
@@ -461,7 +480,7 @@ def axiom_bounds(q: QSystemData, res: SplitResult) -> ResidualReport:
     Q = q.Q
     r = int(max(np.bincount(Q.rows).max(), np.bincount(Q.cols).max()))
     kappa = _kappa(r)
-    dual = _dual_residuals(res.pair.X)
+    dual = _dual_residuals(res.pair)
     mu, i1 = (_GROW * dual.info[key] for key in ("m_norm", "unit_norm"))
     g, mq, iq = (_GROW * sqrt(_sq(a)) for a in (res.gamma.mat, q.m.mat, q.i.mat))
     u = _GROW * res.iso["unitary"] + kappa * g * g

@@ -60,3 +60,27 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{node.lineno} {name}({p})" for p in params
                        if p not in ("self", "cls") and p not in read]
     assert not unread, f"parameters never read: {unread}"
+
+
+def test_no_import_is_unused():
+    # an import that its module never reads is left over from a deletion;
+    # ``__init__`` imports to re-export, and so does a name in ``__all__``
+    unused = []
+    for path in sorted(Path(qhilb.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno)
+                                for a in node.names)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        exported = {n.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for n in node.value.elts}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read and name not in exported]
+    assert not unused, f"imports never read: {unused}"

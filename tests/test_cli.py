@@ -989,7 +989,7 @@ def test_a_huge_finite_entry_fails_with_at_most_one_error_line(tmp_path, capsys)
     run(capsys, "gen", "--kind", "scenario", "--seed", "1", "--out", scfile)
     cat, f, endf = scenario_from_json(load_document(scfile))
     a = cat.zero_cells[0]
-    endf.m.comp[a] = _perturbed(endf.at(a), "huge m", 0, np.random.default_rng(1)).m
+    endf.m[a] = _perturbed(endf.at(a), "huge m", 0, np.random.default_rng(1)).m
     dump_document(scenario_to_json(endf), scfile)
 
     for flags in ([], ["--json"]):
@@ -1031,8 +1031,8 @@ def test_a_multiplication_huge_everywhere_fails_with_at_most_one_error_line(tmp_
     dump_document(qsystem_to_json(QSystemData(q.Q, _scaled(q.m, 1e160), q.i)), qfile)
     _captured(["gen", "--kind", "scenario", "--seed", "1", "--out", scfile])
     _, _, endf = scenario_from_json(load_document(scfile))
-    for a in endf.m.comp:
-        endf.m.comp[a] = _scaled(endf.m[a], 1e160)
+    for a in endf.m:
+        endf.m[a] = _scaled(endf.m[a], 1e160)
     dump_document(scenario_to_json(endf), scfile)
 
     with warnings.catch_warnings(record=True) as shown:

@@ -20,7 +20,6 @@ from qhilb.errors import IllTypedPath, InvalidQSystem
 from qhilb.funcat import (
     EndFQSystem,
     FunctorData,
-    ModificationData,
     check_endf_qsystem,
     check_functor,
     check_modification,
@@ -33,9 +32,7 @@ from qhilb.funcat import (
     identity_transformation,
     qsystem_from_dualizable_transformation,
     split_modification_projection,
-    tensor_modifications,
     tensor_transformations,
-    vcomp_modifications,
     verify_main_theorem,
     _pname,
 )
@@ -216,36 +213,22 @@ def test_random_modification_fails_sliding():
     while not cat.gen_one_cells:
         cat = random_presentation(RNG, with_two_cell=False)
     phi, _, _ = summed_transformation(RNG, cat, summands=2)
-    eta = ModificationData({a: random_sector_matrix(RNG, phi.comp0[a],
-                                                    phi.comp0[a])
-                            for a in cat.zero_cells})
+    eta = {a: random_sector_matrix(RNG, phi.comp0[a], phi.comp0[a])
+           for a in cat.zero_cells}
     rep = check_modification(eta, phi, phi)
     assert rep.max_residual > 1e-6
     assert all(k.startswith("norm") for k in rep.info)
 
 
-def test_tensor_and_vcomp_modifications_interchange():
-    cat = random_presentation(RNG, with_two_cell=False)
-    phi, p, _ = summed_transformation(RNG, cat, summands=2)
-    q = ModificationData({a: vcomp(p[a], p[a]) for a in cat.zero_cells})
-    lhs = tensor_modifications(vcomp_modifications(p, q),
-                               vcomp_modifications(q, p))
-    rhs = vcomp_modifications(tensor_modifications(p, q),
-                              tensor_modifications(q, p))
-    for a in cat.zero_cells:
-        assert residual(lhs[a], rhs[a]) < 1e-12
-
-
 def test_split_modification_identity_and_zero():
     cat = random_presentation(RNG, with_two_cell=False)
     phi, _, _ = summed_transformation(RNG, cat, summands=2)
-    ident = ModificationData({a: id2(phi.comp0[a]) for a in cat.zero_cells})
+    ident = {a: id2(phi.comp0[a]) for a in cat.zero_cells}
     x, iso = split_modification_projection(ident, phi)
     for a in cat.zero_cells:
         assert x.comp0[a].dim == phi.comp0[a].dim
-    zero = ModificationData({a: two_cell(phi.comp0[a], phi.comp0[a],
-                                         np.zeros((phi.comp0[a].dim,) * 2))
-                             for a in cat.zero_cells})
+    zero = {a: two_cell(phi.comp0[a], phi.comp0[a], np.zeros((phi.comp0[a].dim,) * 2))
+            for a in cat.zero_cells}
     x0, _ = split_modification_projection(zero, phi)
     for a in cat.zero_cells:
         assert x0.comp0[a].dim == 0
@@ -315,7 +298,7 @@ def test_construct_G_gates_on_invalid():
     f, endf = constant_functor_scenario(cat, m2_qsystem())
     bad_m = {a: two_cell(endf.m[a].source, endf.m[a].target,
                          endf.m[a].mat + 0.01) for a in cat.zero_cells}
-    bad = EndFQSystem(endf.psi, ModificationData(bad_m), endf.i)
+    bad = EndFQSystem(endf.psi, bad_m, endf.i)
     with pytest.raises(InvalidQSystem):
         construct_G(bad)
 
@@ -327,7 +310,7 @@ def test_construct_G_keeps_the_split_gate():
     f, endf = constant_functor_scenario(cat, m2_qsystem())
     bad_m = {a: two_cell(endf.m[a].source, endf.m[a].target, endf.m[a].mat * (1 + 1e-8))
              for a in cat.zero_cells}
-    bad = EndFQSystem(endf.psi, ModificationData(bad_m), endf.i)
+    bad = EndFQSystem(endf.psi, bad_m, endf.i)
     worst = check_endf_qsystem(bad).max_residual
     tol = Tolerance(atol=worst / 50)
     a = cat.zero_cells[0]
@@ -429,7 +412,7 @@ def test_trivial_endf_recovers_F():
         from qhilb.cells import unitor_left
         m[a] = unitor_left(u)
         i[a] = id2(u)
-    endf = EndFQSystem(ident, ModificationData(m), ModificationData(i))
+    endf = EndFQSystem(ident, m, i)
     out = verify_main_theorem(endf)
     assert out.passes(1e-8)
     gc = out.gconstruction

@@ -36,7 +36,6 @@ from qhilb.qsystem import (
     BimoduleData,
     DualPair,
     QSystemData,
-    canonical_pairing,
     check_bimodule,
     check_intertwiner,
     check_qsystem,
@@ -47,7 +46,6 @@ from qhilb.qsystem import (
     standard_dual_pair,
     trivial_qsystem,
     unit_bimodule,
-    zigzag_residuals,
 )
 from qhilb.splitting import regular_reps, split_qsystem
 from test_splitting import block_structures, dual_pair_qsystem
@@ -107,30 +105,6 @@ def test_unit_nonzero_and_m_full_rank():
         assert frob(q.i.mat) > 0.5
         s = np.linalg.svd(q.m.mat, compute_uv=False)
         assert s[q.Q.dim - 1] > 0.5
-
-
-def test_canonical_pairing_trivial():
-    q = trivial_qsystem(2)
-    ev, coev = canonical_pairing(q)
-    assert residual(ev, vcomp(dagger2(q.i), q.m)) == 0
-    assert np.allclose(np.abs(ev.mat[ev.mat != 0]), 1.0)
-
-
-def test_canonical_pairing_zigzags():
-    for _ in range(5):
-        x = random_cell(RNG, 2, 2, 2, full_cols=True)
-        q = qsystem_from_dual(standard_dual_pair(x))
-        ev, coev = canonical_pairing(q)
-        r1, r2 = zigzag_residuals(q.Q, q.Q, ev, coev)
-        assert max(r1, r2) < 1e-9
-
-
-def test_canonical_pairing_m2_scalar():
-    q = m2_qsystem()
-    ev, coev = canonical_pairing(q)
-    loop = vcomp(ev, coev)
-    # dimension-like scalar: squared norm of the unit
-    assert np.allclose(loop.mat, [[4.0]])
 
 
 def test_free_bimodule_passes():

@@ -32,6 +32,7 @@ from qhilb.generate import (
 )
 from qhilb.linalg import Tolerance, commutant_basis, dagger, frob, herm_part
 from qhilb.qsystem import (
+    DualPair,
     QSystemData,
     check_qsystem,
     check_qsystem_iso,
@@ -662,12 +663,51 @@ def test_axiom_bounds_hold_for_the_computed_residuals(structure, dressed, kind, 
 def test_dual_residuals_in_closed_form_match_the_check(structure, dressed, seed):
     rng = np.random.default_rng(seed)
     res = split_qsystem(dual_pair_qsystem(structure, rng, dressed))
-    closed, rep = splitting._dual_residuals(res.pair.X), check_qsystem(res.dual)
+    closed, rep = splitting._dual_residuals(res.pair), check_qsystem(res.dual)
     assert list(closed) == list(rep) and closed["Q1"] == closed["Q3"] == 0.0
     for name, value in rep.items():
         assert abs(closed[name] - value) <= 1e-15, name
     assert abs(closed.info["unit_norm"] - frob(res.dual.i.mat)) <= 1e-13
     assert abs(closed.info["m_norm"] - np.linalg.norm(res.dual.m.mat, 2)) <= 1e-13
+
+
+def _with_ev(pair, mat):
+    return DualPair(pair.X, pair.Xbar, two_cell(pair.ev.source, pair.ev.target, mat),
+                    pair.coev)
+
+
+@given(block_structures(max_dim=36), st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_dual_residuals_read_the_weights_of_the_pair(structure, data):
+    # the closed form bounds the Q-system the pair defines: with one
+    # column's evaluation weights scaled it still matches the full check,
+    # and a column whose weights differ gets inf, so the check decides
+    rows, sectors = structure
+    grading = tuple((r + 1, t + 1) for r in range(rows) for t in range(len(sectors))
+                    for _ in range(sectors[t][r]))
+    pair = standard_dual_pair(GradedOneCell(ZeroCell(len(sectors)), ZeroCell(rows), grading))
+    c = data.draw(st.integers(0, len(sectors) - 1))
+    mat = pair.ev.mat.copy()
+    mat[c] *= 1 + 1e-6
+    scaled = _with_ev(pair, mat)
+    closed, rep = splitting._dual_residuals(scaled), check_qsystem(qsystem_from_dual(scaled))
+    assert list(closed) == list(rep) and closed["Q4"] > 1e-7
+    for name, value in rep.items():
+        assert abs(closed[name] - value) <= 1e-15, name
+    assert abs(closed.info["m_norm"] - np.linalg.norm(qsystem_from_dual(scaled).m.mat, 2)) \
+        <= 1e-13
+    stray = []
+    weights, zeros = np.flatnonzero(pair.ev.mat[c]), np.flatnonzero(pair.ev.mat[c] == 0)
+    if weights.size > 1:    # one weight of the column scaled
+        stray.append(pair.ev.mat.copy())
+        stray[-1][c, data.draw(st.sampled_from(weights.tolist()))] *= 1 + 1e-6
+    if zeros.size:          # an entry where the pair has none
+        stray.append(pair.ev.mat.copy())
+        stray[-1][c, data.draw(st.sampled_from(zeros.tolist()))] = 1e-6
+    for mat in stray:
+        closed = splitting._dual_residuals(_with_ev(pair, mat))
+        assert all(v == np.inf for v in closed.values()), closed.residuals
+        assert closed.info == {"unit_norm": np.inf, "m_norm": np.inf}
 
 
 def test_split_leaves_the_warnings_machinery_alone(monkeypatch):
