@@ -12,10 +12,10 @@ Conventions (see :mod:`qhilb.presentation` for paths):
   ``hcomp1`` over the generator images, so the tensorator of a free
   functor is the identity (a left unitor when the left path is empty);
 * a transformation stores its crossing cells on generator paths; on
-  longer paths the crossing is the stack of generator crossings unless
-  an explicit cell is stored (the constructed ``phi`` stores cells
-  built from the splitting isometries, which is what the coherence
-  checks compare against);
+  longer paths the crossing is solved from the composite equation,
+  with both functors' tensorators, unless an explicit cell is stored
+  (the constructed ``phi`` stores cells built from the splitting
+  isometries, which is what the coherence checks compare against);
 * a modification is a ``dict`` from zero-cell label to its two-cell
   component, as a modification of Fun(C, D) is a family indexed by the
   zero-cells of C.
@@ -207,12 +207,14 @@ def _pname(p: Path) -> str:
 @dataclass(eq=False)
 class TransformationData:
     """Transformation between functors: one-cell components per
-    zero-cell and unitary crossing cells per (at least) generator."""
+    zero-cell and unitary crossing cells per (at least) generator; the
+    crossings it derives are kept, so one object belongs to one thread."""
 
     source: FunctorData
     target: FunctorData
     comp0: dict[str, GradedOneCell]
     comp1: dict[Path, BlockTwoCell]
+    _derived: dict[Path, BlockTwoCell] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         for a, c in self.comp0.items():
@@ -221,22 +223,25 @@ class TransformationData:
 
     def component(self, path: Path) -> BlockTwoCell:
         """Crossing cell on a path: stored, or the inverse left unitor
-        on empty paths, or the stack of generator crossings."""
+        on empty paths, or solved once from the composite equation on
+        ``path = p q``, ``p`` its first generator."""
         if path in self.comp1:
             return self.comp1[path]
         if not path.labels:
             return dagger2(unitor_left(self.comp0[path.src]))
-        cat = self.source.cat
-        labels = path.labels
-        layers = []
-        for i, lab in enumerate(labels):
-            layer = [self.comp1[cat.path((lab,))]]
-            if i > 0:
-                layer.insert(0, self.target.cell(cat.path(labels[:i])))
-            if i + 1 < len(labels):
-                layer.append(self.source.cell(cat.path(labels[i + 1:])))
-            layers.append(tuple(layer))
-        return vcomp_many(*reversed(layers))
+        if path not in self._derived:
+            cat = self.source.cat
+            p, q = cat.path(path.labels[:1]), cat.path(path.labels[1:])
+            self._derived[path] = vcomp_many(
+                (self.target.tensorator(p, q), self.comp0[q.src]), self.stack(p, q),
+                (self.comp0[p.tgt], dagger2(self.source.tensorator(p, q))))
+        return self._derived[path]
+
+    def stack(self, p: Path, q: Path) -> BlockTwoCell:
+        """The two-step crossing ``(G(p) . phi_q) o (phi_p . F(q))``, from
+        ``c . F(p) . F(q)`` to ``G(p) . G(q) . c``."""
+        return vcomp_many((self.target.cell(p), self.component(q)),
+                          (self.component(p), self.source.cell(q)))
 
 
 def identity_transformation(f: FunctorData) -> TransformationData:
@@ -257,9 +262,7 @@ def check_transformation(phi: TransformationData) -> ResidualReport:
         rep.add(f"unitary[{gen.label}]", is_unitary_residual(phi.component(p)))
     for p, q in cat.composable_pairs():
         a = q.src
-        lhs = vcomp_many((g.tensorator(p, q), phi.comp0[a]),
-                         (g.cell(p), phi.component(q)),
-                         (phi.component(p), f.cell(q)))
+        lhs = vcomp_many((g.tensorator(p, q), phi.comp0[a]), phi.stack(p, q))
         rhs = vcomp_many(phi.component(p * q), (phi.comp0[p.tgt], f.tensorator(p, q)))
         rep.add(f"composite[{_pname(p)},{_pname(q)}]", residual(lhs, rhs))
     for two in cat.gen_two_cells:
@@ -281,7 +284,7 @@ def check_transformation(phi: TransformationData) -> ResidualReport:
 def check_modification(eta: dict[str, BlockTwoCell], phi: TransformationData,
                        psi: TransformationData) -> ResidualReport:
     """Residuals of the sliding equation of a modification
-    ``eta : phi => psi`` on every generator; component norms recorded."""
+    ``eta : phi => psi`` on every generator."""
     f, g = phi.source, phi.target
     cat = f.cat
     rep = ResidualReport()
@@ -290,9 +293,6 @@ def check_modification(eta: dict[str, BlockTwoCell], phi: TransformationData,
         lhs = vcomp_many(psi.component(p), (eta[b], f.cell(p)))
         rhs = vcomp_many((g.cell(p), eta[a]), phi.component(p))
         rep.add(f"slide[{_pname(p)}]", residual(lhs, rhs))
-    for a in cat.zero_cells:
-        rep.add_info(f"norm[{a}]",
-                     float(np.linalg.norm(eta[a].mat, 2)) if eta[a].mat.size else 0.0)
     return rep
 
 
@@ -728,10 +728,8 @@ def verify_main_theorem(q: EndFQSystem, tol: Tolerance = Tolerance()) -> MainThe
 def _double_crossing_projection(gc: GConstruction, p: Path, q: Path) -> BlockTwoCell:
     """The projection on ``x . F(p) . F(q) . xbar`` built from the
     two-step crossing stack (no tensorator inserted)."""
-    fp, fq = gc.F.cell(p), gc.F.cell(q)
-    psi = gc.q.psi
-    cross = vcomp_many((fp, psi.component(q)), (psi.component(p), fq))
-    return gc._crossing_projection(q.src, p.tgt, hcomp1(fp, fq), cross)
+    return gc._crossing_projection(q.src, p.tgt, hcomp1(gc.F.cell(p), gc.F.cell(q)),
+                                   gc.q.psi.stack(p, q))
 
 
 def _isometry_product_residual(gc: GConstruction, p: Path, q: Path) -> float:

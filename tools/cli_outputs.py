@@ -16,20 +16,26 @@ five inputs near ``split-qsystem``'s gate through the tree's own
 serializer, the seed's qsystem with ``m`` scaled by ``1 + delta`` for
 ``delta`` in 1e-12, 1e-10, 1e-8 and 1e-3 and with ``i`` scaled by
 ``1 + 1e-6``, and runs ``split-qsystem --seed s --out`` on each, as
-text and as ``--json``.  Three inputs overflow: seed 0's qsystem with
-one ``m`` entry set to 1e150 and with every ``m`` entry scaled by
-1e160, each through ``check-qsystem`` and ``split-qsystem``, and seed
-1's scenario with every ``qsystem.m`` entry scaled by 1e160, through
-``verify-fun``, as text and as ``--json``; they are written by
-rewriting the decoded ``entries`` of the JSON files, so they read no
-``qhilb`` API.  It also runs the checkers on a copy of each
-of the six committed fixtures in ``TREE/tests/data`` (``split-qsystem``
-and ``verify-fun`` once more with ``--gap-tol 1e-8 --json``, below the
-default tolerance), and runs that end in argparse's help or a usage
-error: no arguments, ``-h``, ``--help`` and an unknown command; each
-command with ``--help``, with no arguments and with an unknown flag;
-``gen --kind nope``, ``check-qsystem --tol -1`` and ``split-qsystem
---seed -1``: 591 runs in all.
+text and as ``--json``.  For those seeds but 0 and 5, whose second
+round raises ``EmptyColumn`` in ``standard_dual``, it also writes a
+second-round scenario through the tree's own API, the Q-system
+``phi . phibar`` on End(G) of the split of the seed's scenario file,
+with G written as the free functor on its generator images, and runs
+``verify-fun`` on it, as text and as ``--json``.  Three inputs
+overflow: seed 0's qsystem with one ``m`` entry set to 1e150 and with
+every ``m`` entry scaled by 1e160, each through ``check-qsystem`` and
+``split-qsystem``, and seed 1's scenario with every ``qsystem.m``
+entry scaled by 1e160, through ``verify-fun``, as text and as
+``--json``; they are written by rewriting the decoded ``entries`` of
+the JSON files, so they read no ``qhilb`` API.  It also runs the
+checkers on a copy of each of the six committed fixtures in
+``TREE/tests/data`` (``split-qsystem`` and ``verify-fun`` once more
+with ``--gap-tol 1e-8 --json``, below the default tolerance), and runs
+that end in argparse's help or a usage error: no arguments, ``-h``,
+``--help`` and an unknown command; each command with ``--help``, with
+no arguments and with an unknown flag; ``gen --kind nope``,
+``check-qsystem --tol -1`` and ``split-qsystem --seed -1``: 607 runs
+in all.
 ``COLUMNS`` is set to 80, so argparse wraps its text the same way on
 every terminal.
 
@@ -70,6 +76,8 @@ SEEDS = range(40)
 GATE_SEEDS = range(10)
 GATE_INPUTS = (("m", 1e-12), ("m", 1e-10), ("m", 1e-8), ("m", 1e-3), ("i", 1e-6))
 GATE_SOURCES = {f"gen-qsystem-{s}": s for s in GATE_SEEDS}   # run -> seed it writes for
+SECOND_ROUND_SEEDS = (1, 2, 3, 4, 6, 7, 8, 9)   # GATE_SEEDS but the EmptyColumn ones
+SECOND_ROUND_SOURCES = {f"gen-scenario-{s}": s for s in SECOND_ROUND_SEEDS}
 OVERFLOWS = {   # input -> (the gen run whose file it rewrites, commands run on it)
     "q-0-entry1e150": ("gen-qsystem-0", ("check-qsystem", "split-qsystem")),
     "q-0-m1e160": ("gen-qsystem-0", ("check-qsystem", "split-qsystem")),
@@ -107,6 +115,9 @@ def runs():
                 yield f"split-qsystem-{tag}-{fmt}", [
                     "split-qsystem", f"files/q-{tag}.json", *seed,
                     "--out", f"files/split-{tag}-{fmt}.json", *flags]
+        for fmt, flags in (("text", []), ("json", ["--json"])) if s in SECOND_ROUND_SEEDS else ():
+            yield f"verify-fun-second-round-{s}-{fmt}", ["verify-fun", f"files/sc2-{s}.json",
+                                                         *flags]
     for tag, (_, commands) in OVERFLOWS.items():
         for command in commands:
             for fmt, flags in (("text", []), ("json", ["--json"])):
@@ -150,6 +161,20 @@ def write_gate_inputs(s: int) -> None:
         f = getattr(q, cell)
         cells = {"m": q.m, "i": q.i, cell: BlockTwoCell(f.source, f.target, f.mat * (1 + delta))}
         dump_document(qsystem_to_json(QSystemData(q.Q, **cells)), f"files/q-{tag}.json")
+
+
+def write_second_round_input(s: int) -> None:
+    """Write seed ``s``'s second-round scenario, the Q-system on End(G)
+    of the split of its scenario file, with the API of the tree on
+    ``sys.path``."""
+    from qhilb.funcat import (construct_G, construct_phi, construct_phibar,
+                              qsystem_from_dualizable_transformation)
+    from qhilb.serialize import dump_document, load_document, scenario_from_json, scenario_to_json
+
+    _, _, q = scenario_from_json(load_document(f"files/sc-{s}.json"))
+    gc = construct_G(q)
+    q2 = qsystem_from_dualizable_transformation(construct_phibar(gc), construct_phi(gc))
+    dump_document(scenario_to_json(q2), f"files/sc2-{s}.json")
 
 
 def write_overflow_inputs(source: str) -> None:
@@ -324,6 +349,8 @@ def main(argv=None) -> int:
         else:
             if name in GATE_SOURCES:
                 write_gate_inputs(GATE_SOURCES[name])
+            if name in SECOND_ROUND_SOURCES:
+                write_second_round_input(SECOND_ROUND_SOURCES[name])
             write_overflow_inputs(name)
     print(f"{count} runs from {tree}, {len(failed)} with a nonzero exit"
           + (f": {' '.join(failed)}" if failed else ""))
